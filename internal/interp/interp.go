@@ -168,6 +168,11 @@ type Program struct {
 	// shared by every Machine running this program.
 	compileOnce sync.Once
 	compiledP   *compiled
+
+	// Site table Recorder.Profile lifts through (recorder.go), built on
+	// the first lift and shared by every Recorder on this program.
+	liftOnce sync.Once
+	lift     []liftSite
 }
 
 // LayoutBase is where Compile places the image.
@@ -251,6 +256,10 @@ func (p *Program) compileFunc(f *ir.Function, index int32) (cfunc, error) {
 			in := &b.Instrs[ii]
 			iaddr := addr
 			addr += int64(in.ByteSize())
+			if (in.Op.IsCall() || in.Op == ir.OpResolve) && (in.Orig < 1 || in.Orig >= p.mod.NextSiteID()) {
+				// Recorder and Resolver index dense tables by Orig.
+				return cf, fmt.Errorf("interp: %s: site %d has orig %d outside [1, %d)", f.Name, in.Site, in.Orig, p.mod.NextSiteID())
+			}
 			switch in.Op {
 			case ir.OpALU, ir.OpLoad, ir.OpStore:
 				pendCost += int32(in.Latency())
@@ -998,7 +1007,7 @@ frames:
 				case cCall:
 					retAddr := int64(ci.els)
 					if rec != nil {
-						rec.direct(ci.orig, ci.callee)
+						rec.direct(ci.orig)
 					}
 					if model != nil {
 						model.DirectCall(retAddr, int32(ci.args))

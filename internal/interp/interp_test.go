@@ -345,6 +345,29 @@ func TestCompileRejectsUnknownCallee(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsOrigOutsideSiteBound: the recorder counts into
+// tables indexed by Orig, so Compile must refuse an Orig no site of the
+// module was allocated as, whether or not the caller ran ir.Verify.
+func TestCompileRejectsOrigOutsideSiteBound(t *testing.T) {
+	for _, orig := range []string{"999999", "-1"} {
+		m, err := ir.ParseString(`func leaf (params=0, regs=0)
+entry:
+  ret
+
+func main (params=0, regs=0) [entry]
+entry:
+  call @leaf args=0 site=1 orig=` + orig + `
+  ret
+`)
+		if err != nil {
+			t.Fatalf("ParseString: %v", err)
+		}
+		if _, err := Compile(m); err == nil || !strings.Contains(err.Error(), "orig "+orig) {
+			t.Errorf("Compile with orig=%s: %v, want an out-of-bound orig error", orig, err)
+		}
+	}
+}
+
 func TestSwitchExecutesAllArms(t *testing.T) {
 	m := ir.NewModule()
 	b := ir.NewFunction(m, "sw", 0)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,30 @@ func TestVerifyCatchesDuplicateSiteIDs(t *testing.T) {
 	err := Verify(m, VerifyOptions{})
 	if err == nil || !strings.Contains(err.Error(), "reused") {
 		t.Fatalf("Verify = %v, want site-reuse error", err)
+	}
+}
+
+// TestVerifyCatchesOrigOutsideAllocator: a site's Orig must name an
+// allocated site, since profiles and the recorder are keyed by it.
+func TestVerifyCatchesOrigOutsideAllocator(t *testing.T) {
+	for _, orig := range []string{"999999", "-1"} {
+		m, err := ParseString(`func leaf (params=0, regs=0)
+entry:
+  ret
+
+func main (params=0, regs=0) [entry]
+entry:
+  call @leaf args=0 site=1 orig=` + orig + `
+  ret
+`)
+		if err != nil {
+			t.Fatalf("ParseString: %v", err)
+		}
+		err = Verify(m, VerifyOptions{})
+		var ve *VerifyError
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), "orig "+orig+" outside [1, 2)") {
+			t.Errorf("Verify with orig=%s: %v, want a *VerifyError naming the orig", orig, err)
+		}
 	}
 }
 

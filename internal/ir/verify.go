@@ -32,6 +32,7 @@ type VerifyOptions struct {
 //   - register operands are within the function's register count;
 //   - direct-call and compare targets name existing functions;
 //   - site IDs are unique module-wide and within the allocator bound;
+//   - every site's Orig lies in [1, NextSiteID());
 //   - switches have at least one target.
 //
 // It returns all violations joined into a single error, or nil.
@@ -139,6 +140,8 @@ func verifyFunc(m *Module, f *Function, opts VerifyOptions, callSites, resolveSi
 					}
 					if in.Orig == 0 {
 						report("%s.%s[%d]: site %d without Orig", f.Name, b.Name, i, in.Site)
+					} else if in.Orig < 0 || in.Orig >= m.NextSiteID() {
+						report("%s.%s[%d]: site %d orig %d outside [1, %d)", f.Name, b.Name, i, in.Site, in.Orig, m.NextSiteID())
 					}
 				}
 			}
