@@ -14,10 +14,13 @@ import (
 	"sync"
 	"testing"
 
+	pibe "repro"
+	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/sweep"
 )
 
 var (
@@ -195,3 +198,44 @@ func runDispatch(b *testing.B, eng interp.Engine) {
 // machine_run_compiled rows of `pibe bench-engine`.
 func BenchmarkMachineRun(b *testing.B)         { runDispatch(b, interp.EngineInterp) }
 func BenchmarkMachineRunCompiled(b *testing.B) { runDispatch(b, interp.EngineCompiled) }
+
+// reportSink keeps BenchmarkBuildSurface's SecurityReport calls live.
+var reportSink attack.Report
+
+// BenchmarkBuildSurface times the compile side of a sweep cell: one
+// System.Build plus Image.SecurityReport per iteration, from the seed-1
+// kernel's LMBench profile at scale 5. Iteration i builds cell i mod 343
+// of sweep.DefaultGrid (ICP budget) × sweep.DefaultGrid (inline budget) ×
+// sweep.DefaultCombos, combos varying fastest, so -benchtime=343x covers
+// the whole surface once.
+func BenchmarkBuildSurface(b *testing.B) {
+	sys, err := pibe.NewSyntheticKernel(pibe.KernelConfig{Seed: 1})
+	if err != nil {
+		b.Fatalf("NewSyntheticKernel: %v", err)
+	}
+	p, err := sys.Profile(pibe.LMBench, 5)
+	if err != nil {
+		b.Fatalf("Profile: %v", err)
+	}
+	grid, combos := sweep.DefaultGrid, sweep.DefaultCombos()
+	cells := len(grid) * len(grid) * len(combos)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := i % cells
+		combo := combos[c%len(combos)]
+		budgets := c / len(combos)
+		img, err := sys.Build(pibe.BuildConfig{
+			Profile:  p,
+			Defenses: combo.Defenses,
+			Optimize: pibe.OptimizeConfig{
+				ICPBudget:    grid[budgets/len(grid)],
+				InlineBudget: grid[budgets%len(grid)],
+			},
+		})
+		if err != nil {
+			b.Fatalf("Build cell %d (%s): %v", c, combo.Name, err)
+		}
+		reportSink = img.SecurityReport()
+	}
+}

@@ -1,0 +1,82 @@
+package pibe_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"io"
+	"testing"
+
+	pibe "repro"
+	"repro/internal/ir"
+)
+
+// imageDigest identifies a built image byte for byte: its static stats,
+// size, hardening census, attack report and the IR text of every
+// function in module order (the fingerprint perfbench's build workload
+// checks its staged builds against).
+func imageDigest(img *pibe.Image) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v\n%d\n%+v\n%+v\n", img.Stats(), img.Size(), *img.Census, img.SecurityReport())
+	for _, f := range img.Mod.Funcs {
+		io.WriteString(h, ir.Print(f))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestImageGoldenDigests pins the images Build makes from the default
+// kernel's LMBench profile across the budget range, and two latencies
+// measured on each, which run the compiled program. Clone, the passes,
+// Verify and Compile all sit on this path, so a change to any of them
+// that alters one instruction or one cycle shows up here.
+func TestImageGoldenDigests(t *testing.T) {
+	sys, err := pibe.NewSyntheticKernel(pibe.KernelConfig{Seed: 1})
+	if err != nil {
+		t.Fatalf("NewSyntheticKernel: %v", err)
+	}
+	p, err := sys.Profile(pibe.LMBench, 5)
+	if err != nil {
+		t.Fatalf("Profile: %v", err)
+	}
+	for _, c := range []struct {
+		icp, inline float64
+		def         pibe.Defenses
+		digest      string
+		size        int64
+		read, nginx float64
+	}{
+		{0, 0, pibe.Defenses{Retpolines: true}, "7dc32943dd7d545f", 511029, 930.985, 146342.56666666668},
+		{0.9, 0.5, pibe.AllDefenses, "95f90701b12c43ff", 577880, 1681.22, 158477.16666666666},
+		{0.999, 0.999, pibe.AllDefenses, "c51b57ab72328e17", 715860, 1023.035, 107828.86666666667},
+		{0.999999, 0.999999, pibe.Defenses{VeriFence: true}, "ee78b578305936bd", 679280, 734.23, 86604.43333333333},
+	} {
+		name := fmt.Sprintf("icp %g inline %g %+v", c.icp, c.inline, c.def)
+		img, err := sys.Build(pibe.BuildConfig{
+			Profile:  p,
+			Defenses: c.def,
+			Optimize: pibe.OptimizeConfig{ICPBudget: c.icp, InlineBudget: c.inline},
+		})
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		if got := imageDigest(img); got != c.digest {
+			t.Errorf("%s: image digest %s, want %s", name, got, c.digest)
+		}
+		if got := img.Size(); got != c.size {
+			t.Errorf("%s: size %d, want %d", name, got, c.size)
+		}
+		lat, err := img.MeasureBenchmark(pibe.LMBench, "read")
+		if err != nil {
+			t.Fatalf("%s: MeasureBenchmark: %v", name, err)
+		}
+		if lat.Cycles != c.read {
+			t.Errorf("%s: read %v cycles, want %v", name, lat.Cycles, c.read)
+		}
+		cycles, err := img.MeasureRequestCycles(pibe.Nginx)
+		if err != nil {
+			t.Fatalf("%s: MeasureRequestCycles: %v", name, err)
+		}
+		if cycles != c.nginx {
+			t.Errorf("%s: nginx request %v cycles, want %v", name, cycles, c.nginx)
+		}
+	}
+}

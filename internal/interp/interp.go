@@ -245,6 +245,16 @@ func (p *Program) compileFunc(f *ir.Function, index int32) (cfunc, error) {
 	lineSize := int64(64)
 	for bi, b := range f.Blocks {
 		cb := cblock{lineBase: int32(addr &^ (lineSize - 1))}
+		// Every instruction but straight-line work becomes one event.
+		events := 0
+		for ii := range b.Instrs {
+			switch b.Instrs[ii].Op {
+			case ir.OpALU, ir.OpLoad, ir.OpStore:
+			default:
+				events++
+			}
+		}
+		cb.instrs = make([]cinstr, 0, events)
 		var pendCost, pendCount int32
 		appendEvent := func(ci cinstr) {
 			ci.preCost += pendCost
@@ -379,8 +389,13 @@ func isTerminator(k ckind) bool {
 func mergeSuperblocks(cf *cfunc) {
 	const maxChain = 32
 	merged := make([][]cinstr, len(cf.blocks))
-	var expand func(bi int32, visited map[int32]bool, budget int) []cinstr
-	expand = func(bi int32, visited map[int32]bool, budget int) []cinstr {
+	// visited[b] == stamp marks block b as already on the chain being
+	// expanded; each chain start takes a fresh stamp, so one slice
+	// serves the whole function.
+	visited := make([]int32, len(cf.blocks))
+	var stamp int32
+	var expand func(bi int32, budget int) []cinstr
+	expand = func(bi int32, budget int) []cinstr {
 		instrs := cf.blocks[bi].instrs
 		t := -1
 		for i := range instrs {
@@ -398,11 +413,11 @@ func mergeSuperblocks(cf *cfunc) {
 			return instrs
 		}
 		tgt := term.then
-		if visited[tgt] {
+		if visited[tgt] == stamp {
 			return instrs
 		}
-		visited[tgt] = true
-		tail := expand(tgt, visited, budget-1)
+		visited[tgt] = stamp
+		tail := expand(tgt, budget-1)
 		if len(tail) == 0 || !isTerminator(tail[len(tail)-1].kind) {
 			return instrs // target chain is malformed; don't merge
 		}
@@ -424,8 +439,9 @@ func mergeSuperblocks(cf *cfunc) {
 		return append(out, tail...)
 	}
 	for bi := range cf.blocks {
-		visited := map[int32]bool{int32(bi): true}
-		merged[bi] = expand(int32(bi), visited, maxChain)
+		stamp++
+		visited[bi] = stamp
+		merged[bi] = expand(int32(bi), maxChain)
 	}
 	for bi := range cf.blocks {
 		cf.blocks[bi].instrs = merged[bi]

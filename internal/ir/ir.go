@@ -241,7 +241,9 @@ func (in Instr) Clone() Instr {
 }
 
 // Block is a basic block: a named, straight-line run of instructions
-// ending in a terminator.
+// ending in a terminator. The blocks of a cloned function share one
+// Instr array, each capped at its own length, so growing Instrs by
+// append is safe; no code may rely on spare capacity in Instrs.
 type Block struct {
 	Name   string
 	Instrs []Instr
@@ -365,7 +367,17 @@ func (f *Function) ByteSize() int64 {
 // Clone returns a deep copy of the function. Site IDs are preserved;
 // callers that splice cloned bodies into other functions must refresh
 // site IDs through Module.CloneBlocksInto.
+//
+// The copy's blocks share one Block array and one Instr array, each
+// block's Instrs capped at its own length so that appending to it
+// reallocates instead of overwriting the next block.
 func (f *Function) Clone() *Function {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	blocks := make([]Block, len(f.Blocks))
+	instrs := make([]Instr, n)
 	nf := &Function{
 		Name:      f.Name,
 		Params:    f.Params,
@@ -375,8 +387,17 @@ func (f *Function) Clone() *Function {
 		Addr:      f.Addr,
 		Blocks:    make([]*Block, len(f.Blocks)),
 	}
+	lo := 0
 	for i, b := range f.Blocks {
-		nf.Blocks[i] = b.Clone()
+		hi := lo + copy(instrs[lo:], b.Instrs)
+		blocks[i] = Block{Name: b.Name, Instrs: instrs[lo:hi:hi]}
+		nf.Blocks[i] = &blocks[i]
+		lo = hi
+	}
+	for i := range instrs {
+		if instrs[i].Targets != nil {
+			instrs[i].Targets = append([]string(nil), instrs[i].Targets...)
+		}
 	}
 	return nf
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,87 @@ func TestVerifyCatchesDuplicateSiteIDs(t *testing.T) {
 	}
 }
 
+// TestVerifyReuseMessages pins the verifier's site-reuse violations byte
+// for byte: each names the latest earlier use of the ID, IDs beyond the
+// allocator bound are still checked for reuse, and resolve sites and call
+// sites are separate namespaces.
+func TestVerifyReuseMessages(t *testing.T) {
+	call := func(site SiteID) Instr { return Instr{Op: OpCall, Callee: "g", Site: site, Orig: 1} }
+	for _, c := range []struct {
+		name  string
+		build func(m *Module)
+		want  string
+	}{
+		{
+			name: "triple reuse across functions",
+			build: func(m *Module) {
+				NewFunction(m, "g", 0).Ret()
+				f := NewFunction(m, "f", 0)
+				site := f.Call("g", 0)
+				f.Func().Entry().Instrs = append(f.Func().Entry().Instrs, call(site))
+				f.Ret()
+				h := NewFunction(m, "h", 0)
+				h.Func().Entry().Instrs = append(h.Func().Entry().Instrs, call(site))
+				h.Ret()
+			},
+			want: "ir: verify: f.entry[1]: site 1 reused (first at f.entry[0]); h.entry[0]: site 1 reused (first at f.entry[1])",
+		},
+		{
+			name: "reuse beyond the allocator bound",
+			build: func(m *Module) {
+				NewFunction(m, "g", 0).Ret()
+				f := NewFunction(m, "f", 0)
+				f.Call("g", 0)
+				far := m.NextSiteID() + 5
+				f.Func().Entry().Instrs = append(f.Func().Entry().Instrs, call(far), call(far))
+				f.Ret()
+			},
+			want: "ir: verify: f.entry[1]: site 7 beyond allocator bound 2; f.entry[2]: site 7 reused (first at f.entry[1]); f.entry[2]: site 7 beyond allocator bound 2",
+		},
+		{
+			name: "separate namespaces",
+			build: func(m *Module) {
+				f := NewFunction(m, "f", 0)
+				site := f.IndirectCall(0)
+				f.Func().Entry().Instrs = append(f.Func().Entry().Instrs,
+					Instr{Op: OpResolve, Site: site, Orig: site, Reg: 0})
+				f.Ret()
+			},
+			want: "ir: verify: f.entry[2]: site 1 reused (first at f.entry[0])",
+		},
+	} {
+		m := NewModule()
+		c.build(m)
+		err := Verify(m, VerifyOptions{})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Verify = %v\nwant %s", c.name, err, c.want)
+		}
+	}
+}
+
+// TestVerifyAllocationsDoNotScale: verifying a well-formed module costs a
+// fixed handful of allocations, not one per site or per block.
+func TestVerifyAllocationsDoNotScale(t *testing.T) {
+	m := NewModule()
+	NewFunction(m, "leaf", 0).Ret()
+	for i := 0; i < 100; i++ {
+		f := NewFunction(m, "f"+strconv.Itoa(i), 0)
+		for j := 0; j < 10; j++ {
+			f.Call("leaf", 0)
+			f.IndirectCall(0)
+			next := "b" + strconv.Itoa(j)
+			f.Jmp(next).NewBlock(next)
+		}
+		f.Ret()
+	}
+	if err := Verify(m, VerifyOptions{}); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = Verify(m, VerifyOptions{}) }); n > 16 {
+		t.Errorf("Verify made %v allocations over %d sites and %d blocks; want a handful", n, m.NextSiteID()-1, 100*11+1)
+	}
+}
+
 // TestVerifyCatchesOrigOutsideAllocator: a site's Orig must name an
 // allocated site, since profiles and the recorder are keyed by it.
 func TestVerifyCatchesOrigOutsideAllocator(t *testing.T) {
@@ -250,6 +332,30 @@ func TestModuleCloneIsDeep(t *testing.T) {
 	}
 	if c.NextSiteID() != m.NextSiteID() {
 		t.Fatalf("clone allocator = %d, want %d", c.NextSiteID(), m.NextSiteID())
+	}
+}
+
+// TestCloneBlocksStayApart: a cloned function's blocks share backing
+// arrays, so appending to one block must not write into the next, and a
+// switch's target list must not be shared with the source.
+func TestCloneBlocksStayApart(t *testing.T) {
+	m := NewModule()
+	b := NewFunction(m, "f", 0)
+	b.ALU(2).Switch([]string{"entry", "out"})
+	b.NewBlock("out").Ret()
+	src := m.Func("f")
+	srcText := Print(src)
+
+	cf := m.Clone().Func("f")
+	second := Print(&Function{Name: "f", Blocks: cf.Blocks[1:]})
+	first := cf.Blocks[0]
+	first.Instrs = append(first.Instrs, Instr{Op: OpALU, Cycles: 7})
+	if got := Print(&Function{Name: "f", Blocks: cf.Blocks[1:]}); got != second {
+		t.Errorf("appending to the clone's first block changed its second:\n%s\nwant\n%s", got, second)
+	}
+	first.Instrs[2].Targets[0] = "out"
+	if got := Print(src); got != srcText {
+		t.Errorf("editing the clone changed the source:\n%s\nwant\n%s", got, srcText)
 	}
 }
 

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -35,7 +36,10 @@ type VerifyOptions struct {
 //   - every site's Orig lies in [1, NextSiteID());
 //   - switches have at least one target.
 //
-// It returns all violations joined into a single error, or nil.
+// It returns all violations joined into a single error, or nil. A
+// module that verifies costs no map and no string formatting: sites are
+// tracked in dense tables and violation text is built only when one is
+// reported.
 func Verify(m *Module, opts VerifyOptions) error {
 	var errs []string
 	report := func(format string, args ...any) {
@@ -45,10 +49,11 @@ func Verify(m *Module, opts VerifyOptions) error {
 	// A call site's ID is shared between the OpResolve that loads the
 	// function pointer and the OpICall that consumes it, so resolve
 	// sites and call sites are tracked in separate namespaces.
-	callSites := make(map[SiteID]string)
-	resolveSites := make(map[SiteID]string)
-	for _, f := range m.Funcs {
-		verifyFunc(m, f, opts, callSites, resolveSites, report)
+	callSites := newSiteTable(m.NextSiteID())
+	resolveSites := newSiteTable(m.NextSiteID())
+	var order []int32
+	for fi := range m.Funcs {
+		order = verifyFunc(m, fi, opts, callSites, resolveSites, order, report)
 		if len(errs) > 64 {
 			errs = append(errs, "... (truncated)")
 			break
@@ -60,24 +65,74 @@ func Verify(m *Module, opts VerifyOptions) error {
 	return &VerifyError{Violations: errs}
 }
 
-func verifyFunc(m *Module, f *Function, opts VerifyOptions, callSites, resolveSites map[SiteID]string, report func(string, ...any)) {
+// sitePos locates an instruction by function, block and instruction
+// index. fn holds the function index plus one, so the zero value means
+// the site has not been seen.
+type sitePos struct{ fn, blk, ins int32 }
+
+// siteTable records where each site ID was last seen. IDs in
+// [1, NextSiteID()) index a dense slice. Any other ID goes to a map
+// made only when one turns up, which only a malformed module does.
+type siteTable struct {
+	dense []sitePos
+	other map[SiteID]sitePos
+}
+
+func newSiteTable(bound SiteID) *siteTable {
+	return &siteTable{dense: make([]sitePos, max(bound, 1))}
+}
+
+// swap records p as the latest use of id and returns the previous one.
+func (t *siteTable) swap(id SiteID, p sitePos) (prev sitePos) {
+	if id > 0 && int(id) < len(t.dense) {
+		prev, t.dense[id] = t.dense[id], p
+		return prev
+	}
+	if t.other == nil {
+		t.other = make(map[SiteID]sitePos)
+	}
+	prev, t.other[id] = t.other[id], p
+	return prev
+}
+
+// verifyFunc checks function fi. order is scratch space for the block
+// name index, returned for reuse by the next function.
+func verifyFunc(m *Module, fi int, opts VerifyOptions, callSites, resolveSites *siteTable, order []int32, report func(string, ...any)) []int32 {
+	f := m.Funcs[fi]
 	if len(f.Blocks) == 0 {
 		report("%s: no blocks", f.Name)
-		return
+		return order
 	}
-	names := make(map[string]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		if names[b.Name] {
+	// Block indices stably sorted by name: a binary search for a name
+	// lands on the lowest-indexed block carrying it, so a block is a
+	// duplicate when that is not itself.
+	order = order[:0]
+	for i := range f.Blocks {
+		order = append(order, int32(i))
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return strings.Compare(f.Blocks[a].Name, f.Blocks[b].Name)
+	})
+	first := func(name string) int32 {
+		k, ok := slices.BinarySearchFunc(order, name, func(bi int32, name string) int {
+			return strings.Compare(f.Blocks[bi].Name, name)
+		})
+		if !ok {
+			return -1
+		}
+		return order[k]
+	}
+	for i, b := range f.Blocks {
+		if first(b.Name) != int32(i) {
 			report("%s: duplicate block %q", f.Name, b.Name)
 		}
-		names[b.Name] = true
 	}
 	checkTarget := func(b *Block, target string) {
-		if !names[target] {
+		if first(target) < 0 {
 			report("%s.%s: branch to unknown block %q", f.Name, b.Name, target)
 		}
 	}
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			report("%s.%s: empty block", f.Name, b.Name)
 			continue
@@ -131,10 +186,10 @@ func verifyFunc(m *Module, f *Function, opts VerifyOptions, callSites, resolveSi
 					if in.Op == OpResolve {
 						sites = resolveSites
 					}
-					if prev, dup := sites[in.Site]; dup {
-						report("%s.%s[%d]: site %d reused (first at %s)", f.Name, b.Name, i, in.Site, prev)
+					if prev := sites.swap(in.Site, sitePos{int32(fi) + 1, int32(bi), int32(i)}); prev.fn != 0 {
+						pf := m.Funcs[prev.fn-1]
+						report("%s.%s[%d]: site %d reused (first at %s.%s[%d])", f.Name, b.Name, i, in.Site, pf.Name, pf.Blocks[prev.blk].Name, prev.ins)
 					}
-					sites[in.Site] = fmt.Sprintf("%s.%s[%d]", f.Name, b.Name, i)
 					if in.Site >= m.NextSiteID() {
 						report("%s.%s[%d]: site %d beyond allocator bound %d", f.Name, b.Name, i, in.Site, m.NextSiteID())
 					}
@@ -147,4 +202,5 @@ func verifyFunc(m *Module, f *Function, opts VerifyOptions, callSites, resolveSi
 			}
 		}
 	}
+	return order
 }

@@ -452,7 +452,7 @@ func (s *System) Build(cfg BuildConfig) (img *Image, err error) {
 		}
 	}
 	if err := ir.Verify(mod, ir.VerifyOptions{}); err != nil {
-		return nil, fmt.Errorf("pibe: built image does not verify: %v", err)
+		return nil, fmt.Errorf("pibe: built image does not verify: %w", err)
 	}
 	prog, err := interp.Compile(mod)
 	if err != nil {

@@ -2,10 +2,13 @@ package pibe_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	pibe "repro"
+	"repro/internal/ir"
 )
 
 // testSystem builds a small kernel once per test binary.
@@ -83,6 +86,32 @@ func TestOptimizationRequiresProfile(t *testing.T) {
 	_, err := sys.Build(pibe.BuildConfig{Optimize: pibe.OptimizeConfig{ICPBudget: 0.99}})
 	if err == nil {
 		t.Fatal("Build without profile accepted")
+	}
+}
+
+// TestBuildKeepsTypedVerifyError checks that Build wraps the verifier's
+// error with %w, so a malformed kernel is told apart from an
+// environmental failure by errors.As.
+func TestBuildKeepsTypedVerifyError(t *testing.T) {
+	sys, err := pibe.NewSyntheticKernel(pibe.KernelConfig{Seed: 1})
+	if err != nil {
+		t.Fatalf("NewSyntheticKernel: %v", err)
+	}
+	hot := sys.Kernel.Mod.Func("fdget").Block("hot")
+	k := slices.IndexFunc(hot.Instrs, func(in ir.Instr) bool { return in.Op == ir.OpCall })
+	if k < 0 {
+		t.Fatal("fdget.hot has no direct call")
+	}
+	hot.Instrs = slices.Insert(hot.Instrs, k+1, hot.Instrs[k])
+
+	_, err = sys.Build(pibe.BuildConfig{})
+	var ve *ir.VerifyError
+	if !errors.As(err, &ve) {
+		t.Fatalf("Build error %v does not unwrap to *ir.VerifyError", err)
+	}
+	const want = "pibe: built image does not verify: ir: verify: fdget.hot[1]: site 1 reused (first at fdget.hot[0])"
+	if err.Error() != want {
+		t.Errorf("Build error\n got %s\nwant %s", err, want)
 	}
 }
 
