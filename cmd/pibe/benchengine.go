@@ -23,10 +23,10 @@ type engineBench struct {
 // engineReport is the machine-readable perf trajectory record emitted by
 // `pibe bench-engine`.
 type engineReport struct {
-	Seed       int64  `json:"seed"`
-	Engine     string `json:"engine"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Workers    int    `json:"measure_workers"`
+	Seed       int64         `json:"seed"`
+	Engine     string        `json:"engine"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Workers    int           `json:"measure_workers"`
 	Benches    []engineBench `json:"benches"`
 	// SpeedupMachineRun is interpreter machine_run ns/op divided by
 	// compiled ns/op — the threaded-code tier's dispatch speedup,

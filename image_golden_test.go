@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	pibe "repro"
+	"repro/internal/attack"
 	"repro/internal/ir"
 )
 
@@ -24,10 +25,11 @@ func imageDigest(img *pibe.Image) string {
 }
 
 // TestImageGoldenDigests pins the images Build makes from the default
-// kernel's LMBench profile across the budget range, and two latencies
-// measured on each, which run the compiled program. Clone, the passes,
-// Verify and Compile all sit on this path, so a change to any of them
-// that alters one instruction or one cycle shows up here.
+// kernel's LMBench profile across the budget range, their attack
+// reports, and two latencies measured on each, which run the compiled
+// program. Clone, the passes, Verify, Compile and the attack model all
+// sit on this path, so a change to any of them that alters one
+// instruction, one cycle or one verdict shows up here.
 func TestImageGoldenDigests(t *testing.T) {
 	sys, err := pibe.NewSyntheticKernel(pibe.KernelConfig{Seed: 1})
 	if err != nil {
@@ -43,11 +45,20 @@ func TestImageGoldenDigests(t *testing.T) {
 		digest      string
 		size        int64
 		read, nginx float64
+		report      attack.Report
 	}{
-		{0, 0, pibe.Defenses{Retpolines: true}, "7dc32943dd7d545f", 511029, 930.985, 146342.56666666668},
-		{0.9, 0.5, pibe.AllDefenses, "95f90701b12c43ff", 577880, 1681.22, 158477.16666666666},
-		{0.999, 0.999, pibe.AllDefenses, "c51b57ab72328e17", 715860, 1023.035, 107828.86666666667},
-		{0.999999, 0.999999, pibe.Defenses{VeriFence: true}, "ee78b578305936bd", 679280, 734.23, 86604.43333333333},
+		{0, 0, pibe.Defenses{Retpolines: true}, "7dc32943dd7d545f", 511029, 930.985, 146342.56666666668,
+			attack.Report{ICallsSpectreV2: 12, ICallsLVI: 3175, ReturnsRet2spec: 2748, ReturnsLVI: 2748, IJumpsSpectreV2: 5, TotalICalls: 3175, TotalReturns: 2748, TotalIJumps: 5}},
+		{0.9, 0.5, pibe.AllDefenses, "95f90701b12c43ff", 577880, 1681.22, 158477.16666666666,
+			attack.Report{ICallsSpectreV2: 12, ICallsLVI: 12, IJumpsSpectreV2: 5, TotalICalls: 3185, TotalReturns: 2748, TotalIJumps: 5}},
+		{0.999, 0.999, pibe.AllDefenses, "c51b57ab72328e17", 715860, 1023.035, 107828.86666666667,
+			attack.Report{ICallsSpectreV2: 12, ICallsLVI: 12, IJumpsSpectreV2: 5, TotalICalls: 3194, TotalReturns: 2748, TotalIJumps: 5}},
+		// VeriFence keeps every dispatch BTB-predicted, so all its icalls
+		// and jump tables stay Spectre V2 targets; its lfence stops LVI
+		// at the fenced icalls, while the proven-bare and inline-asm ones
+		// stay LVI targets (DESIGN.md §15).
+		{0.999999, 0.999999, pibe.Defenses{VeriFence: true}, "4ae00856a80a3bdd", 679280, 734.23, 86604.43333333333,
+			attack.Report{ICallsSpectreV2: 3194, ICallsLVI: 2827, ReturnsRet2spec: 2748, ReturnsLVI: 2748, IJumpsSpectreV2: 218, TotalICalls: 3194, TotalReturns: 2748, TotalIJumps: 218}},
 	} {
 		name := fmt.Sprintf("icp %g inline %g %+v", c.icp, c.inline, c.def)
 		img, err := sys.Build(pibe.BuildConfig{
@@ -60,6 +71,9 @@ func TestImageGoldenDigests(t *testing.T) {
 		}
 		if got := imageDigest(img); got != c.digest {
 			t.Errorf("%s: image digest %s, want %s", name, got, c.digest)
+		}
+		if got := img.SecurityReport(); got != c.report {
+			t.Errorf("%s: security report %+v, want %+v", name, got, c.report)
 		}
 		if got := img.Size(); got != c.size {
 			t.Errorf("%s: size %d, want %d", name, got, c.size)

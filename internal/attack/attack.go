@@ -12,9 +12,15 @@
 //     branch (or a return address pop) and check whether the transient
 //     target is attacker-controlled.
 //
-// A site defends successfully when its thunk either avoids the poisoned
-// predictor entirely (retpolines pin speculation into the thunk's capture
-// loop) or fences the injected load before the control transfer.
+// Every verdict is read from the defense's ir.DefenseInfo. A site resists
+// predictor poisoning only when its defense guards the site's edge and
+// replaces the predicted dispatch (retpolines pin speculation into the
+// thunk's capture loop); a defense that keeps the dispatch predicted —
+// an architectural check such as FineIBT's SID compare or a PAC
+// sign/auth, or an lfence on the target load — leaves the poisoned
+// prediction in force. A site resists LVI only when its defense fences
+// the target load. A defense on an edge it does not guard, or an
+// undefined value, protects nothing.
 package attack
 
 import (
@@ -34,62 +40,53 @@ type Outcome struct {
 	Reason string
 }
 
-// SpectreV2 attacks an indirect call/jump at siteAddr hardened with def.
-func SpectreV2(m *cpu.Model, siteAddr int64, def ir.Defense) Outcome {
+// SpectreV2 attacks an indirect call (edge ir.EdgeCall) or jump-table
+// dispatch (ir.EdgeJump) at siteAddr hardened with def.
+func SpectreV2(m *cpu.Model, siteAddr int64, edge ir.Edge, def ir.Defense) Outcome {
 	m.PoisonBTB(siteAddr, GadgetAddr)
-	switch def {
-	case ir.DefNone, ir.DefLVI:
-		// LVI-CFI keeps the BTB-predicted indirect jump (Listing 5), so
-		// it does not stop BTB poisoning by itself.
-		if m.PredictIndirect(siteAddr) == GadgetAddr {
-			return Outcome{Vulnerable: true, Reason: "speculates to gadget via poisoned BTB"}
-		}
-		return Outcome{Vulnerable: false, Reason: "BTB slot not attacker-controlled"}
-	case ir.DefRetpoline, ir.DefFencedRetpoline:
+	info := def.Info()
+	switch {
+	case info.Edges&edge == 0:
+		return Outcome{Vulnerable: true, Reason: def.String() + " does not guard this edge"}
+	case !info.Predicted:
 		// The retpoline replaces the indirect branch with a ret whose
 		// RSB entry the thunk itself just planted; the poisoned BTB slot
 		// is never consulted.
 		return Outcome{Vulnerable: false, Reason: "retpoline captures speculation in thunk loop"}
-	default:
-		return Outcome{Vulnerable: false, Reason: "backward-edge thunk: no BTB dispatch"}
+	case m.PredictIndirect(siteAddr) == GadgetAddr:
+		return Outcome{Vulnerable: true, Reason: "speculates to gadget via poisoned BTB"}
 	}
+	return Outcome{Vulnerable: false, Reason: "BTB slot not attacker-controlled"}
 }
 
 // Ret2spec attacks a return hardened with def. depth is how many RSB
 // entries the attacker can pollute before the victim return executes.
 func Ret2spec(m *cpu.Model, def ir.Defense, depth int) Outcome {
 	m.PoisonRSB(GadgetAddr, depth)
-	switch def {
-	case ir.DefNone, ir.DefLVIRet:
-		// The LVI return sequence (Listing 6) fences the load of the
-		// return address but still returns through the RSB-predicted
-		// path, so RSB poisoning still redirects speculation.
-		if tgt, ok := m.PredictReturn(); ok && tgt == GadgetAddr {
-			return Outcome{Vulnerable: true, Reason: "speculates to gadget via poisoned RSB"}
-		}
-		return Outcome{Vulnerable: false, Reason: "RSB top not attacker-controlled"}
-	case ir.DefRetRetpoline, ir.DefFencedRetRet:
+	info := def.Info()
+	switch {
+	case info.Edges&ir.EdgeRet == 0:
+		return Outcome{Vulnerable: true, Reason: def.String() + " does not guard returns"}
+	case !info.Predicted:
 		// The return retpoline places the top of the RSB in a known
 		// state before returning, so any poisoning is overwritten.
 		return Outcome{Vulnerable: false, Reason: "return retpoline re-pins the RSB top"}
-	default:
-		return Outcome{Vulnerable: false, Reason: "forward-edge thunk on a return is over-defended"}
 	}
+	if tgt, ok := m.PredictReturn(); ok && tgt == GadgetAddr {
+		return Outcome{Vulnerable: true, Reason: "speculates to gadget via poisoned RSB"}
+	}
+	return Outcome{Vulnerable: false, Reason: "RSB top not attacker-controlled"}
 }
 
 // LVI attacks the target load of an indirect branch hardened with def:
 // the attacker injects GadgetAddr into the faulting load's result.
 func LVI(def ir.Defense) Outcome {
-	switch def {
-	case ir.DefNone, ir.DefRetpoline, ir.DefRetRetpoline:
-		// Plain retpolines move the target into the thunk via an
-		// unfenced load/store; LVI can still inject into it.
-		return Outcome{Vulnerable: true, Reason: "unfenced target load accepts injected value"}
-	case ir.DefLVI, ir.DefLVIRet, ir.DefFencedRetpoline, ir.DefFencedRetRet:
+	if def.Info().Fenced {
 		return Outcome{Vulnerable: false, Reason: "lfence retires the load before the transfer"}
-	default:
-		return Outcome{Vulnerable: true, Reason: "unknown defense treated as unprotected"}
 	}
+	// Plain retpolines move the target into the thunk via an unfenced
+	// load/store; LVI can still inject into it.
+	return Outcome{Vulnerable: true, Reason: "unfenced target load accepts injected value"}
 }
 
 // RSBScenario distinguishes how an attacker pollutes the RSB for a
@@ -161,31 +158,28 @@ func Evaluate(mod *ir.Module) Report {
 		f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 			iaddr := addr
 			addr += int64(in.ByteSize())
-			switch in.Op {
-			case ir.OpICall:
+			switch in.Edge() {
+			case ir.EdgeCall:
 				r.TotalICalls++
-				if SpectreV2(m, iaddr, in.Defense).Vulnerable {
+				if SpectreV2(m, iaddr, ir.EdgeCall, in.Defense).Vulnerable {
 					r.ICallsSpectreV2++
 				}
 				if LVI(in.Defense).Vulnerable {
 					r.ICallsLVI++
 				}
-			case ir.OpRet:
+			case ir.EdgeRet:
 				r.TotalReturns++
 				m.DirectCall(iaddr, 0) // give the RSB a frame to poison over
 				if Ret2spec(m, in.Defense, 4).Vulnerable {
 					r.ReturnsRet2spec++
 				}
-				if in.Defense == ir.DefNone || in.Defense == ir.DefRetpoline || in.Defense == ir.DefRetRetpoline {
+				if LVI(in.Defense).Vulnerable {
 					r.ReturnsLVI++
 				}
-			case ir.OpSwitch:
-				if in.JumpTable {
-					r.TotalIJumps++
-					def := in.Defense
-					if SpectreV2(m, iaddr, def).Vulnerable {
-						r.IJumpsSpectreV2++
-					}
+			case ir.EdgeJump:
+				r.TotalIJumps++
+				if SpectreV2(m, iaddr, ir.EdgeJump, in.Defense).Vulnerable {
+					r.IJumpsSpectreV2++
 				}
 			}
 		})

@@ -21,7 +21,7 @@ func TestSpectreV2Matrix(t *testing.T) {
 		{ir.DefFencedRetpoline, false},
 	}
 	for _, c := range cases {
-		got := SpectreV2(model(), 0x1234, c.def)
+		got := SpectreV2(model(), 0x1234, ir.EdgeCall, c.def)
 		if got.Vulnerable != c.vuln {
 			t.Errorf("SpectreV2(%v) = %v (%s), want vulnerable=%v", c.def, got.Vulnerable, got.Reason, c.vuln)
 		}

@@ -50,9 +50,10 @@ type Params struct {
 	// conditional branch.
 	CondBranchCost int64
 
-	// Defense thunk costs, in cycles, matching Table 1 and §6.3 of the
-	// paper. These replace prediction entirely: a retpoline always costs
-	// RetpolineCost regardless of BTB state.
+	// Defense costs, in cycles, matching Table 1 and §6.3 of the paper.
+	// A defense whose ir.DefenseInfo keeps the dispatch predicted adds
+	// its cost to it; any other replaces prediction entirely: a
+	// retpoline always costs RetpolineCost regardless of BTB state.
 	RetpolineCost       int64 // Spectre V2 retpoline (forward edge), ~21
 	LVIForwardCost      int64 // LVI-CFI lfence on an indirect call, ~9
 	FencedRetpolineCost int64 // combined retpoline + LVI (Listing 7), ~42
@@ -60,16 +61,14 @@ type Params struct {
 	LVIReturnCost       int64 // LVI-CFI return hardening (Listing 6), ~11
 	FencedRetRetCost    int64 // combined backward-edge defense, ~32
 
-	// Non-transient defense costs (Table 1's cheap rows). These add to
-	// the predicted dispatch instead of replacing it.
+	// Non-transient defense costs (Table 1's cheap rows).
 	CFICheckCost       int64 // LLVM-CFI target-set check, ~3
 	StackProtectorCost int64 // canary store+check per return, ~4
 	SafeStackCost      int64 // separate return stack bookkeeping, ~1
 
-	// Post-2021 hardware-assisted defense costs. Like the cheap rows
-	// above they add to a normally predicted dispatch instead of
-	// replacing it — that different cost shape (near-constant, tiny) is
-	// what moves the budget/benefit knee relative to retpolines.
+	// Post-2021 hardware-assisted defense costs. They add to a normally
+	// predicted dispatch — that different cost shape (near-constant,
+	// tiny) is what moves the budget/benefit knee relative to retpolines.
 	FineIBTCheckCost int64 // landing-pad SID compare at the callee, ~4
 	PACSignCost      int64 // pointer-auth sign on the call side, ~6
 	PACAuthCost      int64 // return-address authenticate, ~8
@@ -119,6 +118,77 @@ func DefaultParams() Params {
 	}
 }
 
+// defenseCosts maps each defense to its Params field: the flat cost of a
+// defense that replaces prediction, or what a predicted one adds to the
+// dispatch. It is the only place a cost field is named per defense.
+func (p *Params) defenseCosts() [ir.NumDefenses]int64 {
+	return [ir.NumDefenses]int64{
+		ir.DefRetpoline:       p.RetpolineCost,
+		ir.DefLVI:             p.LVIForwardCost,
+		ir.DefFencedRetpoline: p.FencedRetpolineCost,
+		ir.DefRetRetpoline:    p.RetRetpolineCost,
+		ir.DefLVIRet:          p.LVIReturnCost,
+		ir.DefFencedRetRet:    p.FencedRetRetCost,
+		ir.DefLLVMCFI:         p.CFICheckCost,
+		ir.DefStackProtector:  p.StackProtectorCost,
+		ir.DefSafeStack:       p.SafeStackCost,
+		ir.DefFineIBT:         p.FineIBTCheckCost,
+		ir.DefPAC:             p.PACSignCost,
+		ir.DefPACRet:          p.PACAuthCost,
+		ir.DefVeriFence:       p.VeriFenceCost,
+	}
+}
+
+// Charge is what one defense costs on one edge.
+type Charge struct {
+	// Cost is the flat cost of the event, or for a predicted row the
+	// cost of a correctly predicted dispatch; a mispredict adds
+	// MispredictPenalty (and retrains the BTB on a call or jump).
+	Cost      int64
+	Predicted bool
+	// Thunk counts a call or return toward ThunkedCalls/ThunkedRets.
+	Thunk bool
+}
+
+// Charges holds one Charge row per defense on each edge, derived from the
+// ir.DefenseInfo table. A defense on an edge it cannot guard keeps the
+// worst-case charge in its own row (a fenced retpoline on calls and
+// jumps, a fenced return retpoline on returns, counted as thunked), and
+// row ir.NumDefenses holds the same worst case for undefined values.
+type Charges struct {
+	Call, Ret, Jump [ir.NumDefenses + 1]Charge
+}
+
+// row returns the index of def's row in a Charges array.
+func row(def ir.Defense) ir.Defense { return min(def, ir.NumDefenses) }
+
+func newCharges(p *Params) Charges {
+	cost := p.defenseCosts()
+	var c Charges
+	for _, e := range []struct {
+		edge        ir.Edge
+		rows        *[ir.NumDefenses + 1]Charge
+		base, worst int64
+	}{
+		{ir.EdgeCall, &c.Call, p.IndirectCallCost, p.FencedRetpolineCost},
+		{ir.EdgeRet, &c.Ret, p.ReturnCost, p.FencedRetRetCost},
+		{ir.EdgeJump, &c.Jump, p.IndirectCallCost, p.FencedRetpolineCost},
+	} {
+		for d := range e.rows {
+			info := ir.Defense(d).Info()
+			switch {
+			case info.Edges&e.edge == 0: // also row NumDefenses: Info guards nothing there
+				e.rows[d] = Charge{Cost: e.worst, Thunk: true}
+			case info.Predicted:
+				e.rows[d] = Charge{Cost: e.base + cost[d], Predicted: true, Thunk: info.Thunk}
+			default:
+				e.rows[d] = Charge{Cost: cost[d], Thunk: info.Thunk}
+			}
+		}
+	}
+	return c
+}
+
 // Counters tallies predictor behaviour for diagnostics and tests.
 type Counters struct {
 	Instructions  int64
@@ -140,9 +210,14 @@ type Counters struct {
 // Model is one logical core's worth of microarchitectural state.
 // It is not safe for concurrent use.
 type Model struct {
+	// P holds the parameters New was given. New derives the defense
+	// charge rows from it, so later edits to its cost fields do not
+	// reach them.
 	P      Params
 	Cycles int64
 	Stats  Counters
+
+	charges Charges
 
 	btb     []int64 // predicted target per slot; 0 = empty
 	btbMask int64
@@ -182,7 +257,7 @@ type Model struct {
 
 // New returns a Model with cold predictors and caches.
 func New(p Params) *Model {
-	m := &Model{P: p}
+	m := &Model{P: p, charges: newCharges(&p)}
 	m.btb = make([]int64, p.BTBEntries)
 	m.btbMask = int64(p.BTBEntries - 1)
 	m.rsb = make([]int64, p.RSBDepth)
@@ -359,99 +434,35 @@ func (m *Model) DirectCall(retAddr int64, args int32) {
 }
 
 // IndirectCall charges an indirect call at siteAddr to targetAddr under
-// the given defense, pushes retAddr, and trains the BTB when the call is
-// executed natively (no thunk).
+// the given defense, pushes retAddr, and trains the BTB when the defense
+// keeps the dispatch predicted.
 func (m *Model) IndirectCall(siteAddr, targetAddr, retAddr int64, args int32, def ir.Defense) {
 	m.Stats.IndirectCalls++
 	m.Cycles += int64(args) * m.P.CallArgCost
-	switch def {
-	case ir.DefNone:
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	case ir.DefRetpoline:
+	c := &m.charges.Call[row(def)]
+	if c.Thunk {
 		m.Stats.ThunkedCalls++
-		m.Cycles += m.P.RetpolineCost
-	case ir.DefLVI:
-		// LVI-CFI keeps the indirect jump (BTB-predicted) but fences
-		// the target load.
-		m.Stats.ThunkedCalls++
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost + m.P.LVIForwardCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.LVIForwardCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	case ir.DefFencedRetpoline:
-		m.Stats.ThunkedCalls++
-		m.Cycles += m.P.FencedRetpolineCost
-	case ir.DefLLVMCFI:
-		// A type-set check before a normally predicted dispatch.
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost + m.P.CFICheckCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.CFICheckCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	case ir.DefFineIBT:
-		// Coarse IBT landing pad plus the per-site SID compare executed
-		// at the callee; the dispatch itself stays BTB-predicted.
-		m.Stats.ThunkedCalls++
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost + m.P.FineIBTCheckCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.FineIBTCheckCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	case ir.DefPAC:
-		// Camouflage-style PAC-CFI signs the pointer on the call side;
-		// prediction is untouched.
-		m.Stats.ThunkedCalls++
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost + m.P.PACSignCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.PACSignCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	case ir.DefVeriFence:
-		// An lfence before the dispatch of a site the verifier could not
-		// prove; the dispatch itself stays BTB-predicted after the fence
-		// retires.
-		m.Stats.ThunkedCalls++
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost + m.P.VeriFenceCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.VeriFenceCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	default:
-		// A backward-edge defense on a forward edge is a hardening-pass
-		// bug; charge the worst case rather than silently undercount.
-		m.Stats.ThunkedCalls++
-		m.Cycles += m.P.FencedRetpolineCost
+	}
+	if c.Predicted {
+		m.dispatch(siteAddr, targetAddr, c.Cost)
+	} else {
+		m.Cycles += c.Cost
 	}
 	m.pushRSB(retAddr)
+}
+
+// dispatch charges a BTB-predicted indirect branch: cost on a hit; cost
+// plus the mispredict penalty, and a BTB update, on a miss.
+func (m *Model) dispatch(siteAddr, targetAddr, cost int64) {
+	slot := siteAddr & m.btbMask
+	if m.btb[slot] == targetAddr {
+		m.Stats.BTBHits++
+		m.Cycles += cost
+	} else {
+		m.Stats.BTBMisses++
+		m.Cycles += cost + m.P.MispredictPenalty
+		m.btb[slot] = targetAddr
+	}
 }
 
 // Return charges a return to retAddr under the given defense and pops the
@@ -459,56 +470,19 @@ func (m *Model) IndirectCall(siteAddr, targetAddr, retAddr int64, args int32, de
 func (m *Model) Return(retAddr int64, def ir.Defense) {
 	m.Stats.Returns++
 	predicted, ok := m.popRSB()
-	switch def {
-	case ir.DefNone:
-		if ok && predicted == retAddr {
-			m.Stats.RSBHits++
-			m.Cycles += m.P.ReturnCost
-		} else {
-			m.Stats.RSBMisses++
-			m.Cycles += m.P.ReturnCost + m.P.MispredictPenalty
-		}
-	case ir.DefRetRetpoline:
+	c := &m.charges.Ret[row(def)]
+	if c.Thunk {
 		m.Stats.ThunkedRets++
-		m.Cycles += m.P.RetRetpolineCost
-	case ir.DefLVIRet:
-		m.Stats.ThunkedRets++
-		if ok && predicted == retAddr {
-			m.Stats.RSBHits++
-			m.Cycles += m.P.ReturnCost + m.P.LVIReturnCost
-		} else {
-			m.Stats.RSBMisses++
-			m.Cycles += m.P.ReturnCost + m.P.LVIReturnCost + m.P.MispredictPenalty
-		}
-	case ir.DefFencedRetRet:
-		m.Stats.ThunkedRets++
-		m.Cycles += m.P.FencedRetRetCost
-	case ir.DefStackProtector, ir.DefSafeStack:
-		extra := m.P.StackProtectorCost
-		if def == ir.DefSafeStack {
-			extra = m.P.SafeStackCost
-		}
-		if ok && predicted == retAddr {
-			m.Stats.RSBHits++
-			m.Cycles += m.P.ReturnCost + extra
-		} else {
-			m.Stats.RSBMisses++
-			m.Cycles += m.P.ReturnCost + extra + m.P.MispredictPenalty
-		}
-	case ir.DefPACRet:
-		// PAC-CFI authenticates the return address before the return
-		// retires; RSB prediction is untouched.
-		m.Stats.ThunkedRets++
-		if ok && predicted == retAddr {
-			m.Stats.RSBHits++
-			m.Cycles += m.P.ReturnCost + m.P.PACAuthCost
-		} else {
-			m.Stats.RSBMisses++
-			m.Cycles += m.P.ReturnCost + m.P.PACAuthCost + m.P.MispredictPenalty
-		}
+	}
+	switch {
+	case !c.Predicted:
+		m.Cycles += c.Cost
+	case ok && predicted == retAddr:
+		m.Stats.RSBHits++
+		m.Cycles += c.Cost
 	default:
-		m.Stats.ThunkedRets++
-		m.Cycles += m.P.FencedRetRetCost
+		m.Stats.RSBMisses++
+		m.Cycles += c.Cost + m.P.MispredictPenalty
 	}
 }
 
@@ -548,36 +522,13 @@ func (m *Model) CondBranch(addr int64, taken bool) {
 
 // IndirectJump charges a jump-table dispatch (or other indirect jump) at
 // siteAddr to targetAddr. Indirect jumps use the BTB like indirect calls
-// but push nothing.
+// but push nothing, and never count as thunked.
 func (m *Model) IndirectJump(siteAddr, targetAddr int64, def ir.Defense) {
-	switch def {
-	case ir.DefNone:
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	case ir.DefRetpoline:
-		m.Cycles += m.P.RetpolineCost
-	case ir.DefVeriFence:
-		// A fenced-but-kept jump table: the verifier never proves a
-		// data-driven index, so VeriFence fences the dispatch instead of
-		// lowering it.
-		slot := siteAddr & m.btbMask
-		if m.btb[slot] == targetAddr {
-			m.Stats.BTBHits++
-			m.Cycles += m.P.IndirectCallCost + m.P.VeriFenceCost
-		} else {
-			m.Stats.BTBMisses++
-			m.Cycles += m.P.IndirectCallCost + m.P.VeriFenceCost + m.P.MispredictPenalty
-			m.btb[slot] = targetAddr
-		}
-	default:
-		m.Cycles += m.P.FencedRetpolineCost
+	c := &m.charges.Jump[row(def)]
+	if c.Predicted {
+		m.dispatch(siteAddr, targetAddr, c.Cost)
+	} else {
+		m.Cycles += c.Cost
 	}
 }
 
@@ -634,32 +585,4 @@ func (m *Model) PoisonRSB(target int64, n int) {
 	for i := 0; i < n; i++ {
 		m.pushRSB(target)
 	}
-}
-
-// DefenseCost returns the flat per-execution cost of a hardening thunk,
-// used by reporting code; ok is false for DefNone (whose cost is dynamic).
-func (m *Model) DefenseCost(def ir.Defense) (cost int64, ok bool) {
-	switch def {
-	case ir.DefRetpoline:
-		return m.P.RetpolineCost, true
-	case ir.DefLVI:
-		return m.P.LVIForwardCost, true
-	case ir.DefFencedRetpoline:
-		return m.P.FencedRetpolineCost, true
-	case ir.DefRetRetpoline:
-		return m.P.RetRetpolineCost, true
-	case ir.DefLVIRet:
-		return m.P.LVIReturnCost, true
-	case ir.DefFencedRetRet:
-		return m.P.FencedRetRetCost, true
-	case ir.DefFineIBT:
-		return m.P.FineIBTCheckCost, true
-	case ir.DefPAC:
-		return m.P.PACSignCost, true
-	case ir.DefPACRet:
-		return m.P.PACAuthCost, true
-	case ir.DefVeriFence:
-		return m.P.VeriFenceCost, true
-	}
-	return 0, false
 }

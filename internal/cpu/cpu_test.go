@@ -228,18 +228,6 @@ func TestMicrosConversion(t *testing.T) {
 	}
 }
 
-func TestDefenseCostTable(t *testing.T) {
-	m := newModel()
-	for def := ir.DefRetpoline; def <= ir.DefFencedRetRet; def++ {
-		if _, ok := m.DefenseCost(def); !ok {
-			t.Errorf("DefenseCost(%v) not defined", def)
-		}
-	}
-	if _, ok := m.DefenseCost(ir.DefNone); ok {
-		t.Error("DefenseCost(none) should report !ok")
-	}
-}
-
 // Property: cycles are monotonically non-decreasing under any event
 // sequence, and hardened calls never train the BTB.
 func TestCyclesMonotoneQuick(t *testing.T) {
@@ -271,6 +259,47 @@ func TestCyclesMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// defenseCost reads what def adds on every edge it guards from the
+// model's charge rows: its flat cost where it replaces prediction, its
+// extra over the undefended dispatch where it keeps it. ok is false when
+// def guards no edge, adds nothing, or adds different costs on its edges.
+func defenseCost(m *Model, def ir.Defense) (int64, bool) {
+	cost, ok := int64(0), false
+	for _, e := range []struct {
+		edge ir.Edge
+		rows *[ir.NumDefenses + 1]Charge
+	}{
+		{ir.EdgeCall, &m.charges.Call}, {ir.EdgeRet, &m.charges.Ret}, {ir.EdgeJump, &m.charges.Jump},
+	} {
+		if def.Info().Edges&e.edge == 0 {
+			continue
+		}
+		c := e.rows[def].Cost
+		if e.rows[def].Predicted {
+			c -= e.rows[ir.DefNone].Cost
+		}
+		if c <= 0 || (ok && c != cost) {
+			return 0, false
+		}
+		cost, ok = c, true
+	}
+	return cost, ok
+}
+
+func TestDefenseCostTable(t *testing.T) {
+	m := newModel()
+	for def := ir.DefRetpoline; def <= ir.DefFencedRetRet; def++ {
+		if c, ok := defenseCost(m, def); !ok {
+			t.Errorf("defenseCost(%v) not defined", def)
+		} else if want := m.P.defenseCosts()[def]; c != want {
+			t.Errorf("defenseCost(%v) = %d, want %d", def, c, want)
+		}
+	}
+	if _, ok := defenseCost(m, ir.DefNone); ok {
+		t.Error("defenseCost(none) should report !ok")
 	}
 }
 
@@ -401,8 +430,10 @@ func TestNewBackendCostOrdering(t *testing.T) {
 func TestDefenseCostTableNewBackends(t *testing.T) {
 	m := newModel()
 	for _, def := range []ir.Defense{ir.DefFineIBT, ir.DefPAC, ir.DefPACRet, ir.DefVeriFence} {
-		if _, ok := m.DefenseCost(def); !ok {
-			t.Errorf("DefenseCost(%v) not defined", def)
+		if c, ok := defenseCost(m, def); !ok {
+			t.Errorf("defenseCost(%v) not defined", def)
+		} else if want := m.P.defenseCosts()[def]; c != want {
+			t.Errorf("defenseCost(%v) = %d, want %d", def, c, want)
 		}
 	}
 }

@@ -37,6 +37,10 @@ type EngineState struct {
 	ICWays  int
 	ICMask  int64
 	ICShift int
+
+	// Charges are the Model's defense charge rows, which the engine
+	// reads instead of switching on the defense.
+	Charges *Charges
 }
 
 // EngineView fills st with a borrowed view of the model's state. It
@@ -64,14 +68,16 @@ func (m *Model) EngineView(st *EngineState) bool {
 	st.ICWays = m.icWays
 	st.ICMask = m.icMask
 	st.ICShift = m.icShift
+	st.Charges = &m.charges
 	return true
 }
 
 // EngineSync refreshes the run-evolved scalars of a view previously
 // filled by EngineView (Cycles, Stats, RSB cursor, icache tick) without
-// re-copying geometry: the predictor arrays, their masks and the cost
-// parameters are fixed when the Model is constructed, so a caller that
-// keeps the same Model can re-borrow with this cheaper call.
+// re-copying geometry: the predictor arrays, their masks, the cost
+// parameters and the charge rows are fixed when the Model is
+// constructed, so a caller that keeps the same Model can re-borrow with
+// this cheaper call.
 func (m *Model) EngineSync(st *EngineState) {
 	st.Cycles = m.Cycles
 	st.Stats = m.Stats

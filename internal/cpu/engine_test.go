@@ -36,6 +36,9 @@ func TestEngineStateMatchesModel(t *testing.T) {
 	if len(st.RSB) != st.RSBDepth {
 		t.Fatalf("RSB length %d != depth %d", len(st.RSB), st.RSBDepth)
 	}
+	if st.Charges != &m.charges {
+		t.Fatal("view does not carry the model's charge rows")
+	}
 
 	// Writes through the borrowed slices must be writes to the model:
 	// saturate a PHT counter via the view, then predict through the

@@ -214,7 +214,7 @@ func Apply(mod *ir.Module, cfg Config) (*Census, error) {
 				in.Defense = fwd
 				if fwd != ir.DefNone {
 					c.DefendedICalls++
-					in.Size = thunkSize(fwd)
+					in.Size = fwd.Info().Bytes
 				} else {
 					c.VulnICalls++
 				}
@@ -230,7 +230,7 @@ func Apply(mod *ir.Module, cfg Config) (*Census, error) {
 				in.Defense = bwd
 				if bwd != ir.DefNone {
 					c.DefendedReturns++
-					in.Size = thunkSize(bwd)
+					in.Size = bwd.Info().Bytes
 				} else {
 					c.VulnReturns++
 				}
@@ -251,7 +251,7 @@ func Apply(mod *ir.Module, cfg Config) (*Census, error) {
 					// A data-driven index is never provable; fence the
 					// dispatch in place instead of lowering the table.
 					in.Defense = ir.DefVeriFence
-					in.Size = int32(ir.DefaultInstrSize) + fenceBytes
+					in.Size = ir.DefVeriFence.Info().Bytes
 					c.FencedJumpTables++
 				} else {
 					c.VulnIJumps++
@@ -260,52 +260,6 @@ func Apply(mod *ir.Module, cfg Config) (*Census, error) {
 		})
 	}
 	return c, nil
-}
-
-// fenceBytes is the encoded size of a single lfence (3 bytes on x86-64);
-// a VeriFence-fenced jump table keeps its dispatch and grows by exactly
-// the fence.
-const fenceBytes = 3
-
-// thunkSize returns the encoded size of a hardened branch sequence.
-// Values approximate the listings in the paper: a retpoline thunk call
-// plus its out-of-line body amortized per site.
-// Retpoline thunk bodies are shared (one per register), so a hardened
-// call site grows only by the register move and thunk call; return-edge
-// sequences are inlined and a little larger.
-func thunkSize(d ir.Defense) int32 {
-	switch d {
-	case ir.DefRetpoline:
-		return 8
-	case ir.DefLVI:
-		return 8
-	case ir.DefFencedRetpoline:
-		return 10
-	case ir.DefRetRetpoline:
-		return 12
-	case ir.DefLVIRet:
-		return 9
-	case ir.DefFencedRetRet:
-		return 15
-	case ir.DefLLVMCFI:
-		return 9
-	case ir.DefStackProtector:
-		return 10
-	case ir.DefSafeStack:
-		return 8
-	case ir.DefFineIBT:
-		// endbr64 at the target is charged to the callee; the site pays
-		// for the SID move feeding the landing-pad compare.
-		return 7
-	case ir.DefPAC:
-		return 6 // pacia-style sign folded into the call sequence
-	case ir.DefPACRet:
-		return 6 // autia before the return
-	case ir.DefVeriFence:
-		return int32(ir.DefaultInstrSize) + fenceBytes
-	default:
-		return ir.DefaultInstrSize
-	}
 }
 
 // CheckInvariants verifies PIBE's safety invariant on an already-hardened

@@ -173,19 +173,6 @@ type cvm struct {
 	returnCost       int64
 	indirectCallCost int64
 	condBranchCost   int64
-	retpolineCost    int64
-	lviForwardCost   int64
-	fencedRetpCost   int64
-	retRetpCost      int64
-	lviReturnCost    int64
-	fencedRetRetCost int64
-	cfiCheckCost     int64
-	stackProtCost    int64
-	safeStackCost    int64
-	fineIBTCost      int64
-	pacSignCost      int64
-	pacAuthCost      int64
-	veriFenceCost    int64
 	rsbRefillCost    int64
 	alignMask        int64 // ^(ICacheLine-1)
 	icLine           int64
@@ -377,139 +364,62 @@ func (vm *cvm) condBranch(addr int64, taken bool) {
 	}
 }
 
-// icallDef charges a defended indirect call (everything in
-// Model.IndirectCall's switch except DefNone, which call closures
-// inline). The argument cost and RSB push stay at the call site.
+// icallDef charges a defended indirect call from the model's charge rows
+// (call closures inline DefNone). The argument cost and RSB push stay at
+// the call site. Compile rejects undefined defenses, so def indexes a
+// defined row.
 func (vm *cvm) icallDef(siteAddr, targetAddr int64, def ir.Defense) {
-	switch def {
-	case ir.DefRetpoline:
+	c := &vm.st.Charges.Call[def]
+	if c.Thunk {
 		vm.st.Stats.ThunkedCalls++
-		vm.st.Cycles += vm.retpolineCost
-	case ir.DefLVI:
-		vm.st.Stats.ThunkedCalls++
-		slot := siteAddr & vm.st.BTBMask
-		if vm.st.BTB[slot] == targetAddr {
-			vm.st.Stats.BTBHits++
-			vm.st.Cycles += vm.indirectCallCost + vm.lviForwardCost
-		} else {
-			vm.st.Stats.BTBMisses++
-			vm.st.Cycles += vm.indirectCallCost + vm.lviForwardCost + vm.mispredict
-			vm.st.BTB[slot] = targetAddr
-		}
-	case ir.DefFencedRetpoline:
-		vm.st.Stats.ThunkedCalls++
-		vm.st.Cycles += vm.fencedRetpCost
-	case ir.DefLLVMCFI:
-		slot := siteAddr & vm.st.BTBMask
-		if vm.st.BTB[slot] == targetAddr {
-			vm.st.Stats.BTBHits++
-			vm.st.Cycles += vm.indirectCallCost + vm.cfiCheckCost
-		} else {
-			vm.st.Stats.BTBMisses++
-			vm.st.Cycles += vm.indirectCallCost + vm.cfiCheckCost + vm.mispredict
-			vm.st.BTB[slot] = targetAddr
-		}
-	case ir.DefFineIBT, ir.DefPAC, ir.DefVeriFence:
-		// Hardware-assisted checks over a BTB-predicted dispatch; only
-		// the flat check cost differs (Model.IndirectCall's three cases).
-		extra := vm.fineIBTCost
-		switch def {
-		case ir.DefPAC:
-			extra = vm.pacSignCost
-		case ir.DefVeriFence:
-			extra = vm.veriFenceCost
-		}
-		vm.st.Stats.ThunkedCalls++
-		slot := siteAddr & vm.st.BTBMask
-		if vm.st.BTB[slot] == targetAddr {
-			vm.st.Stats.BTBHits++
-			vm.st.Cycles += vm.indirectCallCost + extra
-		} else {
-			vm.st.Stats.BTBMisses++
-			vm.st.Cycles += vm.indirectCallCost + extra + vm.mispredict
-			vm.st.BTB[slot] = targetAddr
-		}
-	default:
-		vm.st.Stats.ThunkedCalls++
-		vm.st.Cycles += vm.fencedRetpCost
+	}
+	if c.Predicted {
+		vm.dispatch(siteAddr, targetAddr, c.Cost)
+	} else {
+		vm.st.Cycles += c.Cost
+	}
+}
+
+// dispatch mirrors Model.dispatch: a BTB-predicted indirect branch.
+func (vm *cvm) dispatch(siteAddr, targetAddr, cost int64) {
+	slot := siteAddr & vm.st.BTBMask
+	if vm.st.BTB[slot] == targetAddr {
+		vm.st.Stats.BTBHits++
+		vm.st.Cycles += cost
+	} else {
+		vm.st.Stats.BTBMisses++
+		vm.st.Cycles += cost + vm.mispredict
+		vm.st.BTB[slot] = targetAddr
 	}
 }
 
 // retSlow charges a defended return; Returns++ and the RSB pop already
-// happened at the site (the pop precedes the defense switch in
-// Model.Return).
+// happened at the site (the pop precedes the charge in Model.Return).
 func (vm *cvm) retSlow(predicted int64, ok bool, retAddr int64, def ir.Defense) {
-	switch def {
-	case ir.DefRetRetpoline:
+	c := &vm.st.Charges.Ret[def]
+	if c.Thunk {
 		vm.st.Stats.ThunkedRets++
-		vm.st.Cycles += vm.retRetpCost
-	case ir.DefLVIRet:
-		vm.st.Stats.ThunkedRets++
-		if ok && predicted == retAddr {
-			vm.st.Stats.RSBHits++
-			vm.st.Cycles += vm.returnCost + vm.lviReturnCost
-		} else {
-			vm.st.Stats.RSBMisses++
-			vm.st.Cycles += vm.returnCost + vm.lviReturnCost + vm.mispredict
-		}
-	case ir.DefFencedRetRet:
-		vm.st.Stats.ThunkedRets++
-		vm.st.Cycles += vm.fencedRetRetCost
-	case ir.DefStackProtector, ir.DefSafeStack:
-		extra := vm.stackProtCost
-		if def == ir.DefSafeStack {
-			extra = vm.safeStackCost
-		}
-		if ok && predicted == retAddr {
-			vm.st.Stats.RSBHits++
-			vm.st.Cycles += vm.returnCost + extra
-		} else {
-			vm.st.Stats.RSBMisses++
-			vm.st.Cycles += vm.returnCost + extra + vm.mispredict
-		}
-	case ir.DefPACRet:
-		vm.st.Stats.ThunkedRets++
-		if ok && predicted == retAddr {
-			vm.st.Stats.RSBHits++
-			vm.st.Cycles += vm.returnCost + vm.pacAuthCost
-		} else {
-			vm.st.Stats.RSBMisses++
-			vm.st.Cycles += vm.returnCost + vm.pacAuthCost + vm.mispredict
-		}
+	}
+	switch {
+	case !c.Predicted:
+		vm.st.Cycles += c.Cost
+	case ok && predicted == retAddr:
+		vm.st.Stats.RSBHits++
+		vm.st.Cycles += c.Cost
 	default:
-		vm.st.Stats.ThunkedRets++
-		vm.st.Cycles += vm.fencedRetRetCost
+		vm.st.Stats.RSBMisses++
+		vm.st.Cycles += c.Cost + vm.mispredict
 	}
 }
 
 // ijump mirrors Model.IndirectJump (jump-table switches are rare enough
-// that the defense switch stays a method call).
+// that it stays a method call).
 func (vm *cvm) ijump(siteAddr, targetAddr int64, def ir.Defense) {
-	switch def {
-	case ir.DefNone:
-		slot := siteAddr & vm.st.BTBMask
-		if vm.st.BTB[slot] == targetAddr {
-			vm.st.Stats.BTBHits++
-			vm.st.Cycles += vm.indirectCallCost
-		} else {
-			vm.st.Stats.BTBMisses++
-			vm.st.Cycles += vm.indirectCallCost + vm.mispredict
-			vm.st.BTB[slot] = targetAddr
-		}
-	case ir.DefRetpoline:
-		vm.st.Cycles += vm.retpolineCost
-	case ir.DefVeriFence:
-		slot := siteAddr & vm.st.BTBMask
-		if vm.st.BTB[slot] == targetAddr {
-			vm.st.Stats.BTBHits++
-			vm.st.Cycles += vm.indirectCallCost + vm.veriFenceCost
-		} else {
-			vm.st.Stats.BTBMisses++
-			vm.st.Cycles += vm.indirectCallCost + vm.veriFenceCost + vm.mispredict
-			vm.st.BTB[slot] = targetAddr
-		}
-	default:
-		vm.st.Cycles += vm.fencedRetpCost
+	c := &vm.st.Charges.Jump[def]
+	if c.Predicted {
+		vm.dispatch(siteAddr, targetAddr, c.Cost)
+	} else {
+		vm.st.Cycles += c.Cost
 	}
 }
 
@@ -753,14 +663,14 @@ func leafOf(f *cfunc) *leafBody {
 // the segment's batched charge+touch or (for may-fault segments whose
 // runs are charged per event) an icache touch alone.
 type segPre struct {
-	name       string
-	preCost    int64 // charged run before a merged jump (cStep only)
-	preCount   int64
-	batched    bool // segment cannot fault: charge cost/count at entry
-	cost       int64
-	count      int64
-	lineBase   int64
-	nLines     int
+	name     string
+	preCost  int64 // charged run before a merged jump (cStep only)
+	preCount int64
+	batched  bool // segment cannot fault: charge cost/count at entry
+	cost     int64
+	count    int64
+	lineBase int64
+	nLines   int
 }
 
 // fuse bakes a prefix in front of a body closure. The prefix and body
@@ -1405,19 +1315,6 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 		vm.returnCost = par.ReturnCost
 		vm.indirectCallCost = par.IndirectCallCost
 		vm.condBranchCost = par.CondBranchCost
-		vm.retpolineCost = par.RetpolineCost
-		vm.lviForwardCost = par.LVIForwardCost
-		vm.fencedRetpCost = par.FencedRetpolineCost
-		vm.retRetpCost = par.RetRetpolineCost
-		vm.lviReturnCost = par.LVIReturnCost
-		vm.fencedRetRetCost = par.FencedRetRetCost
-		vm.cfiCheckCost = par.CFICheckCost
-		vm.stackProtCost = par.StackProtectorCost
-		vm.safeStackCost = par.SafeStackCost
-		vm.fineIBTCost = par.FineIBTCheckCost
-		vm.pacSignCost = par.PACSignCost
-		vm.pacAuthCost = par.PACAuthCost
-		vm.veriFenceCost = par.VeriFenceCost
 		vm.rsbRefillCost = par.RSBRefillCost
 		vm.alignMask = ^(par.ICacheLine - 1)
 		vm.icLine = par.ICacheLine

@@ -321,32 +321,30 @@ func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 			b.Ret()
 		}
 	}
-	// Random defenses and switch lowering, as the hardening pass would
-	// assign them.
-	fwd := []ir.Defense{ir.DefNone, ir.DefNone, ir.DefRetpoline, ir.DefLVI, ir.DefFencedRetpoline, ir.DefLLVMCFI, ir.DefFineIBT, ir.DefPAC, ir.DefVeriFence}
-	bwd := []ir.Defense{ir.DefNone, ir.DefNone, ir.DefRetRetpoline, ir.DefLVIRet, ir.DefFencedRetRet, ir.DefStackProtector, ir.DefSafeStack, ir.DefPACRet}
+	// Random switch lowering, then a random defense on every edge out of
+	// all the defenses that guard it.
 	for _, f := range mod.Funcs {
 		f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) {
-			switch in.Op {
-			case ir.OpICall:
-				in.Defense = fwd[r.n(uint64(len(fwd)))]
-			case ir.OpRet:
-				in.Defense = bwd[r.n(uint64(len(bwd)))]
-			case ir.OpSwitch:
-				if r.n(2) == 0 {
-					in.JumpTable = false
-				}
-				if in.JumpTable && r.n(3) == 0 {
-					if r.n(2) == 0 {
-						in.Defense = ir.DefVeriFence
-					} else {
-						in.Defense = ir.DefRetpoline
-					}
-				}
+			if in.Op == ir.OpSwitch && r.n(2) == 0 {
+				in.JumpTable = false
+			}
+			if defs := guarding(in.Edge()); len(defs) > 0 {
+				in.Defense = defs[r.n(uint64(len(defs)))]
 			}
 		})
 	}
 	return mod, sites
+}
+
+// guarding lists every defense whose descriptor guards edge e.
+func guarding(e ir.Edge) []ir.Defense {
+	var defs []ir.Defense
+	for d := ir.DefNone; d < ir.NumDefenses && e != 0; d++ {
+		if d.Info().Edges&e != 0 {
+			defs = append(defs, d)
+		}
+	}
+	return defs
 }
 
 // fuzzResolver installs a random distribution for every resolve site.

@@ -270,6 +270,13 @@ func (p *Program) compileFunc(f *ir.Function, index int32) (cfunc, error) {
 				// Recorder and Resolver index dense tables by Orig.
 				return cf, fmt.Errorf("interp: %s: site %d has orig %d outside [1, %d)", f.Name, in.Site, in.Orig, p.mod.NextSiteID())
 			}
+			if !in.DefenseFits() {
+				// The compiled tier indexes the model's charge rows by
+				// defense directly, so an undefined value would be out of
+				// range, and a defense on an edge it cannot guard would be
+				// charged the worst case silently.
+				return cf, fmt.Errorf("interp: %s: %s cannot carry defense %v", f.Name, in.Op, in.Defense)
+			}
 			switch in.Op {
 			case ir.OpALU, ir.OpLoad, ir.OpStore:
 				pendCost += int32(in.Latency())

@@ -368,6 +368,24 @@ entry:
 	}
 }
 
+// TestCompileRejectsMisplacedDefense: both engines index the CPU
+// model's charge rows by defense, so Compile must refuse a defense that
+// is undefined or does not guard its instruction's edge, whether or not
+// the caller ran ir.Verify.
+func TestCompileRejectsMisplacedDefense(t *testing.T) {
+	m, err := ir.ParseString("func f (params=0, regs=0)\nentry:\n  ret [retpoline]\n")
+	if err != nil {
+		t.Fatalf("ParseString: %v", err)
+	}
+	if _, err := Compile(m); err == nil || !strings.Contains(err.Error(), "ret cannot carry defense retpoline") {
+		t.Errorf("Compile of ret [retpoline]: %v", err)
+	}
+	m.Funcs[0].Entry().Instrs[0].Defense = 200
+	if _, err := Compile(m); err == nil || !strings.Contains(err.Error(), "defense(200)") {
+		t.Errorf("Compile of an undefined defense: %v", err)
+	}
+}
+
 func TestSwitchExecutesAllArms(t *testing.T) {
 	m := ir.NewModule()
 	b := ir.NewFunction(m, "sw", 0)

@@ -77,12 +77,12 @@ func (op Opcode) IsCall() bool { return op == OpCall || op == OpICall }
 
 // Defense identifies the hardening applied to an individual indirect
 // branch (or to the call/branch form a site was lowered to). The zero
-// value means the site is unprotected.
+// value means the site is unprotected. Each defined value's semantics
+// live in one DefenseInfo row (see Info); the CPU model, the hardening
+// pass and the attack model all read them from there.
 type Defense uint8
 
-// Defenses attachable to instructions. The cycle costs of each are owned
-// by the CPU model; the IR only records which thunk a site was rewritten
-// to use.
+// Defenses attachable to instructions.
 const (
 	DefNone            Defense = iota
 	DefRetpoline               // Spectre V2 retpoline thunk (forward edge)
@@ -111,26 +111,82 @@ const (
 	DefVeriFence // lfence at a verifier-unproved indirect branch
 )
 
-var defNames = [...]string{
-	DefNone:            "none",
-	DefRetpoline:       "retpoline",
-	DefLVI:             "lvi-cfi",
-	DefFencedRetpoline: "fenced-retpoline",
-	DefRetRetpoline:    "ret-retpoline",
-	DefLVIRet:          "lvi-ret",
-	DefFencedRetRet:    "fenced-ret-retpoline",
-	DefLLVMCFI:         "llvm-cfi",
-	DefStackProtector:  "stackprotector",
-	DefSafeStack:       "safestack",
-	DefFineIBT:         "fineibt",
-	DefPAC:             "pac-cfi",
-	DefPACRet:          "pac-ret",
-	DefVeriFence:       "verifence",
+// NumDefenses is the number of defined Defense values. Every value below
+// it has a descriptor row; no value at or above it is valid.
+const NumDefenses = DefVeriFence + 1
+
+// Edge is a bit set of the indirect control transfers a defense can
+// guard.
+type Edge uint8
+
+// The guardable edges.
+const (
+	EdgeCall Edge = 1 << iota // indirect call (OpICall)
+	EdgeRet                   // return (OpRet)
+	EdgeJump                  // jump-table dispatch (OpSwitch with JumpTable)
+)
+
+// DefenseInfo describes what a defense does to the edges it guards.
+type DefenseInfo struct {
+	// Name is the defense's form in printed IR.
+	Name string
+	// Edges lists the transfers the defense guards. On any other edge
+	// the CPU model charges the worst case and the attack model reports
+	// the site vulnerable; Verify rejects the placement.
+	Edges Edge
+	// Predicted means the guarded branch still dispatches through the
+	// BTB or RSB and the defense's cost adds to that dispatch. Otherwise
+	// its cost replaces prediction: the thunk pins speculation and never
+	// reads or trains the predictor.
+	Predicted bool
+	// Fenced means an lfence retires the target load before the
+	// transfer, so LVI cannot inject the target.
+	Fenced bool
+	// Thunk counts a guarded call or return toward the CPU model's
+	// ThunkedCalls/ThunkedRets. Jump-table dispatches are never counted.
+	Thunk bool
+	// Bytes is the encoded size of a hardened site. Retpoline thunk
+	// bodies are shared (one per register), so a call site grows only by
+	// the register move and thunk call; return-edge sequences are
+	// inlined and a little larger.
+	Bytes int32
+}
+
+var defenses = [NumDefenses]DefenseInfo{
+	DefNone:            {Name: "none", Edges: EdgeCall | EdgeRet | EdgeJump, Predicted: true},
+	DefRetpoline:       {Name: "retpoline", Edges: EdgeCall | EdgeJump, Thunk: true, Bytes: 8},
+	DefLVI:             {Name: "lvi-cfi", Edges: EdgeCall, Predicted: true, Fenced: true, Thunk: true, Bytes: 8},
+	DefFencedRetpoline: {Name: "fenced-retpoline", Edges: EdgeCall, Fenced: true, Thunk: true, Bytes: 10},
+	DefRetRetpoline:    {Name: "ret-retpoline", Edges: EdgeRet, Thunk: true, Bytes: 12},
+	DefLVIRet:          {Name: "lvi-ret", Edges: EdgeRet, Predicted: true, Fenced: true, Thunk: true, Bytes: 9},
+	DefFencedRetRet:    {Name: "fenced-ret-retpoline", Edges: EdgeRet, Fenced: true, Thunk: true, Bytes: 15},
+	DefLLVMCFI:         {Name: "llvm-cfi", Edges: EdgeCall, Predicted: true, Bytes: 9},
+	DefStackProtector:  {Name: "stackprotector", Edges: EdgeRet, Predicted: true, Bytes: 10},
+	DefSafeStack:       {Name: "safestack", Edges: EdgeRet, Predicted: true, Bytes: 8},
+	// endbr64 at the target is charged to the callee; the site pays for
+	// the SID move feeding the landing-pad compare.
+	DefFineIBT: {Name: "fineibt", Edges: EdgeCall, Predicted: true, Thunk: true, Bytes: 7},
+	// pacia-style sign folded into the call sequence; autia before ret.
+	DefPAC:    {Name: "pac-cfi", Edges: EdgeCall, Predicted: true, Thunk: true, Bytes: 6},
+	DefPACRet: {Name: "pac-ret", Edges: EdgeRet, Predicted: true, Thunk: true, Bytes: 6},
+	// The kept dispatch plus a 3-byte lfence: a fenced jump table stays
+	// a table and grows by exactly the fence.
+	DefVeriFence: {Name: "verifence", Edges: EdgeCall | EdgeJump, Predicted: true, Fenced: true, Thunk: true, Bytes: DefaultInstrSize + 3},
+}
+
+// Info returns the defense's descriptor. An undefined value gets the
+// zero DefenseInfo, which guards no edge and is neither predicted nor
+// fenced.
+func (d Defense) Info() DefenseInfo {
+	if d < NumDefenses {
+		return defenses[d]
+	}
+	return DefenseInfo{}
 }
 
 func (d Defense) String() string {
-	if int(d) < len(defNames) {
-		return defNames[d]
+	if d < NumDefenses {
+		return defenses[d].Name
 	}
 	return fmt.Sprintf("defense(%d)", uint8(d))
 }
@@ -230,6 +286,28 @@ func (in *Instr) Latency() int32 {
 		return in.Cycles
 	}
 	return 1
+}
+
+// Edge returns the guardable transfer the instruction performs: a call
+// for OpICall, a return for OpRet, a jump for a jump-table OpSwitch, and
+// no edge for any other instruction.
+func (in *Instr) Edge() Edge {
+	switch {
+	case in.Op == OpICall:
+		return EdgeCall
+	case in.Op == OpRet:
+		return EdgeRet
+	case in.Op == OpSwitch && in.JumpTable:
+		return EdgeJump
+	}
+	return 0
+}
+
+// DefenseFits reports whether the instruction's defense is DefNone or a
+// defined defense that guards the instruction's edge. Verify and the
+// execution engines reject any instruction it fails.
+func (in *Instr) DefenseFits() bool {
+	return in.Defense == DefNone || in.Defense.Info().Edges&in.Edge() != 0
 }
 
 // Clone returns a deep copy of the instruction.

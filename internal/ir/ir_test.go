@@ -259,6 +259,42 @@ entry:
 	}
 }
 
+// TestVerifyRejectsMisplacedDefense: a defense must be defined and guard
+// its instruction's edge, or the engines would charge a row that
+// describes some other edge.
+func TestVerifyRejectsMisplacedDefense(t *testing.T) {
+	const head = "func h (params=0, regs=0)\nentry:\n  ret\n\nfunc f (params=0, regs=1)\nentry:\n"
+	for body, want := range map[string]string{
+		"  ret [retpoline]\n":                                              "f.entry[0]: ret cannot carry defense retpoline",
+		"  alu [pac-cfi]\n  ret\n":                                         "f.entry[0]: alu cannot carry defense pac-cfi",
+		"  call @h args=0 site=1 [fenced-ret-retpoline]\n  ret\n":          "f.entry[0]: call cannot carry defense fenced-ret-retpoline",
+		"  resolve r0 site=1\n  icall r0 args=0 site=1 [pac-ret]\n  ret\n": "f.entry[1]: icall cannot carry defense pac-ret",
+		"  switch a [table] [lvi-cfi]\na:\n  ret\n":                        "f.entry[0]: switch cannot carry defense lvi-cfi",
+		"  switch a [chain] [verifence]\na:\n  ret\n":                      "f.entry[0]: switch cannot carry defense verifence",
+	} {
+		m, err := ParseString(head + body)
+		if err != nil {
+			t.Fatalf("ParseString(%q): %v", body, err)
+		}
+		err = Verify(m, VerifyOptions{})
+		var ve *VerifyError
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), want) {
+			t.Errorf("Verify(%q) = %v, want a *VerifyError containing %q", body, err, want)
+		}
+	}
+	m, err := ParseString(head + "  resolve r0 site=1\n  icall r0 args=0 site=1 [fineibt]\n  switch a [table] [verifence]\na:\n  ret [pac-ret]\n")
+	if err != nil {
+		t.Fatalf("ParseString: %v", err)
+	}
+	if err := Verify(m, VerifyOptions{}); err != nil {
+		t.Errorf("defenses on edges they guard rejected: %v", err)
+	}
+	m.Func("f").Block("a").Instrs[0].Defense = 200
+	if err := Verify(m, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "f.a[0]: ret cannot carry defense defense(200)") {
+		t.Errorf("undefined defense: %v", err)
+	}
+}
+
 func TestAddFuncRejectsDuplicate(t *testing.T) {
 	m := NewModule()
 	NewFunction(m, "f", 0).Ret()

@@ -295,9 +295,9 @@ func parseInstr(s string) (Instr, error) {
 }
 
 func defenseByName(name string) (Defense, bool) {
-	for d, n := range defNames {
-		if n == name && Defense(d) != DefNone {
-			return Defense(d), true
+	for d := DefNone + 1; d < NumDefenses; d++ {
+		if defenses[d].Name == name {
+			return d, true
 		}
 	}
 	return DefNone, false

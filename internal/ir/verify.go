@@ -34,7 +34,9 @@ type VerifyOptions struct {
 //   - direct-call and compare targets name existing functions;
 //   - site IDs are unique module-wide and within the allocator bound;
 //   - every site's Orig lies in [1, NextSiteID());
-//   - switches have at least one target.
+//   - switches have at least one target;
+//   - every defense is defined and guards its instruction's edge
+//     (Instr.DefenseFits).
 //
 // It returns all violations joined into a single error, or nil. A
 // module that verifies costs no map and no string formatting: sites are
@@ -171,6 +173,9 @@ func verifyFunc(m *Module, fi int, opts VerifyOptions, callSites, resolveSites *
 				if !opts.AllowUnknownCallees && m.Func(in.Callee) == nil {
 					report("%s.%s[%d]: cmpfn against unknown function %q", f.Name, b.Name, i, in.Callee)
 				}
+			}
+			if !in.DefenseFits() {
+				report("%s.%s[%d]: %s cannot carry defense %v", f.Name, b.Name, i, in.Op, in.Defense)
 			}
 			switch in.Op {
 			case OpResolve, OpCmpFn, OpICall, OpIJump:

@@ -116,10 +116,10 @@ func TestSweepStateResumeByteIdentical(t *testing.T) {
 	}
 
 	cuts := map[string]int{
-		"no-cells":  firstCell,            // config survived, every cell lost
-		"mid-cell":  firstCell + 40,       // torn write inside the first cell frame
-		"torn-tail": len(full) - 10,       // last cell's frame torn
-		"complete":  len(full),            // nothing to do on resume
+		"no-cells":  firstCell,      // config survived, every cell lost
+		"mid-cell":  firstCell + 40, // torn write inside the first cell frame
+		"torn-tail": len(full) - 10, // last cell's frame torn
+		"complete":  len(full),      // nothing to do on resume
 	}
 	for name, cut := range cuts {
 		resumed := filepath.Join(dir, "resume-"+name+".state")
