@@ -139,8 +139,7 @@ func BenchmarkRobustness(b *testing.B) {
 // dispatchMachine builds the dispatch-microbenchmark machine — the same
 // loop of straight-line work, direct calls and a skewed indirect call
 // that internal/interp's engine benchmarks use — so the root pair below
-// tracks raw per-instruction dispatch cost for the two execution tiers
-// in BENCH_engine.json's trajectory.
+// tracks raw per-instruction dispatch cost for the two execution tiers.
 func dispatchMachine(b *testing.B, eng interp.Engine) (*interp.Machine, int) {
 	b.Helper()
 	m := ir.NewModule()
@@ -194,8 +193,8 @@ func runDispatch(b *testing.B, eng interp.Engine) {
 
 // BenchmarkMachineRun times the packed-event interpreter's dispatch;
 // BenchmarkMachineRunCompiled times the threaded-code tier on the same
-// machine shape. The pair mirrors the machine_run_interp and
-// machine_run_compiled rows of `pibe bench-engine`.
+// machine shape. CI compares the pair's median ns/op over five runs
+// and fails unless the compiled tier is strictly faster.
 func BenchmarkMachineRun(b *testing.B)         { runDispatch(b, interp.EngineInterp) }
 func BenchmarkMachineRunCompiled(b *testing.B) { runDispatch(b, interp.EngineCompiled) }
 

@@ -16,8 +16,6 @@
 //	              [-drift-threshold 0.75] [-fleet-mix apache,nginx] [-fleet-decay 0.5]
 //	              [-canary 1] [-regression-budget 0.05] [-state DIR]
 //	              [-profile baseline.txt] [...build flags] [-measure]
-//	pibe bench-engine [-seed N] [-engine interp|compiled] [-measure-workers N] [-bench-iters N]
-//	              [-o BENCH_engine.json]
 //	pibe sweep    [-seed N] [-sweep-grid 0,50,90,99,99.9,99.99,99.9999] [-sweep-combos retpoline,all]
 //	              [-sweep-knee 1.1] [-sweep-kernel-scale 1] [-sweep-timings]
 //	              [-state sweep.state] [-sweep-shards N -sweep-shard I]
@@ -95,10 +93,6 @@
 // with N >= 1 the sharded measurement driver runs repetitions on a
 // bounded worker pool with per-repetition derived seeds, deterministic
 // for every N; -measure-workers=0 selects the legacy serial driver.
-// bench-engine times the execution engine (machine dispatch, profile
-// collection, request measurement serial vs parallel) and writes a
-// machine-readable BENCH_engine.json; raw dispatch is always timed on
-// both tiers (machine_run_interp / machine_run_compiled).
 //
 // Every command accepts -engine interp|compiled to select the execution
 // tier for profiling and measurement machines. The compiled engine runs
@@ -185,7 +179,6 @@ func main() {
 		"measurement worker pool size (0 = legacy serial driver)")
 	engineName := fs.String("engine", "interp",
 		"execution engine: interp (packed-event reference) or compiled (threaded code; cycle-exact, faster)")
-	benchIters := fs.Int("bench-iters", 3, "minimum iterations per bench-engine benchmark")
 	sweepGrid := fs.String("sweep-grid", "0,50,90,99,99.9,99.99,99.9999",
 		"comma-separated budget grid in percent, applied to both sweep axes")
 	sweepCombos := fs.String("sweep-combos", "retpoline,ret-retpoline,lvi-cfi,fineibt,pac-cfi,verifence,all",
@@ -494,13 +487,6 @@ func main() {
 		fmt.Fprintf(w, "fleet: %d epochs, %d promoted, %d rejected, %d build-failures, partial=%v\n",
 			len(res.Epochs), res.Rebuilds, res.Rejections, res.RebuildFailures, res.Partial)
 
-	case "bench-engine":
-		path := *out
-		if path == "" {
-			path = "BENCH_engine.json"
-		}
-		check(benchEngine(path, *seed, *measureWorkers, *benchIters, engine))
-
 	default:
 		usage()
 	}
@@ -570,7 +556,7 @@ func parseDefenses(s string) pibe.Defenses {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pibe <profile|build|measure|fleet|top|dump|bench-engine|sweep|sweep-merge|sweep-diff|ingest> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pibe <profile|build|measure|fleet|top|dump|sweep|sweep-merge|sweep-diff|ingest> [flags]")
 	os.Exit(2)
 }
 

@@ -11,6 +11,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/ir"
@@ -26,10 +27,12 @@ type Params struct {
 	BTBEntries int
 	// RSBDepth is the return stack buffer depth (typically 16).
 	RSBDepth int
-	// PHTEntries is the number of 2-bit pattern history counters.
+	// PHTEntries is the number of 2-bit pattern history counters (power
+	// of two).
 	PHTEntries int
 	// ICacheSets, ICacheWays and ICacheLine describe the instruction
-	// cache geometry. Defaults model 32 KB / 8-way / 64-byte lines.
+	// cache geometry; sets and line size are powers of two. Defaults
+	// model 32 KB / 8-way / 64-byte lines.
 	ICacheSets, ICacheWays int
 	ICacheLine             int64
 
@@ -229,34 +232,42 @@ type Model struct {
 	pht     []uint8 // 2-bit saturating counters
 	phtMask int64
 
-	// The instruction cache keeps LRU order with monotonic use stamps
-	// instead of per-way rank counters: a hit is one tag scan plus one
-	// stamp store, and the eviction victim is the minimum stamp. Stamps
-	// are seeded descending by way index so a cold set evicts ways in the
-	// same order rank-based LRU would (highest way first); thereafter
-	// stamps are unique, so the two schemes pick identical victims and
-	// the cycle/hit accounting is bit-for-bit unchanged.
-	//
-	// Tags and stamps are stored flat ([set*ways+way]) and each set
-	// remembers its most-recently-hit way, which short-circuits the tag
-	// scan for the dominant re-touch pattern (straight-line execution
-	// touching the same lines every block). The MRU probe is a pure
-	// lookup optimization: hit/miss/eviction behaviour is unchanged.
-	icTags  []int64 // [set*ways+way] line tag; -1 = invalid
-	icStamp []int64 // [set*ways+way] last-use stamp; min = LRU victim
-	icMRU   []int32 // [set] way of the most recent hit or fill
-	icTick  int64   // monotonic use counter
+	// The instruction cache keeps each set's ways in recency order: way 0
+	// holds the newest line and the last way the least recently used.
+	// A hit moves its line to the front and a miss shifts the set down
+	// one way, evicting the last, which is exactly LRU. Invalid ways hold
+	// -1, so a cold set fills before it evicts. Tags are stored flat
+	// ([set*ways+way]).
+	icTags  []int64 // [set*ways+way] line tag, newest first; -1 = invalid
 	icWays  int
 	icMask  int64
-	icSets  int64
-	// icShift converts an aligned line address to its set index by
-	// shift instead of division (ICacheLine is a power of two; New
-	// falls back to icShift < 0 and division otherwise).
-	icShift int
+	icShift int // log2(ICacheLine): an aligned line's set is (line >> icShift) & icMask
 }
 
-// New returns a Model with cold predictors and caches.
+// New returns a Model with cold predictors and caches. It panics when
+// p's geometry cannot be simulated: BTBEntries, PHTEntries, ICacheSets
+// and ICacheLine must be powers of two (they are used as masks and line
+// alignments), and ICacheWays and RSBDepth at least 1.
 func New(p Params) *Model {
+	for _, g := range []struct {
+		name string
+		n    int64
+	}{
+		{"BTBEntries", int64(p.BTBEntries)},
+		{"PHTEntries", int64(p.PHTEntries)},
+		{"ICacheSets", int64(p.ICacheSets)},
+		{"ICacheLine", p.ICacheLine},
+	} {
+		if g.n < 1 || g.n&(g.n-1) != 0 {
+			panic(fmt.Sprintf("cpu: Params.%s = %d is not a power of two", g.name, g.n))
+		}
+	}
+	if p.ICacheWays < 1 {
+		panic(fmt.Sprintf("cpu: Params.ICacheWays = %d is below 1", p.ICacheWays))
+	}
+	if p.RSBDepth < 1 {
+		panic(fmt.Sprintf("cpu: Params.RSBDepth = %d is below 1", p.RSBDepth))
+	}
 	m := &Model{P: p, charges: newCharges(&p)}
 	m.btb = make([]int64, p.BTBEntries)
 	m.btbMask = int64(p.BTBEntries - 1)
@@ -265,19 +276,11 @@ func New(p Params) *Model {
 	m.phtMask = int64(p.PHTEntries - 1)
 	m.icWays = p.ICacheWays
 	m.icTags = make([]int64, p.ICacheSets*p.ICacheWays)
-	m.icStamp = make([]int64, p.ICacheSets*p.ICacheWays)
-	m.icMRU = make([]int32, p.ICacheSets)
 	for i := range m.icTags {
 		m.icTags[i] = -1
-		m.icStamp[i] = -int64(i % p.ICacheWays)
 	}
-	m.icTick = 1
-	m.icShift = -1
-	if p.ICacheLine > 0 && p.ICacheLine&(p.ICacheLine-1) == 0 {
-		m.icShift = bits.TrailingZeros64(uint64(p.ICacheLine))
-	}
+	m.icShift = bits.TrailingZeros64(uint64(p.ICacheLine))
 	m.icMask = int64(p.ICacheSets - 1)
-	m.icSets = int64(p.ICacheSets)
 	return m
 }
 
@@ -300,12 +303,7 @@ func (m *Model) ResetAll() {
 	m.rsbLen, m.rsbTop = 0, 0
 	for i := range m.icTags {
 		m.icTags[i] = -1
-		m.icStamp[i] = -int64(i % m.icWays)
 	}
-	for s := range m.icMRU {
-		m.icMRU[s] = 0
-	}
-	m.icTick = 1
 }
 
 // Micros converts the accumulated cycle count to microseconds.
@@ -362,67 +360,28 @@ func (m *Model) TouchLine(base int64) {
 	m.touchLine(base &^ (m.P.ICacheLine - 1))
 }
 
+// touchLine looks line up in its set's recency-ordered ways and moves it
+// to the front, filling it in place of the last (least recently used)
+// way on a miss. line is already aligned. This plain scan is the
+// reference the compiled tier's two-way probe is checked against.
 func (m *Model) touchLine(line int64) {
-	// Set-indexed MRU probe: straight-line execution re-touches the
-	// same lines block after block, and the most recently touched line
-	// of any set is by construction that set's MRU way, so this single
-	// probe resolves both repeat-line and alternating-line patterns
-	// without a tag scan. A probe is a lookup shortcut only — hit/miss
-	// outcomes, stamp updates and eviction are identical either way.
-	if m.icShift >= 0 {
-		set := (line >> m.icShift) & m.icMask
-		if mru := int(set)*m.icWays + int(m.icMRU[set]); m.icTags[mru] == line {
-			m.Stats.ICacheHits++
-			m.icStamp[mru] = m.icTick
-			m.icTick++
-			return
-		}
-	}
-	m.touchLineSlow(line)
-}
-
-// touchLineSlow handles the tag scan and fill for a line that missed the
-// MRU probe (and the probe itself when the line size is not a power of
-// two). line is already aligned.
-func (m *Model) touchLineSlow(line int64) {
-	var set int64
-	if m.icShift >= 0 {
-		set = (line >> m.icShift) & m.icMask
-	} else {
-		set = (line / m.P.ICacheLine) & m.icMask
-		base := int(set) * m.icWays
-		if mru := base + int(m.icMRU[set]); m.icTags[mru] == line {
-			m.Stats.ICacheHits++
-			m.icStamp[mru] = m.icTick
-			m.icTick++
-			return
-		}
-	}
-	base := int(set) * m.icWays
+	base := int((line>>m.icShift)&m.icMask) * m.icWays
 	tags := m.icTags[base : base+m.icWays]
-	stamp := m.icStamp[base : base+m.icWays]
-	// One pass finds both the matching way (hit) and the LRU victim
-	// (miss), so the miss path — common once the working set exceeds
-	// the cache — does not rescan.
-	victim := 0
-	for w := range tags {
-		if tags[w] == line {
-			m.Stats.ICacheHits++
-			stamp[w] = m.icTick
-			m.icTick++
-			m.icMRU[set] = int32(w)
-			return
-		}
-		if stamp[w] < stamp[victim] {
-			victim = w
-		}
+	w := 0
+	for w < len(tags) && tags[w] != line {
+		w++
 	}
-	m.Stats.ICacheMisses++
-	m.Cycles += m.P.ICacheMissPenalty
-	tags[victim] = line
-	stamp[victim] = m.icTick
-	m.icTick++
-	m.icMRU[set] = int32(victim)
+	if w < len(tags) {
+		m.Stats.ICacheHits++
+	} else {
+		m.Stats.ICacheMisses++
+		m.Cycles += m.P.ICacheMissPenalty
+		w--
+	}
+	for ; w > 0; w-- {
+		tags[w] = tags[w-1]
+	}
+	tags[0] = line
 }
 
 // DirectCall charges a direct call at siteAddr returning to retAddr and

@@ -16,11 +16,11 @@
 // duration of a run and applies the model's own update rules inline,
 // with Cycles/Stats accumulating in VM-local fields written back at
 // exit. Because every charge is a pure sum and the order-sensitive
-// state (BTB/PHT slots, RSB cursor, LRU stamps) is updated through the
-// same arrays with the same rules in the same sequence, the compiled
-// tier is cycle-exact against the interpreter — a property the
-// equivalence tests, FuzzCompiledEquivalence and the diffcheck
-// engine-vs-engine gate all enforce.
+// state (BTB/PHT slots, RSB cursor, the i-cache sets' recency order) is
+// updated through the same arrays with the same rules in the same
+// sequence, the compiled tier is cycle-exact against the interpreter —
+// a property the equivalence tests, FuzzCompiledEquivalence and the
+// diffcheck engine-vs-engine gate all enforce.
 //
 // Superinstruction fusion: the profile work in PR 4/5 identified the
 // hot event shapes on the syscall path — straight-line segments ending
@@ -85,9 +85,9 @@ func (e Engine) String() string {
 	return "interp"
 }
 
-// errEngineUnavailable reports that the borrowed-state view could not be
-// established (exotic icache geometry); the caller falls back to the
-// interpreter for this run.
+// errEngineUnavailable reports that the model's geometry has no inlined
+// form (an i-cache with fewer than two ways, which the two-way probe
+// needs); the caller falls back to the interpreter for this run.
 var errEngineUnavailable = errors.New("interp: compiled engine unavailable for this cpu model")
 
 // cop is one compiled operation: execute, return the next operation.
@@ -206,21 +206,17 @@ type cvm struct {
 	// from; runs against the same model re-borrow with EngineSync.
 	model *cpu.Model
 
-	// Pointer-hoisted icache arrays. The touch probe is the hottest
+	// Pointer-hoisted icache tags. The touch probe is the hottest
 	// operation in the engine, and going through the borrowed slice
-	// headers costs three bounds checks plus reloads the compiler
-	// cannot elide (stores through one borrowed slice may alias the
-	// others). The raw-pointer form is sound because every index is
-	// provably in bounds: set <= icSetMask = sets-1 < len(ICMRU), and
-	// mru = set*ways + way < sets*ways = len(ICTags) since MRU entries
-	// only ever hold way indices in [0, ways) — both the model and
-	// touchSlow write int32(w) with w < ways. runCompiled checks the
-	// geometry (ways >= 1, len(ICTags) == sets*ways) once before
-	// installing these.
-	icMRUP    unsafe.Pointer // &ICMRU[0]  ([]int32)
+	// header costs bounds checks plus reloads the compiler cannot elide.
+	// The raw-pointer form is sound because every index is provably in
+	// bounds: set <= icSetMask = sets-1, so a set's ways occupy
+	// [set*ways, set*ways+ways) within len(ICTags) = sets*ways, and the
+	// probe reads ways 0 and 1 while touchSlow reads ways 2..ways-1 and
+	// writes 0..ways-1. runCompiled checks the geometry (ways >= 2,
+	// len(ICTags) == sets*ways) once before installing these.
 	icTagsP   unsafe.Pointer // &ICTags[0] ([]int64)
-	icStampP  unsafe.Pointer // &ICStamp[0] ([]int64)
-	icSetMask uint64         // len(ICMRU)-1 == cpu icMask
+	icSetMask uint64         // sets-1 == cpu icMask
 	icShiftN  uint64
 	icWaysN   uintptr
 
@@ -272,71 +268,60 @@ func (vm *cvm) refillRSB() {
 	vm.st.Cycles += vm.rsbRefillCost
 }
 
-// touchProbe is the set-indexed MRU probe — the dominant icache path.
-// It is small enough to inline into every closure that touches a line;
-// misses fall to touchSlow. line must already be line-aligned. It uses
-// the pointer-hoisted arrays (see the cvm field comment for the
-// in-bounds argument); the masked set index is value-identical to the
-// model's `& icMask` since icSetMask == len(ICMRU)-1 == icMask.
+// touchProbe is the dominant icache path: it reads the line's set's two
+// newest ways and resolves a hit on either. Both orders after such a
+// hit are "line, then the other of the two", so a hit stores the pair
+// without branching on which way matched; a hit in way 0 rewrites the
+// set unchanged. It is small enough to inline into every closure that
+// touches a line; a line in neither way falls to touchSlow. line must
+// already be line-aligned. It uses the pointer-hoisted tags (see the cvm
+// field comment for the in-bounds argument).
 func (vm *cvm) touchProbe(line int64) bool {
-	set := uintptr(uint64(line>>vm.icShiftN) & vm.icSetMask)
-	mru := set*vm.icWaysN + uintptr(*(*int32)(unsafe.Add(vm.icMRUP, set*4)))
-	if *(*int64)(unsafe.Add(vm.icTagsP, mru*8)) == line {
-		vm.st.Stats.ICacheHits++
-		*(*int64)(unsafe.Add(vm.icStampP, mru*8)) = vm.st.ICTick
-		vm.st.ICTick++
-		return true
+	// icShiftN < 63; the mask lets the compiler emit a bare shift.
+	set := uintptr(uint64(line>>(vm.icShiftN&63)) & vm.icSetMask)
+	ways := unsafe.Add(vm.icTagsP, set*vm.icWaysN*8)
+	t0, t1 := *(*int64)(ways), *(*int64)(unsafe.Add(ways, 8))
+	if t0 != line && t1 != line {
+		return false
 	}
-	return false
+	vm.st.Stats.ICacheHits++
+	*(*int64)(ways) = line
+	*(*int64)(unsafe.Add(ways, 8)) = t0 ^ t1 ^ line // the way that did not match
+	return true
 }
 
-// touchSlow is the tag scan and fill, mirroring Model.touchLineSlow for
-// power-of-two line sizes (EngineView guarantees icShift >= 0).
+// touchSlow finishes a touch that missed both of touchProbe's ways:
+// Model.touchLine's scan from way 2, then the line moves to the front
+// of its set, shifting the ways before it (on a miss, all but the last)
+// down one.
 func (vm *cvm) touchSlow(line int64) {
 	set := uintptr(uint64(line>>vm.icShiftN) & vm.icSetMask)
-	ways := vm.icWaysN
-	tags := unsafe.Add(vm.icTagsP, set*ways*8)
-	stamp := unsafe.Add(vm.icStampP, set*ways*8)
-	victim := uintptr(0)
-	victimStamp := *(*int64)(stamp)
-	for w := uintptr(0); w < ways; w++ {
-		if *(*int64)(unsafe.Add(tags, w*8)) == line {
-			vm.st.Stats.ICacheHits++
-			*(*int64)(unsafe.Add(stamp, w*8)) = vm.st.ICTick
-			vm.st.ICTick++
-			*(*int32)(unsafe.Add(vm.icMRUP, set*4)) = int32(w)
-			return
-		}
-		if s := *(*int64)(unsafe.Add(stamp, w*8)); s < victimStamp {
-			victim, victimStamp = w, s
-		}
+	n := vm.icWaysN
+	ways := unsafe.Add(vm.icTagsP, set*n*8)
+	w := uintptr(2)
+	for w < n && *(*int64)(unsafe.Add(ways, w*8)) != line {
+		w++
 	}
-	vm.st.Stats.ICacheMisses++
-	vm.st.Cycles += vm.icMissPenalty
-	*(*int64)(unsafe.Add(tags, victim*8)) = line
-	*(*int64)(unsafe.Add(stamp, victim*8)) = vm.st.ICTick
-	vm.st.ICTick++
-	*(*int32)(unsafe.Add(vm.icMRUP, set*4)) = int32(victim)
+	if w < n {
+		vm.st.Stats.ICacheHits++
+	} else {
+		vm.st.Stats.ICacheMisses++
+		vm.st.Cycles += vm.icMissPenalty
+		w--
+	}
+	for ; w > 0; w-- {
+		*(*int64)(unsafe.Add(ways, w*8)) = *(*int64)(unsafe.Add(ways, (w-1)*8))
+	}
+	*(*int64)(ways) = line
 }
 
 // touchN touches n consecutive lines starting at base (re-aligned, as
 // Model.TouchLines does — the model's line size may differ from the
-// 64-byte layout granularity blocks were compiled with). The probe is
-// written out with the slice headers hoisted to locals so they stay in
-// registers across the loop (stores through the borrowed slices defeat
-// the compiler's alias analysis otherwise).
+// 64-byte layout granularity blocks were compiled with).
 func (vm *cvm) touchN(base int64, n int) {
 	line := base & vm.alignMask
-	mruP, tagsP, stampP := vm.icMRUP, vm.icTagsP, vm.icStampP
-	shift, setMask, ways := vm.icShiftN, vm.icSetMask, vm.icWaysN
 	for i := 0; i < n; i++ {
-		set := uintptr(uint64(line>>shift) & setMask)
-		mru := set*ways + uintptr(*(*int32)(unsafe.Add(mruP, set*4)))
-		if *(*int64)(unsafe.Add(tagsP, mru*8)) == line {
-			vm.st.Stats.ICacheHits++
-			*(*int64)(unsafe.Add(stampP, mru*8)) = vm.st.ICTick
-			vm.st.ICTick++
-		} else {
+		if !vm.touchProbe(line) {
 			vm.touchSlow(line)
 		}
 		line += vm.icLine
@@ -676,6 +661,13 @@ type segPre struct {
 // fuse bakes a prefix in front of a body closure. The prefix and body
 // execute under one driver dispatch — the block-entry+terminator
 // superinstruction for single-event blocks.
+//
+// fuse stays out of line so that its closures are compiled with it and
+// not with its callers: genEvent and compileBlock are large enough that
+// the compiler lowers the inlining budget of every closure built in
+// them, and touchProbe then becomes a call in the hottest closures.
+//
+//go:noinline
 func fuse(pre *segPre, body cop) cop {
 	if pre == nil {
 		return body
@@ -1265,8 +1257,9 @@ func (mc *Machine) compiledEligible() bool {
 }
 
 // runCompiled executes one entry on the threaded-code tier. It returns
-// errEngineUnavailable (without touching any state) when the model
-// geometry cannot be borrowed; the caller falls back to the interpreter.
+// errEngineUnavailable (without touching any model state) when the
+// model's geometry has no inlined form; the caller falls back to the
+// interpreter.
 func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	model := mc.CPU
 	if model == nil {
@@ -1288,23 +1281,18 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 		// hoist the cost parameters. Parameters and geometry are fixed at
 		// Model construction, so later runs only re-sync the scalars the
 		// model may have evolved between runs.
-		if !model.EngineView(&vm.st) {
-			return errEngineUnavailable
-		}
-		// Geometry gate for the raw-pointer icache probe (see the cvm
-		// field comment): a degenerate cache would break the in-bounds
-		// argument, so treat it as not inlinable.
-		if vm.st.ICWays < 1 || len(vm.st.ICMRU) == 0 ||
-			len(vm.st.ICTags) != len(vm.st.ICMRU)*vm.st.ICWays ||
-			len(vm.st.ICStamp) != len(vm.st.ICTags) ||
+		model.EngineView(&vm.st)
+		// Geometry gate for the raw-pointer icache probe and RSB (see
+		// the cvm field comments): the two-way probe needs two ways,
+		// and any other shape would break the in-bounds argument.
+		if vm.st.ICWays < 2 ||
+			len(vm.st.ICTags) != int(vm.st.ICMask+1)*vm.st.ICWays ||
 			len(vm.st.RSB) != vm.st.RSBDepth || vm.st.RSBDepth < 1 {
 			return errEngineUnavailable
 		}
 		vm.rsbP = unsafe.Pointer(&vm.st.RSB[0])
-		vm.icMRUP = unsafe.Pointer(&vm.st.ICMRU[0])
 		vm.icTagsP = unsafe.Pointer(&vm.st.ICTags[0])
-		vm.icStampP = unsafe.Pointer(&vm.st.ICStamp[0])
-		vm.icSetMask = uint64(len(vm.st.ICMRU) - 1)
+		vm.icSetMask = uint64(vm.st.ICMask)
 		vm.icShiftN = uint64(vm.st.ICShift)
 		vm.icWaysN = uintptr(vm.st.ICWays)
 		par := &model.P

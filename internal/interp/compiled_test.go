@@ -155,6 +155,41 @@ func TestCompiledEquivalenceFaults(t *testing.T) {
 	})
 }
 
+// TestCompiledEquivalenceGeometry runs one kernel entry on both engines
+// under i-cache geometries other than the default, so the compiled
+// tier's two-way probe, its scan from way 2 and its line alignment meet
+// sets of other sizes and other line sizes. Every geometry here has at
+// least two ways, so the compiled tier must really run.
+func TestCompiledEquivalenceGeometry(t *testing.T) {
+	k, err := kernel.Generate(kernel.Config{Seed: 1})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	p, err := Compile(k.Mod)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	res := kernelResolver(t, k, p)
+	entry := k.Entries[k.Specs[0].Name]
+	for _, g := range []struct {
+		ways, sets int
+		line       int64
+	}{{2, 16, 64}, {8, 64, 32}, {8, 64, 128}} {
+		par := cpu.DefaultParams()
+		par.ICacheWays, par.ICacheSets, par.ICacheLine = g.ways, g.sets, g.line
+		pair := newEnginePair(p, res, 5, 0, 0)
+		pair.ref.CPU, pair.cand.CPU = cpu.New(par), cpu.New(par)
+		checkPair(t, pair, p, entry, 4)
+		if pair.cand.vm == nil || pair.cand.vm.model != pair.cand.CPU {
+			t.Fatalf("%d ways x %d sets x %d B: the compiled tier did not run", g.ways, g.sets, g.line)
+		}
+		if s := pair.cand.CPU.Stats; s.ICacheHits == 0 || s.ICacheMisses == 0 {
+			t.Fatalf("%d ways x %d sets x %d B: %d hits, %d misses; want both",
+				g.ways, g.sets, g.line, s.ICacheHits, s.ICacheMisses)
+		}
+	}
+}
+
 // TestCompiledFallback pins the eligibility rule: machines carrying
 // interpreter-only state (a recorder, a replaced RNG, ExactAccounting)
 // run the interpreter even with Engine=EngineCompiled, and behave

@@ -1111,8 +1111,8 @@ frames:
 							if ci.then == 1 {
 								// Single-line segment: charge the fields
 								// directly and skip the Straightline call
-								// layer (TouchLine's last-line probe is
-								// the dominant outcome).
+								// layer (a hit in the set's newest way
+								// is the dominant outcome).
 								model.Cycles += int64(ci.cost)
 								model.Stats.Instructions += int64(ci.els)
 								model.TouchLine(int64(ci.addr))

@@ -39,8 +39,7 @@ func BenchmarkMeasureRequest(b *testing.B) {
 
 // BenchmarkMeasureRequestParallel is BenchmarkMeasureRequest on the
 // sharded driver with GOMAXPROCS workers; on multi-core machines the
-// ratio of the two is the parallel-driver speedup reported in
-// BENCH_engine.json.
+// ratio of the two is the parallel-driver speedup.
 func BenchmarkMeasureRequestParallel(b *testing.B) {
 	r := benchRunner(b, Nginx)
 	r.Workers = runtime.GOMAXPROCS(0)
