@@ -70,8 +70,8 @@
 // knee point (the least aggressive budget pair within -sweep-knee of
 // the combo's best slowdown factor) and writes the machine-readable
 // surface to BENCH_sweep.json. Cells share the suite's singleflight
-// build cache and measure through the sharded deterministic driver, so
-// the JSON is byte-identical for every -measure-workers value ≥ 1
+// build cache and measure through the deterministic measurement driver,
+// so the JSON is byte-identical for every -measure-workers value
 // (wall-clock build times are recorded only under -sweep-timings, which
 // gives that determinism up). -sweep-kernel-scale S multiplies the cold
 // driver corpus to S×2200 functions and adds S-1 intermediate helper
@@ -90,9 +90,11 @@
 // sweep surfaces cell by cell and reports knee migration.
 //
 // Measurement commands accept -measure-workers N (default GOMAXPROCS):
-// with N >= 1 the sharded measurement driver runs repetitions on a
-// bounded worker pool with per-repetition derived seeds, deterministic
-// for every N; -measure-workers=0 selects the legacy serial driver.
+// the measurement driver runs repetitions, each with its own derived
+// seed, machine and CPU model, on up to N goroutines (below 2, on the
+// calling one). Results are identical for every N, and under -chaos too:
+// injected measurement faults are drawn and retried before any
+// repetition runs.
 //
 // Every command accepts -engine interp|compiled to select the execution
 // tier for profiling and measurement machines. The compiled engine runs
@@ -176,7 +178,7 @@ func main() {
 	chaosMax := fs.Int("chaos-max", 0, "cap on total injected faults (0 = unlimited)")
 	lenient := fs.Bool("lenient", false, "salvage corrupt/truncated -profile inputs instead of failing")
 	measureWorkers := fs.Int("measure-workers", runtime.GOMAXPROCS(0),
-		"measurement worker pool size (0 = legacy serial driver)")
+		"goroutines measurement repetitions run on (below 2: the calling goroutine; results are identical for every value)")
 	engineName := fs.String("engine", "interp",
 		"execution engine: interp (packed-event reference) or compiled (threaded code; cycle-exact, faster)")
 	sweepGrid := fs.String("sweep-grid", "0,50,90,99,99.9,99.99,99.9999",

@@ -49,15 +49,7 @@ func runSweep(opts sweepOpts) error {
 	if err != nil {
 		return err
 	}
-	// Cell measurement goes through the sharded deterministic driver;
-	// -measure-workers 0 would fall back to the (numerically different)
-	// legacy serial driver, so the sweep pins at least one worker to
-	// keep BENCH_sweep.json byte-identical for every worker count.
-	mw := opts.measureWorkers
-	if mw < 1 {
-		mw = 1
-	}
-	suite.Sys.SetMeasureWorkers(mw)
+	suite.Sys.SetMeasureWorkers(opts.measureWorkers)
 	// Engine choice never changes a cell's numbers (the compiled tier
 	// is cycle-exact), so the sweep surface stays byte-identical.
 	suite.Sys.SetEngine(opts.engine)

@@ -47,17 +47,17 @@ func TestImageGoldenDigests(t *testing.T) {
 		read, nginx float64
 		report      attack.Report
 	}{
-		{0, 0, pibe.Defenses{Retpolines: true}, "7dc32943dd7d545f", 511029, 930.985, 146342.56666666668,
+		{0, 0, pibe.Defenses{Retpolines: true}, "7dc32943dd7d545f", 511029, 938.1875, 146281.1,
 			attack.Report{ICallsSpectreV2: 12, ICallsLVI: 3175, ReturnsRet2spec: 2748, ReturnsLVI: 2748, IJumpsSpectreV2: 5, TotalICalls: 3175, TotalReturns: 2748, TotalIJumps: 5}},
-		{0.9, 0.5, pibe.AllDefenses, "95f90701b12c43ff", 577880, 1681.22, 158477.16666666666,
+		{0.9, 0.5, pibe.AllDefenses, "95f90701b12c43ff", 577880, 1687.6375, 158601.9,
 			attack.Report{ICallsSpectreV2: 12, ICallsLVI: 12, IJumpsSpectreV2: 5, TotalICalls: 3185, TotalReturns: 2748, TotalIJumps: 5}},
-		{0.999, 0.999, pibe.AllDefenses, "c51b57ab72328e17", 715860, 1023.035, 107828.86666666667,
+		{0.999, 0.999, pibe.AllDefenses, "c51b57ab72328e17", 715860, 1029.5, 107848,
 			attack.Report{ICallsSpectreV2: 12, ICallsLVI: 12, IJumpsSpectreV2: 5, TotalICalls: 3194, TotalReturns: 2748, TotalIJumps: 5}},
 		// VeriFence keeps every dispatch BTB-predicted, so all its icalls
 		// and jump tables stay Spectre V2 targets; its lfence stops LVI
 		// at the fenced icalls, while the proven-bare and inline-asm ones
 		// stay LVI targets (DESIGN.md §15).
-		{0.999999, 0.999999, pibe.Defenses{VeriFence: true}, "4ae00856a80a3bdd", 679280, 734.23, 86604.43333333333,
+		{0.999999, 0.999999, pibe.Defenses{VeriFence: true}, "4ae00856a80a3bdd", 679280, 739.3125, 86679.26666666666,
 			attack.Report{ICallsSpectreV2: 3194, ICallsLVI: 2827, ReturnsRet2spec: 2748, ReturnsLVI: 2748, IJumpsSpectreV2: 218, TotalICalls: 3194, TotalReturns: 2748, TotalIJumps: 218}},
 	} {
 		name := fmt.Sprintf("icp %g inline %g %+v", c.icp, c.inline, c.def)

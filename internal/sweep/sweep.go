@@ -13,12 +13,12 @@
 //
 // Cells share one bench.Suite, so the singleflight image/latency caches
 // build each configuration exactly once no matter how the grid is
-// fanned out, and measurement inside a cell goes through the sharded
-// deterministic driver when the suite's system has measure workers set.
+// fanned out, and measurement inside a cell goes through the
+// deterministic measurement driver (internal/workload).
 // The report is a pure function of (kernel config, grid, combos): cells
 // are assembled in grid order, not completion order, and every float in
 // the JSON comes from the deterministic measurement path, so the
-// emitted bytes are identical for every worker count ≥ 1. Wall-clock
+// emitted bytes are identical for every worker count. Wall-clock
 // build times are the one exception; they are recorded only when
 // Config.Timings is set (and are zero otherwise), which is why the
 // default emission stays byte-reproducible.

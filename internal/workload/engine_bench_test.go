@@ -26,7 +26,7 @@ func benchRunner(b *testing.B, flavor Flavor) *Runner {
 }
 
 // BenchmarkMeasureRequest is the headline engine benchmark: the cycles of
-// one application request, measured with the serial driver.
+// one application request, its repetitions run on the calling goroutine.
 func BenchmarkMeasureRequest(b *testing.B) {
 	r := benchRunner(b, Nginx)
 	b.ResetTimer()
@@ -37,9 +37,9 @@ func BenchmarkMeasureRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureRequestParallel is BenchmarkMeasureRequest on the
-// sharded driver with GOMAXPROCS workers; on multi-core machines the
-// ratio of the two is the parallel-driver speedup.
+// BenchmarkMeasureRequestParallel is BenchmarkMeasureRequest with its
+// repetitions on GOMAXPROCS workers; on multi-core machines the ratio of
+// the two is the speedup of the worker pool.
 func BenchmarkMeasureRequestParallel(b *testing.B) {
 	r := benchRunner(b, Nginx)
 	r.Workers = runtime.GOMAXPROCS(0)
@@ -51,7 +51,8 @@ func BenchmarkMeasureRequestParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureAllSerial measures the full LMBench sweep serially.
+// BenchmarkMeasureAllSerial measures the full LMBench sweep on the calling
+// goroutine.
 func BenchmarkMeasureAllSerial(b *testing.B) {
 	r := benchRunner(b, LMBench)
 	b.ResetTimer()

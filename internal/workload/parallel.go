@@ -9,35 +9,26 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/interp"
-	"repro/internal/kernel"
+	"repro/internal/resilience"
 )
 
-// This file implements the sharded measurement driver: every repetition
-// of every benchmark is an independent cell with its own derived seed,
-// interpreter machine and cpu.Model, so cells can execute on a bounded
-// worker pool in any order and still merge to exactly the results a
-// one-worker run produces.
+// This file implements the measurement driver. A measurement is a plan
+// per benchmark (or request script); every repetition of a plan is an
+// independent cell with its own derived seed, machine and cpu.Model, so
+// cells can execute on a bounded worker pool in any order and still
+// merge to exactly the results a one-worker run produces.
 //
 // Determinism contract: a cell's result is a pure function of
-// (Runner config, benchmark name, repetition index). The per-cell seed
-// is derived by hashing (Seed, bench, rep) — never from worker identity
-// or scheduling — and predictor state never crosses cells, so the merge
-// (median per benchmark, benchmarks in spec order) is byte-identical for
-// every worker count.
-//
-// The sharded driver refuses two configurations it cannot replicate per
-// cell, falling back to the legacy serial driver: a chaos injector
-// (whose draw order is serial by definition) and a shared stateful Hook
-// without a NewHook factory.
-
-// sharded reports whether measurement should use the sharded driver.
-func (r *Runner) sharded() bool {
-	return r.Workers > 0 && r.Inject == nil && (r.Hook == nil || r.NewHook != nil)
-}
+// (Runner config, plan, repetition index). The per-cell seed is derived
+// by hashing (seed, key, rep) — never from worker identity or
+// scheduling — and predictor and hook state never cross cells, so the
+// merge (median per plan, plans in order) is byte-identical for every
+// worker count. Chaos faults are drawn on the calling goroutine before
+// any cell runs, so they cannot depend on scheduling either.
 
 // repSeed derives the RNG seed for one measurement cell. The derivation
-// depends only on the runner seed, the benchmark name and the repetition
-// index — not on worker count or scheduling.
+// depends only on the plan's seed and key and the repetition index — not
+// on worker count or scheduling.
 func repSeed(base int64, bench string, rep int) int64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -89,7 +80,7 @@ func runCells(n, workers int, fn func(i int) (float64, error)) ([]float64, error
 	return out, nil
 }
 
-// RunCells exposes the sharded driver's cell pool for side-effecting
+// RunCells exposes the measurement driver's cell pool for side-effecting
 // fan-outs (the ingest simulator drives millions of reporting kernels
 // through it): fn(0) .. fn(n-1) run on at most `workers` goroutines,
 // every cell runs to completion, and the lowest-index error is
@@ -104,9 +95,85 @@ func RunCells(n, workers int, fn func(i int) error) error {
 	return err
 }
 
-// cellMachine builds the fresh machine one cell runs on.
-func (r *Runner) cellMachine(seed int64) *interp.Machine {
-	mc := interp.NewMachine(r.Prog, seed)
+// plan is one measurement: reps cells, each a fresh machine and cpu
+// model seeded from (seed, key, rep) that runs warm passes of script,
+// resets the model and runs timed passes. key also names the
+// measurement in its fault draws and errors.
+type plan struct {
+	seed        int64
+	key         string
+	script      []string // entry functions, run in order once per pass
+	warm, timed int
+	reps        int
+}
+
+// benchPlan is the plan of one LMBench benchmark: as many operations as
+// fit the round's cycle volume, a quarter of them (at least 2) to warm.
+func (r *Runner) benchPlan(bench string) (plan, error) {
+	entry, ok := r.Kernel.Entries[bench]
+	if !ok {
+		return plan{}, fmt.Errorf("workload: unknown benchmark %q", bench)
+	}
+	ops := 20
+	for _, s := range r.Kernel.Specs {
+		if s.Name == bench {
+			ops = min(max(int(r.RepCycles/(s.Cycles+1)), 4), 400)
+		}
+	}
+	reps := r.Reps
+	if reps <= 0 {
+		reps = 5
+	}
+	return plan{seed: r.Seed, key: bench, script: []string{entry}, warm: max(ops/4, 2), timed: ops, reps: reps}, nil
+}
+
+// run measures plans and returns their medians in plan order. First, on
+// the calling goroutine and in plan and repetition order, it draws one
+// injected measurement fault per repetition; a plan whose draws fail is
+// redrawn from its first repetition under r.Retry. Only once every draw
+// has passed do the cells run, each exactly once, on up to r.Workers
+// goroutines.
+func (r *Runner) run(plans []plan) ([]float64, error) {
+	type ref struct{ plan, rep int }
+	var cells []ref
+	for i, p := range plans {
+		err := resilience.Retry(nil, r.Retry, func() error {
+			for rep := 0; rep < p.reps; rep++ {
+				if err := r.Inject.MeasureFault(p.key); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("workload: %s: %w", p.key, err)
+		}
+		for rep := 0; rep < p.reps; rep++ {
+			cells = append(cells, ref{i, rep})
+		}
+	}
+	vals, err := runCells(len(cells), r.Workers, func(i int) (float64, error) {
+		p := &plans[cells[i].plan]
+		v, err := r.cell(p, cells[i].rep)
+		if err != nil {
+			return 0, fmt.Errorf("workload: %s: %w", p.key, err)
+		}
+		return v, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	meds := make([]float64, len(plans))
+	for i, p := range plans {
+		meds[i] = median(vals[:p.reps])
+		vals = vals[p.reps:]
+	}
+	return meds, nil
+}
+
+// cell runs one repetition of p and returns its cycles per timed pass.
+func (r *Runner) cell(p *plan, rep int) (float64, error) {
+	mc := interp.NewMachine(r.Prog, repSeed(p.seed, p.key, rep))
 	mc.CPU = cpu.New(r.CPU.P)
 	mc.Res = r.Res
 	mc.RefillRSB = r.RefillRSB
@@ -114,146 +181,22 @@ func (r *Runner) cellMachine(seed int64) *interp.Machine {
 	if r.NewHook != nil {
 		mc.Hook = r.NewHook()
 	}
-	return mc
-}
-
-// measureBenchCell runs one warmed repetition of one LMBench benchmark
-// and returns its per-operation cycle count.
-func (r *Runner) measureBenchCell(bench string, rep int) (float64, error) {
-	entry, ok := r.Kernel.Entries[bench]
-	if !ok {
-		return 0, fmt.Errorf("workload: unknown benchmark %q", bench)
-	}
-	var spec *kernel.PathSpec
-	for i := range r.Kernel.Specs {
-		if r.Kernel.Specs[i].Name == bench {
-			spec = &r.Kernel.Specs[i]
-		}
-	}
-	ops := 20
-	if spec != nil {
-		ops = int(r.RepCycles / (spec.Cycles + 1))
-		if ops < 4 {
-			ops = 4
-		}
-		if ops > 400 {
-			ops = 400
-		}
-	}
-	mc := r.cellMachine(repSeed(r.Seed, bench, rep))
-	warm := ops / 4
-	if warm < 2 {
-		warm = 2
-	}
-	for i := 0; i < warm; i++ {
-		if err := mc.Run(entry); err != nil {
-			return 0, err
-		}
-	}
-	mc.CPU.Reset()
-	for i := 0; i < ops; i++ {
-		if err := mc.Run(entry); err != nil {
-			return 0, err
-		}
-	}
-	return float64(mc.CPU.Cycles) / float64(ops), nil
-}
-
-func (r *Runner) reps() int {
-	if r.Reps > 0 {
-		return r.Reps
-	}
-	return 5
-}
-
-// measureSharded is the sharded Measure: repetitions fan out as cells,
-// the median merges them.
-func (r *Runner) measureSharded(bench string) (Measurement, error) {
-	reps := r.reps()
-	samples, err := runCells(reps, r.Workers, func(rep int) (float64, error) {
-		return r.measureBenchCell(bench, rep)
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
-	med := median(samples)
-	return Measurement{
-		Bench:  bench,
-		Cycles: med,
-		Micros: med / (r.CPU.P.FreqGHz * 1e3),
-	}, nil
-}
-
-// measureAllSharded fans every (benchmark, repetition) pair out as one
-// cell, so the pool stays busy across benchmark boundaries, then merges
-// medians in spec order.
-func (r *Runner) measureAllSharded() ([]Measurement, error) {
-	specs := r.Kernel.Specs
-	reps := r.reps()
-	vals, err := runCells(len(specs)*reps, r.Workers, func(i int) (float64, error) {
-		sp := specs[i/reps]
-		v, err := r.measureBenchCell(sp.Name, i%reps)
-		if err != nil {
-			return 0, fmt.Errorf("workload: %s: %w", sp.Name, err)
-		}
-		return v, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Measurement, len(specs))
-	for si := range specs {
-		med := median(vals[si*reps : (si+1)*reps])
-		out[si] = Measurement{
-			Bench:  specs[si].Name,
-			Cycles: med,
-			Micros: med / (r.CPU.P.FreqGHz * 1e3),
-		}
-	}
-	return out, nil
-}
-
-// measureRequestCell runs one warmed repetition of the flavor's request
-// script and returns its per-request cycle count.
-func (r *Runner) measureRequestCell(script []string, rep int) (float64, error) {
-	mc := r.cellMachine(repSeed(r.Seed+977, "request:"+r.Flavor.String(), rep))
-	runOnce := func() error {
-		for _, b := range script {
-			if err := mc.Run(r.Kernel.Entries[b]); err != nil {
-				return err
+	pass := func(n int) error {
+		for i := 0; i < n; i++ {
+			for _, entry := range p.script {
+				if err := mc.Run(entry); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
-	const perRep = 30
-	for i := 0; i < 10; i++ { // warm-up
-		if err := runOnce(); err != nil {
-			return 0, err
-		}
-	}
-	mc.CPU.Reset()
-	for i := 0; i < perRep; i++ {
-		if err := runOnce(); err != nil {
-			return 0, err
-		}
-	}
-	return float64(mc.CPU.Cycles) / perRep, nil
-}
-
-// measureRequestSharded is the sharded MeasureRequest.
-func (r *Runner) measureRequestSharded(reps int) (float64, error) {
-	script := Request(r.Flavor)
-	if script == nil {
-		return 0, fmt.Errorf("workload: flavor %v has no request script", r.Flavor)
-	}
-	if reps <= 0 {
-		reps = 5
-	}
-	samples, err := runCells(reps, r.Workers, func(rep int) (float64, error) {
-		return r.measureRequestCell(script, rep)
-	})
-	if err != nil {
+	if err := pass(p.warm); err != nil {
 		return 0, err
 	}
-	return median(samples), nil
+	mc.CPU.Reset()
+	if err := pass(p.timed); err != nil {
+		return 0, err
+	}
+	return float64(mc.CPU.Cycles) / float64(p.timed), nil
 }

@@ -157,7 +157,6 @@ type Runner struct {
 	Prog   *interp.Program
 	Res    *interp.Resolver
 	CPU    *cpu.Model
-	Hook   interp.ICallHook
 	Flavor Flavor
 	Seed   int64
 
@@ -167,9 +166,10 @@ type Runner struct {
 
 	// Inject, when non-nil, threads chaos faults through the runner:
 	// profiling machines draw interpreter faults from it (an abort
-	// degrades to a partial profile), and measurement rounds draw
-	// transient failures (absorbed by Retry). Measurement machines
-	// themselves run injector-free so retried rounds stay deterministic.
+	// degrades to a partial profile), and each measurement repetition
+	// draws one transient failure before any cell runs (absorbed by
+	// Retry). Measurement machines themselves run injector-free, so a
+	// retried measurement is deterministic.
 	Inject *resilience.Injector
 	// Retry bounds the backoff loop that absorbs transient measurement
 	// faults; the zero value means resilience.DefaultRetry().
@@ -182,19 +182,14 @@ type Runner struct {
 	// which determines how many operations each round executes.
 	RepCycles int64
 
-	// Workers selects the measurement driver. Zero (the default) keeps
-	// the legacy serial driver: one machine and one shared CPU model per
-	// benchmark, warmed once, Reset between rounds. Any value >= 1
-	// selects the sharded driver (parallel.go), which gives every
-	// repetition its own derived seed, machine and cpu.Model so
-	// repetitions can run on a bounded worker pool; its results are
-	// identical for every worker count, including 1.
+	// Workers bounds the pool the measurement cells run on (parallel.go).
+	// Below 2 they run on the calling goroutine. Results are identical
+	// for every value.
 	Workers int
-	// NewHook builds a fresh ICallHook per measurement repetition for
-	// the sharded driver (stateful hooks such as the JumpSwitches
-	// runtime are not safe to share across workers). When Hook is set
-	// but NewHook is nil, the sharded driver cannot replicate the hook
-	// and the runner falls back to the legacy serial driver.
+	// NewHook, when set, builds the ICallHook of each measurement
+	// repetition's machine. Every repetition gets a fresh one, so a
+	// stateful hook such as the JumpSwitches runtime learns within one
+	// repetition only.
 	NewHook func() interp.ICallHook
 
 	// Engine selects the execution tier for every machine this runner
@@ -235,94 +230,42 @@ type Measurement struct {
 }
 
 // Measure runs one LMBench benchmark and returns the median-of-rounds
-// per-operation latency. Transient measurement faults (injected chaos or
-// any *resilience.FaultError of kind transient) are absorbed by retrying
-// the whole benchmark — fresh machine, same seeds, so a successful retry
-// is deterministic — with capped exponential backoff.
+// per-operation latency. Injected transient faults are drawn and retried
+// before any repetition runs (see Inject), so a retried measurement
+// returns exactly the fault-free number.
 func (r *Runner) Measure(bench string) (Measurement, error) {
-	if r.sharded() {
-		return r.measureSharded(bench)
+	ms, err := r.measureBenches([]string{bench})
+	if err != nil {
+		return Measurement{}, err
 	}
-	var m Measurement
-	err := resilience.Retry(nil, r.Retry, func() error {
-		var err error
-		m, err = r.measureOnce(bench)
-		return err
-	})
-	return m, err
-}
-
-func (r *Runner) measureOnce(bench string) (Measurement, error) {
-	entry, ok := r.Kernel.Entries[bench]
-	if !ok {
-		return Measurement{}, fmt.Errorf("workload: unknown benchmark %q", bench)
-	}
-	var spec *kernel.PathSpec
-	for i := range r.Kernel.Specs {
-		if r.Kernel.Specs[i].Name == bench {
-			spec = &r.Kernel.Specs[i]
-		}
-	}
-	ops := 20
-	if spec != nil {
-		ops = int(r.RepCycles / (spec.Cycles + 1))
-		if ops < 4 {
-			ops = 4
-		}
-		if ops > 400 {
-			ops = 400
-		}
-	}
-	mc := interp.NewMachine(r.Prog, r.Seed+int64(len(bench))*131)
-	mc.CPU = r.CPU
-	mc.Res = r.Res
-	mc.Hook = r.Hook
-	mc.RefillRSB = r.RefillRSB
-	mc.Engine = r.Engine
-
-	// Warm predictors and caches.
-	warm := ops / 4
-	if warm < 2 {
-		warm = 2
-	}
-	for i := 0; i < warm; i++ {
-		if err := mc.Run(entry); err != nil {
-			return Measurement{}, err
-		}
-	}
-	samples := make([]float64, r.Reps)
-	for rep := 0; rep < r.Reps; rep++ {
-		if err := r.Inject.MeasureFault(bench); err != nil {
-			return Measurement{}, err
-		}
-		r.CPU.Reset()
-		for i := 0; i < ops; i++ {
-			if err := mc.Run(entry); err != nil {
-				return Measurement{}, err
-			}
-		}
-		samples[rep] = float64(r.CPU.Cycles) / float64(ops)
-	}
-	med := median(samples)
-	return Measurement{
-		Bench:  bench,
-		Cycles: med,
-		Micros: med / (r.CPU.P.FreqGHz * 1e3),
-	}, nil
+	return ms[0], nil
 }
 
 // MeasureAll measures every LMBench benchmark in spec order.
 func (r *Runner) MeasureAll() ([]Measurement, error) {
-	if r.sharded() {
-		return r.measureAllSharded()
+	benches := make([]string, len(r.Kernel.Specs))
+	for i, s := range r.Kernel.Specs {
+		benches[i] = s.Name
 	}
-	out := make([]Measurement, 0, len(r.Kernel.Specs))
-	for _, s := range r.Kernel.Specs {
-		m, err := r.Measure(s.Name)
-		if err != nil {
-			return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
+	return r.measureBenches(benches)
+}
+
+// measureBenches measures the named benchmarks in one fan-out.
+func (r *Runner) measureBenches(benches []string) ([]Measurement, error) {
+	plans := make([]plan, len(benches))
+	for i, b := range benches {
+		var err error
+		if plans[i], err = r.benchPlan(b); err != nil {
+			return nil, err
 		}
-		out = append(out, m)
+	}
+	meds, err := r.run(plans)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Measurement, len(benches))
+	for i, b := range benches {
+		out[i] = Measurement{Bench: b, Cycles: meds[i], Micros: meds[i] / (r.CPU.P.FreqGHz * 1e3)}
 	}
 	return out, nil
 }
@@ -397,22 +340,9 @@ func (r *Runner) Profile(opsScale int) (*prof.Profile, error) {
 
 // MeasureRequest measures the cycles one application request takes in
 // the kernel (median of rounds). The caller adds the constant userspace
-// cycles when computing throughput. Transient faults are retried like
+// cycles when computing throughput. Transient faults are absorbed like
 // Measure's.
 func (r *Runner) MeasureRequest(reps int) (float64, error) {
-	if r.sharded() {
-		return r.measureRequestSharded(reps)
-	}
-	var c float64
-	err := resilience.Retry(nil, r.Retry, func() error {
-		var err error
-		c, err = r.measureRequestOnce(reps)
-		return err
-	})
-	return c, err
-}
-
-func (r *Runner) measureRequestOnce(reps int) (float64, error) {
 	script := Request(r.Flavor)
 	if script == nil {
 		return 0, fmt.Errorf("workload: flavor %v has no request script", r.Flavor)
@@ -420,40 +350,15 @@ func (r *Runner) measureRequestOnce(reps int) (float64, error) {
 	if reps <= 0 {
 		reps = 5
 	}
-	mc := interp.NewMachine(r.Prog, r.Seed+977)
-	mc.CPU = r.CPU
-	mc.Res = r.Res
-	mc.Hook = r.Hook
-	mc.RefillRSB = r.RefillRSB
-	mc.Engine = r.Engine
-	runOnce := func() error {
-		for _, b := range script {
-			if err := mc.Run(r.Kernel.Entries[b]); err != nil {
-				return err
-			}
-		}
-		return nil
+	entries := make([]string, len(script))
+	for i, b := range script {
+		entries[i] = r.Kernel.Entries[b]
 	}
-	const perRep = 30
-	for i := 0; i < 10; i++ { // warm-up
-		if err := runOnce(); err != nil {
-			return 0, err
-		}
+	meds, err := r.run([]plan{{seed: r.Seed + 977, key: "request:" + r.Flavor.String(), script: entries, warm: 10, timed: 30, reps: reps}})
+	if err != nil {
+		return 0, err
 	}
-	samples := make([]float64, reps)
-	for rep := 0; rep < reps; rep++ {
-		if err := r.Inject.MeasureFault(r.Flavor.String()); err != nil {
-			return 0, err
-		}
-		r.CPU.Reset()
-		for i := 0; i < perRep; i++ {
-			if err := runOnce(); err != nil {
-				return 0, err
-			}
-		}
-		samples[rep] = float64(r.CPU.Cycles) / perRep
-	}
-	return median(samples), nil
+	return meds[0], nil
 }
 
 func median(xs []float64) float64 {

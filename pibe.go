@@ -243,8 +243,8 @@ type System struct {
 	// inject, when armed, threads chaos faults through profiling and
 	// measurement runs of this system and its images.
 	inject *resilience.Injector
-	// measureWorkers, when positive, routes image measurement through
-	// the sharded parallel driver with that many workers.
+	// measureWorkers bounds the goroutines image measurement runs its
+	// repetitions on.
 	measureWorkers int
 	// engine selects the execution tier for every machine this system's
 	// profiling and measurement runs build.
@@ -273,19 +273,12 @@ func (s *System) SetEngine(e Engine) { s.engine = e }
 // ParseEngine parses an engine name ("interp" or "compiled").
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 
-// SetMeasureWorkers selects the measurement driver for this system's
-// images. Zero (the default) keeps the legacy serial driver; n >= 1
-// shards measurement repetitions across up to n workers with derived
-// per-repetition seeds. Sharded results are deterministic — identical
-// for every n >= 1 — but differ numerically from the serial driver's
-// (each repetition warms its own predictors). Measurement under an
-// armed chaos injector stays serial regardless.
-func (s *System) SetMeasureWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.measureWorkers = n
-}
+// SetMeasureWorkers sets how many goroutines this system's images run
+// measurement repetitions on; below 2 they run on the calling goroutine.
+// Every repetition has its own derived seed, machine and CPU model, so
+// results are identical for every n, and an armed chaos injector whose
+// measurement faults retry absorbs changes none of them.
+func (s *System) SetMeasureWorkers(n int) { s.measureWorkers = n }
 
 // NewSyntheticKernel generates the kernel substrate.
 func NewSyntheticKernel(cfg KernelConfig) (sys *System, err error) {
@@ -479,10 +472,8 @@ func (img *Image) runner(w Workload, seed int64) (*workload.Runner, error) {
 		return nil, err
 	}
 	if img.cfg.JumpSwitches {
-		r.Hook = jumpswitch.New(jumpswitch.DefaultParams())
-		// The JumpSwitches runtime is stateful and not safe to share
-		// across workers; give the sharded driver a per-repetition
-		// factory.
+		// Each measurement repetition gets its own JumpSwitches
+		// runtime, which learns its targets within that repetition.
 		r.NewHook = func() interp.ICallHook {
 			return jumpswitch.New(jumpswitch.DefaultParams())
 		}
