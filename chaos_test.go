@@ -389,25 +389,15 @@ func TestFleetCrashMidEpochResume(t *testing.T) {
 // entries plus warning notes in the rendered matrices, and knee
 // detection excludes them entirely. With a bounded fault burst that
 // retry can absorb, the sweep must instead emit a report byte-identical
-// to the fault-free run's — retries leave no trace in the output.
+// to the fault-free run's — retries leave no trace in the output. All
+// three runs share one suite: sweep cells are not cached, so each run
+// measures its cells afresh under its own injector.
 func TestSweepUnderFaults(t *testing.T) {
-	// The suite's singleflight cache means a second Run on the same
-	// suite never re-measures (cached cells shadow the injector), so
-	// every scenario gets a fresh suite with a pre-warmed baseline —
-	// injected faults then land on grid cells (which degrade per-cell)
-	// rather than on sweep setup (which is fatal).
-	newSuite := func() *bench.Suite {
-		t.Helper()
-		suite, err := bench.NewSuiteKernel(pibe.KernelConfig{Seed: 5, ColdFuncs: 300})
-		if err != nil {
-			t.Fatalf("NewSuiteKernel: %v", err)
-		}
-		suite.Sys.SetMeasureWorkers(2)
-		if _, err := suite.Baseline(); err != nil {
-			t.Fatalf("Baseline: %v", err)
-		}
-		return suite
+	suite, err := bench.NewSuiteKernel(pibe.KernelConfig{Seed: 5, ColdFuncs: 300})
+	if err != nil {
+		t.Fatalf("NewSuiteKernel: %v", err)
 	}
+	suite.Sys.SetMeasureWorkers(2)
 	combos, err := sweep.CombosByName("retpoline,all")
 	if err != nil {
 		t.Fatal(err)
@@ -420,13 +410,15 @@ func TestSweepUnderFaults(t *testing.T) {
 		Retry: resilience.RetryPolicy{Sleep: func(time.Duration) {}},
 		Warnf: t.Logf,
 	}
-	cleanRep, err := sweep.Run(newSuite(), cfg)
+	// The clean run also caches the baseline, so the injected faults
+	// below land on grid cells (which degrade per-cell) rather than on
+	// sweep setup (which is fatal).
+	cleanRep, err := sweep.Run(suite, cfg)
 	if err != nil {
 		t.Fatalf("fault-free Run: %v", err)
 	}
 
 	// Total measurement blackout: every cell fails, the sweep survives.
-	suite := newSuite()
 	inj := suite.Sys.InjectFaults(4321, pibe.FaultRates{Measure: 1}, 0)
 	rep, err := sweep.Run(suite, cfg)
 	suite.Sys.InjectFaults(0, pibe.FaultRates{}, 0)
@@ -466,7 +458,6 @@ func TestSweepUnderFaults(t *testing.T) {
 	// A bounded burst (fewer faults than retry attempts) is absorbed by
 	// the retry loop: no cell degrades, every combo still gets a knee,
 	// and every cell equals the fault-free one exactly.
-	suite = newSuite()
 	inj = suite.Sys.InjectFaults(4321, pibe.FaultRates{Measure: 0.4}, 3)
 	rep, err = sweep.Run(suite, cfg)
 	suite.Sys.InjectFaults(0, pibe.FaultRates{}, 0)

@@ -69,9 +69,10 @@
 // combos, prints one aligned geomean-overhead matrix per combo with its
 // knee point (the least aggressive budget pair within -sweep-knee of
 // the combo's best slowdown factor) and writes the machine-readable
-// surface to BENCH_sweep.json. Cells share the suite's singleflight
-// build cache and measure through the deterministic measurement driver,
-// so the JSON is byte-identical for every -measure-workers value
+// surface to BENCH_sweep.json. Each cell builds its own image, keeps
+// only its result (so memory does not grow with the grid) and measures
+// through the deterministic measurement driver, so the JSON is
+// byte-identical for every -measure-workers value
 // (wall-clock build times are recorded only under -sweep-timings, which
 // gives that determinism up). -sweep-kernel-scale S multiplies the cold
 // driver corpus to S×2200 functions and adds S-1 intermediate helper

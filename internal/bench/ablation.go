@@ -31,8 +31,8 @@ func (s *Suite) Ablations() (*Table, error) {
 	}
 	full := pibe.OptimizeConfig{ICPBudget: BudgetICP, InlineBudget: 0.999999, LaxBudget: 0.99}
 
-	add := func(label, name, decision string, cfg pibe.BuildConfig) error {
-		lat, err := s.Latencies(name, cfg)
+	add := func(label, decision string, cfg pibe.BuildConfig) error {
+		lat, err := s.Latencies(cfg)
 		if err != nil {
 			return err
 		}
@@ -46,50 +46,50 @@ func (s *Suite) Ablations() (*Table, error) {
 		return pibe.BuildConfig{Profile: s.ProfLM, Defenses: pibe.AllDefenses, Optimize: o}
 	}
 
-	if err := add("PIBE (full)", "alldef-lax2", "reference",
+	if err := add("PIBE (full)", "reference",
 		mk(func(o *pibe.OptimizeConfig) {})); err != nil {
 		return nil, err
 	}
-	if err := add("LLVM bottom-up inline order", "abl-d1",
-		"D1: hottest-first order", pibe.BuildConfig{Profile: s.ProfLM, Defenses: pibe.AllDefenses,
+	if err := add("LLVM bottom-up inline order", "D1: hottest-first order",
+		pibe.BuildConfig{Profile: s.ProfLM, Defenses: pibe.AllDefenses,
 			Optimize: pibe.OptimizeConfig{InlineBudget: 0.999999, UseLLVMInliner: true}}); err != nil {
 		return nil, err
 	}
-	if err := add("Rule 2 disabled", "abl-d2", "D2: caller complexity budget",
+	if err := add("Rule 2 disabled", "D2: caller complexity budget",
 		mk(func(o *pibe.OptimizeConfig) { o.LaxBudget = 0; o.DisableRule2 = true })); err != nil {
 		return nil, err
 	}
-	if err := add("Rule 3 disabled", "abl-d3", "D3: callee complexity cap",
+	if err := add("Rule 3 disabled", "D3: callee complexity cap",
 		mk(func(o *pibe.OptimizeConfig) { o.LaxBudget = 0; o.DisableRule3 = true })); err != nil {
 		return nil, err
 	}
-	if err := add("both rules active (no lax)", "alldef-inl999999", "D2+D3 baseline",
+	if err := add("both rules active (no lax)", "D2+D3 baseline",
 		mk(func(o *pibe.OptimizeConfig) { o.LaxBudget = 0 })); err != nil {
 		return nil, err
 	}
-	if err := add("ICP capped at 1 target/site", "abl-d4a", "D4: unbounded promotion",
+	if err := add("ICP capped at 1 target/site", "D4: unbounded promotion",
 		mk(func(o *pibe.OptimizeConfig) { o.MaxICPTargets = 1 })); err != nil {
 		return nil, err
 	}
-	if err := add("ICP capped at 2 targets/site", "abl-d4b", "D4: unbounded promotion",
+	if err := add("ICP capped at 2 targets/site", "D4: unbounded promotion",
 		mk(func(o *pibe.OptimizeConfig) { o.MaxICPTargets = 2 })); err != nil {
 		return nil, err
 	}
-	if err := add("no inherited candidates", "abl-d5", "D5: constant-ratio heuristic",
+	if err := add("no inherited candidates", "D5: constant-ratio heuristic",
 		mk(func(o *pibe.OptimizeConfig) { o.DisableInheritance = true })); err != nil {
 		return nil, err
 	}
-	if err := add("JumpSwitches (retpolines only)", "jumpswitches", "D6: static vs runtime",
+	if err := add("JumpSwitches (retpolines only)", "D6: static vs runtime",
 		pibe.BuildConfig{Defenses: pibe.Defenses{Retpolines: true}, JumpSwitches: true}); err != nil {
 		return nil, err
 	}
 
 	// §6.4: RSB refilling vs return retpolines, backward edge only.
-	if err := add("return retpolines (no opt)", "t6-lto-return retpolines", "§6.4",
+	if err := add("return retpolines (no opt)", "§6.4",
 		pibe.BuildConfig{Defenses: pibe.Defenses{RetRetpolines: true}}); err != nil {
 		return nil, err
 	}
-	if err := add("RSB refilling (no opt)", "abl-rsbrefill", "§6.4",
+	if err := add("RSB refilling (no opt)", "§6.4",
 		pibe.BuildConfig{Defenses: pibe.Defenses{RSBRefill: true}}); err != nil {
 		return nil, err
 	}

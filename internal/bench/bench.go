@@ -16,14 +16,17 @@ import (
 	"repro/internal/resilience"
 )
 
-// Suite owns the kernel, the profiles and a cache of built images so
-// experiments that share a configuration do not rebuild it.
+// Suite owns the kernel, the profiles and a cache of built images and
+// measured latencies, keyed by build configuration, so tables that share
+// a configuration build and measure it once. Entries live as long as the
+// suite, so a caller that evaluates many one-off configurations (the
+// budget sweep) builds and measures through Sys instead.
 //
 // The suite is safe for concurrent use: the table generators fan
 // configuration builds and measurements out across a bounded worker pool
-// (see ForEach), and the image/latency caches deduplicate concurrent
-// requests for the same configuration so it is built exactly once no
-// matter how many workers race for it.
+// (see ForEach), and the caches deduplicate concurrent requests for an
+// equal configuration so it is built exactly once no matter how many
+// workers race for it.
 type Suite struct {
 	Seed int64
 	Sys  *pibe.System
@@ -36,7 +39,14 @@ type Suite struct {
 	Workers int
 
 	mu     sync.Mutex
-	flight map[string]*flight
+	flight map[flightKey]*flight
+}
+
+// flightKey addresses one cache entry: a configuration's image, or
+// (lat) its LMBench latencies.
+type flightKey struct {
+	cfg pibe.BuildConfig
+	lat bool
 }
 
 // flight is one cached (possibly still in-progress) build or
@@ -53,7 +63,7 @@ type flight struct {
 // claim returns the flight for key, creating it if absent. The boolean
 // reports whether the caller is the leader and must do the work (and
 // close done when finished).
-func (s *Suite) claim(key string) (*flight, bool) {
+func (s *Suite) claim(key flightKey) (*flight, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.flight[key]; ok {
@@ -143,7 +153,7 @@ func NewSuiteKernel(cfg pibe.KernelConfig) (*Suite, error) {
 		Sys:        sys,
 		ProfLM:     profLM,
 		ProfApache: profAp,
-		flight:     make(map[string]*flight),
+		flight:     make(map[flightKey]*flight),
 	}, nil
 }
 
@@ -152,10 +162,10 @@ const (
 	BudgetICP = 0.99999 // the 99.999% promotion budget of Tables 3 and 5
 )
 
-// Image builds (or returns the cached) image for a named configuration.
-// Concurrent calls for the same name share one build.
-func (s *Suite) Image(name string, cfg pibe.BuildConfig) (*pibe.Image, error) {
-	f, leader := s.claim("img:" + name)
+// Image builds (or returns the cached) image for a configuration.
+// Concurrent calls for equal configurations share one build.
+func (s *Suite) Image(cfg pibe.BuildConfig) (*pibe.Image, error) {
+	f, leader := s.claim(flightKey{cfg: cfg})
 	if !leader {
 		<-f.done
 		return f.img, f.err
@@ -163,24 +173,24 @@ func (s *Suite) Image(name string, cfg pibe.BuildConfig) (*pibe.Image, error) {
 	defer close(f.done)
 	f.img, f.err = s.Sys.Build(cfg)
 	if f.err != nil {
-		f.err = fmt.Errorf("bench: build %s: %w", name, f.err)
+		f.err = fmt.Errorf("bench: build %s: %w", cfgLabel(cfg), f.err)
 	}
 	return f.img, f.err
 }
 
-// Latencies measures (or returns cached) LMBench latencies for a named
+// Latencies measures (or returns the cached) LMBench latencies for a
 // configuration. Transient measurement failures that survive the
 // per-benchmark retry are absorbed here with a second capped-backoff
 // pass over the whole suite, so one flaky round cannot sink a long
 // table-reproduction run.
-func (s *Suite) Latencies(name string, cfg pibe.BuildConfig) ([]pibe.Latency, error) {
-	f, leader := s.claim("lat:" + name)
+func (s *Suite) Latencies(cfg pibe.BuildConfig) ([]pibe.Latency, error) {
+	f, leader := s.claim(flightKey{cfg: cfg, lat: true})
 	if !leader {
 		<-f.done
 		return f.lat, f.err
 	}
 	defer close(f.done)
-	img, err := s.Image(name, cfg)
+	img, err := s.Image(cfg)
 	if err != nil {
 		f.err = err
 		return nil, err
@@ -192,15 +202,22 @@ func (s *Suite) Latencies(name string, cfg pibe.BuildConfig) ([]pibe.Latency, er
 	})
 	if f.err != nil {
 		f.lat = nil
-		f.err = fmt.Errorf("bench: measure %s: %w", name, f.err)
+		f.err = fmt.Errorf("bench: measure %s: %w", cfgLabel(cfg), f.err)
 	}
 	return f.lat, f.err
+}
+
+// cfgLabel names a configuration in error messages by its defenses and
+// budgets.
+func cfgLabel(cfg pibe.BuildConfig) string {
+	o := cfg.Optimize
+	return fmt.Sprintf("%s icp %g inline %g lax %g", cfg.Defenses, o.ICPBudget, o.InlineBudget, o.LaxBudget)
 }
 
 // Baseline returns the LTO-baseline latencies (no PGO, no defenses),
 // the reference everything else is relative to.
 func (s *Suite) Baseline() ([]pibe.Latency, error) {
-	return s.Latencies("lto-baseline", pibe.BuildConfig{})
+	return s.Latencies(pibe.BuildConfig{})
 }
 
 // overheads computes per-benchmark relative overheads against the LTO

@@ -175,8 +175,8 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentImageSingleflight: many goroutines racing for the same
-// configuration share exactly one build.
+// TestConcurrentImageSingleflight: many goroutines racing for equal
+// configurations share exactly one build.
 func TestConcurrentImageSingleflight(t *testing.T) {
 	s := newTestSuite(t)
 	const n = 8
@@ -186,7 +186,7 @@ func TestConcurrentImageSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			img, err := s.Image("shared", pibe.BuildConfig{Defenses: pibe.AllDefenses})
+			img, err := s.Image(pibe.BuildConfig{Defenses: pibe.AllDefenses})
 			if err != nil {
 				t.Errorf("Image: %v", err)
 				return
@@ -202,18 +202,49 @@ func TestConcurrentImageSingleflight(t *testing.T) {
 	}
 }
 
+// TestImageCaching: the cache is keyed by the configuration itself, so
+// equal configurations share one image, whichever table asks, and
+// different configurations never share one.
 func TestImageCaching(t *testing.T) {
 	s := newTestSuite(t)
-	a, err := s.Image("x", pibe.BuildConfig{Defenses: pibe.AllDefenses})
-	if err != nil {
-		t.Fatalf("Image: %v", err)
+	cfgs := []pibe.BuildConfig{
+		{Defenses: pibe.AllDefenses},
+		{},
+		{Profile: s.ProfLM, Defenses: pibe.AllDefenses, Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP}},
+		{Profile: s.ProfApache, Defenses: pibe.AllDefenses, Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP}},
 	}
-	b, err := s.Image("x", pibe.BuildConfig{})
-	if err != nil {
-		t.Fatalf("Image: %v", err)
+	imgs := make([]*pibe.Image, len(cfgs))
+	for i, cfg := range cfgs {
+		img, err := s.Image(cfg)
+		if err != nil {
+			t.Fatalf("Image(%+v): %v", cfg, err)
+		}
+		imgs[i] = img
 	}
-	if a != b {
-		t.Error("cache miss for identical name")
+	for i, cfg := range cfgs {
+		again, err := s.Image(cfg)
+		if err != nil {
+			t.Fatalf("Image(%+v): %v", cfg, err)
+		}
+		if again != imgs[i] {
+			t.Errorf("config %d: equal configs built two images", i)
+		}
+		for j := range imgs[:i] {
+			if imgs[j] == imgs[i] {
+				t.Errorf("configs %d and %d differ but share one image", j, i)
+			}
+		}
+	}
+	lat, err := s.Latencies(cfgs[0])
+	if err != nil {
+		t.Fatalf("Latencies: %v", err)
+	}
+	again, err := s.Latencies(pibe.BuildConfig{Defenses: pibe.AllDefenses})
+	if err != nil {
+		t.Fatalf("Latencies: %v", err)
+	}
+	if &again[0] != &lat[0] {
+		t.Error("equal configs measured twice")
 	}
 }
 

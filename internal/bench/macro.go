@@ -34,7 +34,7 @@ func (s *Suite) Table7() (*Table, error) {
 		{"w/LVI-CFI", pibe.Defenses{LVICFI: true}},
 		{"w/all-defenses", pibe.AllDefenses},
 	}
-	baseImg, err := s.Image("lto-baseline", pibe.BuildConfig{})
+	baseImg, err := s.Image(pibe.BuildConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func (s *Suite) Table7() (*Table, error) {
 			unit = "MB/sec"
 		}
 		for i, dc := range defCfgs {
-			noopt, err := s.Image("t7-noopt-"+dc.d.String(), pibe.BuildConfig{Defenses: dc.d})
+			noopt, err := s.Image(pibe.BuildConfig{Defenses: dc.d})
 			if err != nil {
 				return nil, err
 			}
@@ -63,7 +63,7 @@ func (s *Suite) Table7() (*Table, error) {
 			if dc.label == "w/retpolines" {
 				optCfg.Optimize = pibe.OptimizeConfig{ICPBudget: BudgetICP}
 			}
-			opt, err := s.Image("t7-opt-"+dc.d.String(), optCfg)
+			opt, err := s.Image(optCfg)
 			if err != nil {
 				return nil, err
 			}

@@ -15,14 +15,6 @@ func cfgAllDefNoOpt() pibe.BuildConfig {
 	return pibe.BuildConfig{Defenses: pibe.AllDefenses}
 }
 
-// cfgPIBEBaseline is the PGO-tuned, defense-free configuration of §8.1.
-func (s *Suite) cfgPIBEBaseline() pibe.BuildConfig {
-	return pibe.BuildConfig{
-		Profile:  s.ProfLM,
-		Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP, InlineBudget: 0.999999, LaxBudget: 0.99},
-	}
-}
-
 // cfgOptimal is PIBE's best configuration for a defense set ("lax
 // heuristics": 99.9999% budget with size heuristics disabled within the
 // 99% budget).
@@ -40,7 +32,7 @@ func (s *Suite) Table2() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pb, err := s.Latencies("pibe-baseline", s.cfgPIBEBaseline())
+	pb, err := s.Latencies(s.cfgOptimal(pibe.Defenses{}))
 	if err != nil {
 		return nil, err
 	}
@@ -73,14 +65,11 @@ func (s *Suite) Table3() (*Table, error) {
 		return nil, err
 	}
 	retp := pibe.Defenses{Retpolines: true}
-	cols := []struct {
-		name string
-		cfg  pibe.BuildConfig
-	}{
-		{"retp-noopt", pibe.BuildConfig{Defenses: retp}},
-		{"jumpswitches", pibe.BuildConfig{Defenses: retp, JumpSwitches: true}},
-		{"icp-99", pibe.BuildConfig{Profile: s.ProfLM, Defenses: retp, Optimize: pibe.OptimizeConfig{ICPBudget: 0.99}}},
-		{"icp-99.999", pibe.BuildConfig{Profile: s.ProfLM, Defenses: retp, Optimize: pibe.OptimizeConfig{ICPBudget: 0.99999}}},
+	cols := []pibe.BuildConfig{
+		{Defenses: retp},
+		{Defenses: retp, JumpSwitches: true},
+		{Profile: s.ProfLM, Defenses: retp, Optimize: pibe.OptimizeConfig{ICPBudget: 0.99}},
+		{Profile: s.ProfLM, Defenses: retp, Optimize: pibe.OptimizeConfig{ICPBudget: 0.99999}},
 	}
 	t := &Table{
 		ID:     "3",
@@ -91,7 +80,7 @@ func (s *Suite) Table3() (*Table, error) {
 	baseIdx := indexLat(base)
 	all := make([][]float64, len(cols))
 	if err := s.ForEach(len(cols), func(i int) error {
-		lat, err := s.Latencies(cols[i].name, cols[i].cfg)
+		lat, err := s.Latencies(cols[i])
 		if err != nil {
 			return err
 		}
@@ -140,10 +129,7 @@ func (s *Suite) Table4() (*Table, error) {
 
 // table5Cols are the configurations of Table 5, all with every defense
 // enabled.
-func (s *Suite) table5Cols() []struct {
-	name string
-	cfg  pibe.BuildConfig
-} {
+func (s *Suite) table5Cols() []pibe.BuildConfig {
 	mk := func(inl, lax float64) pibe.BuildConfig {
 		return pibe.BuildConfig{
 			Profile:  s.ProfLM,
@@ -151,17 +137,13 @@ func (s *Suite) table5Cols() []struct {
 			Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP, InlineBudget: inl, LaxBudget: lax},
 		}
 	}
-	return []struct {
-		name string
-		cfg  pibe.BuildConfig
-	}{
-		{"alldef-noopt", cfgAllDefNoOpt()},
-		{"alldef-icp", pibe.BuildConfig{Profile: s.ProfLM, Defenses: pibe.AllDefenses,
-			Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP}}},
-		{"alldef-inl99", mk(0.99, 0)},
-		{"alldef-inl999", mk(0.999, 0)},
-		{"alldef-inl999999", mk(0.999999, 0)},
-		{"alldef-lax", mk(0.999999, 0.99)},
+	return []pibe.BuildConfig{
+		cfgAllDefNoOpt(),
+		{Profile: s.ProfLM, Defenses: pibe.AllDefenses, Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP}},
+		mk(0.99, 0),
+		mk(0.999, 0),
+		mk(0.999999, 0),
+		mk(0.999999, 0.99),
 	}
 }
 
@@ -182,7 +164,7 @@ func (s *Suite) Table5() (*Table, error) {
 	}
 	all := make([][]float64, len(cols))
 	if err := s.ForEach(len(cols), func(i int) error {
-		lat, err := s.Latencies(cols[i].name, cols[i].cfg)
+		lat, err := s.Latencies(cols[i])
 		if err != nil {
 			return err
 		}
@@ -240,11 +222,11 @@ func (s *Suite) Table6() (*Table, error) {
 			// only indirect call promotion.
 			pc.Optimize = pibe.OptimizeConfig{ICPBudget: BudgetICP}
 		}
-		ltoLat, err := s.Latencies("t6-lto-"+r.name, ltoCfg)
+		ltoLat, err := s.Latencies(ltoCfg)
 		if err != nil {
 			return err
 		}
-		pibeLat, err := s.Latencies("t6-pibe-"+r.name, pc)
+		pibeLat, err := s.Latencies(pc)
 		if err != nil {
 			return err
 		}
@@ -294,7 +276,7 @@ func (s *Suite) Table8() (*Table, error) {
 // budgetImage builds the all-defenses image with the same budget for
 // promotion and inlining, as Tables 8–12 use.
 func (s *Suite) budgetImage(b float64) (*pibe.Image, error) {
-	return s.Image(fmt.Sprintf("alldef-b%g", b), pibe.BuildConfig{
+	return s.Image(pibe.BuildConfig{
 		Profile:  s.ProfLM,
 		Defenses: pibe.AllDefenses,
 		Optimize: pibe.OptimizeConfig{ICPBudget: b, InlineBudget: b},
@@ -391,7 +373,7 @@ func (s *Suite) Table11() (*Table, error) {
 		return nil, err
 	}
 	imgs := []*pibe.Image{}
-	noopt, err := s.Image("alldef-noopt", cfgAllDefNoOpt())
+	noopt, err := s.Image(cfgAllDefNoOpt())
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +400,7 @@ func (s *Suite) Table11() (*Table, error) {
 
 // Table12 reproduces Table 12: image size growth per configuration.
 func (s *Suite) Table12() (*Table, error) {
-	base, err := s.Image("lto-baseline", pibe.BuildConfig{})
+	base, err := s.Image(pibe.BuildConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -443,43 +425,30 @@ func (s *Suite) Table12() (*Table, error) {
 		{"w/ret-retpolines", pibe.Defenses{RetRetpolines: true}, []float64{0.99, 0.999999}},
 	}
 	// Build every configuration in parallel first; the ordered assembly
-	// loop below then only hits the cache.
-	type build struct {
-		name string
-		cfg  pibe.BuildConfig
-	}
-	var builds []build
+	// loop below then reads them back in row order.
+	var cfgs []pibe.BuildConfig
 	for _, r := range rows {
-		builds = append(builds, build{"t12-noopt-" + r.label, pibe.BuildConfig{Defenses: r.d}})
+		cfgs = append(cfgs, pibe.BuildConfig{Defenses: r.d})
 		for _, b := range r.budgets {
-			builds = append(builds, build{fmt.Sprintf("t12-%s-b%g", r.label, b), pibe.BuildConfig{
+			cfgs = append(cfgs, pibe.BuildConfig{
 				Profile:  s.ProfLM,
 				Defenses: r.d,
 				Optimize: pibe.OptimizeConfig{ICPBudget: b, InlineBudget: b},
-			}})
+			})
 		}
 	}
-	if err := s.ForEach(len(builds), func(i int) error {
-		_, err := s.Image(builds[i].name, builds[i].cfg)
+	imgs := make([]*pibe.Image, len(cfgs))
+	if err := s.ForEach(len(cfgs), func(i int) error {
+		var err error
+		imgs[i], err = s.Image(cfgs[i])
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	for _, r := range rows {
-		nooptName := "t12-noopt-" + r.label
-		noopt, err := s.Image(nooptName, pibe.BuildConfig{Defenses: r.d})
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range r.budgets {
-			img, err := s.Image(fmt.Sprintf("t12-%s-b%g", r.label, b), pibe.BuildConfig{
-				Profile:  s.ProfLM,
-				Defenses: r.d,
-				Optimize: pibe.OptimizeConfig{ICPBudget: b, InlineBudget: b},
-			})
-			if err != nil {
-				return nil, err
-			}
+		noopt := imgs[0]
+		for i, b := range r.budgets {
+			img := imgs[1+i]
 			t.Rows = append(t.Rows, []string{
 				r.label,
 				budgetLabel(b),
@@ -487,6 +456,7 @@ func (s *Suite) Table12() (*Table, error) {
 				pct(float64(img.Size()-noopt.Size()) / float64(noopt.Size())),
 			})
 		}
+		imgs = imgs[1+len(r.budgets):]
 	}
 	return t, nil
 }
@@ -575,8 +545,8 @@ func (s *Suite) Robustness() (*Table, error) {
 		Header: []string{"configuration", "geomean"},
 		Notes:  []string{"paper: matched profile 10.6%, Apache profile 22.5%, default LLVM inliner 100.2%, no-opt 149.1%"},
 	}
-	add := func(label, name string, cfg pibe.BuildConfig) error {
-		lat, err := s.Latencies(name, cfg)
+	add := func(label string, cfg pibe.BuildConfig) error {
+		lat, err := s.Latencies(cfg)
 		if err != nil {
 			return err
 		}
@@ -584,15 +554,15 @@ func (s *Suite) Robustness() (*Table, error) {
 		t.Rows = append(t.Rows, []string{label, pct(ovs[len(ovs)-1])})
 		return nil
 	}
-	if err := add("no optimization", "alldef-noopt", cfgAllDefNoOpt()); err != nil {
+	if err := add("no optimization", cfgAllDefNoOpt()); err != nil {
 		return nil, err
 	}
-	if err := add("LMBench profile (matched)", "alldef-lax", s.table5Cols()[5].cfg); err != nil {
+	if err := add("LMBench profile (matched)", s.cfgOptimal(pibe.AllDefenses)); err != nil {
 		return nil, err
 	}
 	apCfg := s.cfgOptimal(pibe.AllDefenses)
 	apCfg.Profile = s.ProfApache
-	if err := add("Apache profile (mismatched)", "alldef-apacheprof", apCfg); err != nil {
+	if err := add("Apache profile (mismatched)", apCfg); err != nil {
 		return nil, err
 	}
 	llvmCfg := pibe.BuildConfig{
@@ -600,7 +570,7 @@ func (s *Suite) Robustness() (*Table, error) {
 		Defenses: pibe.AllDefenses,
 		Optimize: pibe.OptimizeConfig{InlineBudget: 0.999999, UseLLVMInliner: true},
 	}
-	if err := add("default LLVM inliner", "alldef-llvminline", llvmCfg); err != nil {
+	if err := add("default LLVM inliner", llvmCfg); err != nil {
 		return nil, err
 	}
 	t.Notes = append(t.Notes,

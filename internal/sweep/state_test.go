@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	pibe "repro"
+	"repro/internal/bench"
 	"repro/internal/ckpt"
 )
 
@@ -81,6 +84,52 @@ func mustCombos(s string) []Combo {
 	return cs
 }
 
+// stateRun is what the state tests share: one suite, the uninterrupted
+// report of sweepStateConfig and the complete state file a checkpointed
+// run of it leaves. Sweep cells are not cached, so sharing the suite
+// changes no cell, and every resume below re-measures the cells its
+// state file lacks.
+type stateRun struct {
+	s       *bench.Suite
+	ref     *Report
+	refJSON []byte
+	state   []byte
+}
+
+var (
+	stateOnce   sync.Once
+	stateShared stateRun
+	stateErr    error
+)
+
+func sharedStateRun(t *testing.T) stateRun {
+	t.Helper()
+	stateOnce.Do(func() { stateShared, stateErr = newStateRun(t.TempDir()) })
+	if stateErr != nil {
+		t.Fatalf("state tests' reference sweep: %v", stateErr)
+	}
+	return stateShared
+}
+
+func newStateRun(dir string) (r stateRun, err error) {
+	if r.s, err = bench.NewSuiteKernel(pibe.KernelConfig{Seed: 5, ColdFuncs: 300}); err != nil {
+		return r, err
+	}
+	r.s.Sys.SetMeasureWorkers(2)
+	if r.ref, err = Run(r.s, sweepStateConfig("")); err != nil {
+		return r, err
+	}
+	if r.refJSON, err = r.ref.WriteJSON(); err != nil {
+		return r, err
+	}
+	path := filepath.Join(dir, "sweep.state")
+	if _, err = Run(r.s, sweepStateConfig(path)); err != nil {
+		return r, err
+	}
+	r.state, err = os.ReadFile(path)
+	return r, err
+}
+
 // TestSweepStateResumeByteIdentical is the acceptance test of the
 // tentpole: a sweep interrupted at an arbitrary point — simulated by
 // truncating the state file at several byte offsets, including mid-cell
@@ -89,27 +138,10 @@ func mustCombos(s string) []Combo {
 // covers the degenerate resumes: a fully complete state file (nothing
 // left to run) and an empty one (everything left to run).
 func TestSweepStateResumeByteIdentical(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	r := sharedStateRun(t)
+	s, refJSON, full := r.s, r.refJSON, r.state
 	dir := t.TempDir()
 
-	ref, err := Run(s, sweepStateConfig(""))
-	if err != nil {
-		t.Fatalf("reference Run: %v", err)
-	}
-	refJSON, err := ref.WriteJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	state := filepath.Join(dir, "sweep.state")
-	cfg := sweepStateConfig(state)
-	if _, err := Run(s, cfg); err != nil {
-		t.Fatalf("checkpointed Run: %v", err)
-	}
-	full, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatal(err)
-	}
 	firstCell := bytes.Index(full, []byte("sec cell-"))
 	if firstCell < 0 {
 		t.Fatalf("state file has no cell sections:\n%s", full)
@@ -162,10 +194,11 @@ func TestSweepStateResumeByteIdentical(t *testing.T) {
 // fingerprint gates resume, so cells from one sweep can never silently
 // leak into another's report.
 func TestSweepStateTamperRejected(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	r := sharedStateRun(t)
+	s := r.s
 	state := filepath.Join(t.TempDir(), "sweep.state")
-	if _, err := Run(s, sweepStateConfig(state)); err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := os.WriteFile(state, r.state, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Config){
 		"knee-factor": func(c *Config) { c.KneeFactor = 1.2 },
@@ -208,15 +241,10 @@ func TestSweepStateTamperRejected(t *testing.T) {
 // state file is given a fresh chance on resume (unlike successful
 // cells, which are skipped), and the healthy rerun replaces it.
 func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	r := sharedStateRun(t)
+	s, refJSON := r.s, r.refJSON
 	state := filepath.Join(t.TempDir(), "sweep.state")
 	cfg := sweepStateConfig(state)
-
-	ref, err := Run(s, sweepStateConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, _ := ref.WriteJSON()
 
 	// Hand-build a state file whose cell 0 is a failure record.
 	if err := cfg.fill(); err != nil {
@@ -256,14 +284,9 @@ func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
 // report byte-identical to the single-process run's. Mismatched
 // fingerprints and absent files are refused.
 func TestSweepShardMerge(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	r := sharedStateRun(t)
+	s, refJSON := r.s, r.refJSON
 	dir := t.TempDir()
-
-	ref, err := Run(s, sweepStateConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, _ := ref.WriteJSON()
 
 	var paths []string
 	for shard := 0; shard < 2; shard++ {
@@ -307,7 +330,19 @@ func TestSweepShardMerge(t *testing.T) {
 	other := filepath.Join(dir, "other.state")
 	cfg := sweepStateConfig(other)
 	cfg.KneeFactor = 1.3
-	if _, err := Run(s, cfg); err != nil {
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	_, w, err := openState(s.Seed, &cfg, len(r.ref.Cells))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range r.ref.Cells {
+		if err := w.put(i, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Merge(append(paths, other)); err == nil {

@@ -11,10 +11,11 @@
 // do I pick" with automatic knee-point detection, and emits both
 // aligned text matrices and a machine-readable BENCH_sweep.json.
 //
-// Cells share one bench.Suite, so the singleflight image/latency caches
-// build each configuration exactly once no matter how the grid is
-// fanned out, and measurement inside a cell goes through the
-// deterministic measurement driver (internal/workload).
+// Cells take the kernel, profile and baseline from a bench.Suite but
+// build and measure outside its cache: a cell keeps only its Cell, so
+// its image is garbage once the cell returns and peak memory follows
+// the worker count, not the grid size. Measurement inside a cell goes
+// through the deterministic measurement driver (internal/workload).
 // The report is a pure function of (kernel config, grid, combos): cells
 // are assembled in grid order, not completion order, and every float in
 // the JSON comes from the deterministic measurement path, so the
@@ -46,7 +47,6 @@
 package sweep
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -147,8 +147,8 @@ func ParseGrid(s string) ([]float64, error) {
 		}
 		// Snap the percent-to-fraction division to 15 significant digits
 		// so "99.9" becomes exactly 0.999 rather than 0.999000...01; the
-		// budgets land verbatim in BENCH_sweep.json and in image cache
-		// keys, where float noise would only confuse.
+		// budgets land verbatim in BENCH_sweep.json and in log labels,
+		// where float noise would only confuse.
 		f, _ := strconv.ParseFloat(strconv.FormatFloat(v/100, 'g', 15, 64), 64)
 		grid = append(grid, f)
 	}
@@ -224,8 +224,6 @@ type Config struct {
 	// exponential backoff before it degrades to a failed cell. The
 	// zero value selects resilience.DefaultRetry.
 	Retry resilience.RetryPolicy
-	// Ctx cancels in-flight retry backoff sleeps; nil means Background.
-	Ctx context.Context
 	// Warnf receives degradation warnings (a cell's geomean skipped
 	// non-finite overheads or clamped factors, a cell that failed after
 	// retries, a salvaged state file). Nil logs to stderr.
@@ -250,9 +248,6 @@ func (c *Config) fill() error {
 	}
 	if c.Shard < 0 || c.Shard >= c.Shards {
 		return fmt.Errorf("sweep: shard %d outside [0, %d)", c.Shard, c.Shards)
-	}
-	if c.Ctx == nil {
-		c.Ctx = context.Background()
 	}
 	if c.Warnf == nil {
 		c.Warnf = func(format string, args ...any) {
@@ -340,27 +335,25 @@ func gridKeys(cfg *Config) []cellKey {
 	return keys
 }
 
-// cellName is the suite cache key and log label of a cell.
+// cellName is the log label of a cell.
 func cellName(combo Combo, icp, inl float64) string {
 	return fmt.Sprintf("sweep-%s-icp%g-inl%g", combo.Name, icp, inl)
 }
 
-// measureCell builds and measures one grid point under the given suite
-// cache key. It is the one attempt inside the retry loop; retries pass a
-// fresh key because the suite's flight map caches failures forever.
-func measureCell(s *bench.Suite, key string, base []pibe.Latency, combo Combo, icp, inl float64, timings bool) (Cell, error) {
-	bc := pibe.BuildConfig{
+// measureCell builds and measures one grid point. It is the one attempt
+// inside the retry loop.
+func measureCell(s *bench.Suite, base []pibe.Latency, combo Combo, icp, inl float64, timings bool) (Cell, error) {
+	start := time.Now()
+	img, err := s.Sys.Build(pibe.BuildConfig{
 		Profile:  s.ProfLM,
 		Defenses: combo.Defenses,
 		Optimize: pibe.OptimizeConfig{ICPBudget: icp, InlineBudget: inl},
-	}
-	start := time.Now()
-	img, err := s.Image(key, bc)
+	})
 	if err != nil {
 		return Cell{}, err
 	}
 	buildMS := float64(time.Since(start).Nanoseconds()) / 1e6
-	lat, err := s.Latencies(key, bc)
+	lat, err := img.MeasureLMBench(pibe.LMBench)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -390,24 +383,18 @@ func measureCell(s *bench.Suite, key string, base []pibe.Latency, combo Combo, i
 }
 
 // evalCell runs one cell to completion: transient faults are retried
-// under the config's policy (each retry under a fresh cache key, since
-// the suite caches failed flights), and a cell that exhausts its
-// retries degrades to a failed Cell carrying the structured fault
-// instead of an error — one poisoned grid point must not sink an
-// hours-long sweep.
+// under the config's policy, and a cell that exhausts its retries
+// degrades to a failed Cell carrying the structured fault instead of an
+// error — one poisoned grid point must not sink an hours-long sweep.
 func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell {
 	combo := cfg.Combos[k.combo]
 	icp, inl := cfg.ICPGrid[k.icp], cfg.InlineGrid[k.inl]
 	name := cellName(combo, icp, inl)
 	var c Cell
 	attempt := 0
-	err := resilience.Retry(cfg.Ctx, cfg.Retry, func() error {
+	err := resilience.Retry(nil, cfg.Retry, func() error {
 		attempt++
-		key := name
-		if attempt > 1 {
-			key = fmt.Sprintf("%s-retry%d", name, attempt)
-		}
-		cc, err := measureCell(s, key, base, combo, icp, inl, cfg.Timings)
+		cc, err := measureCell(s, base, combo, icp, inl, cfg.Timings)
 		if err != nil {
 			return err
 		}

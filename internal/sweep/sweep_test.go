@@ -264,3 +264,55 @@ func TestSweepSmallGridDeterministicAndMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepLiveHeapDoesNotGrowWithCells: a cell keeps only its Cell, so
+// the live heap after a sweep does not grow with the number of cells it
+// evaluated. Peak memory is then bounded by the cells in flight, not by
+// the grid.
+func TestSweepLiveHeapDoesNotGrowWithCells(t *testing.T) {
+	s := newSweepSuite(t, 1)
+	if _, err := s.Baseline(); err != nil {
+		t.Fatalf("Baseline: %v", err)
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	before := liveHeap()
+	img, err := s.Sys.Build(pibe.BuildConfig{
+		Profile:  s.ProfLM,
+		Defenses: pibe.AllDefenses,
+		Optimize: pibe.OptimizeConfig{ICPBudget: 0.999, InlineBudget: 0.999},
+	})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if _, err := img.MeasureLMBench(pibe.LMBench); err != nil {
+		t.Fatalf("MeasureLMBench: %v", err)
+	}
+	imageBytes := liveHeap() - before
+	runtime.KeepAlive(img)
+
+	combos, err := CombosByName("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(grid []float64) {
+		t.Helper()
+		if _, err := Run(s, Config{ICPGrid: grid, InlineGrid: grid, Combos: combos, Warnf: t.Logf}); err != nil {
+			t.Fatalf("Run(%v): %v", grid, err)
+		}
+	}
+	run([]float64{0})
+	oneCell := liveHeap()
+	run([]float64{0, 0.999})
+	fourCells := liveHeap()
+	runtime.KeepAlive(s)
+	if growth := fourCells - oneCell; growth >= imageBytes/2 {
+		t.Errorf("live heap grew by %d B from a 1-cell to a 4-cell sweep; one image is %d B, so cells outlive the sweep",
+			growth, imageBytes)
+	}
+}
