@@ -10,7 +10,6 @@ import (
 
 	pibe "repro"
 	"repro/internal/bench"
-	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/ir"
 	profpkg "repro/internal/prof"
@@ -331,14 +330,6 @@ func TestFleetCrashMidEpochResume(t *testing.T) {
 	}
 	sys.InjectFaults(0, pibe.FaultRates{}, 0)
 
-	// At most the in-flight epoch may be lost: the crash happened during
-	// epoch 0, so no completed epoch may be checkpointed.
-	if st, _, err := fleet.LoadState(dirB); err != nil {
-		t.Fatalf("LoadState after crash: %v", err)
-	} else if st != nil && st.Epoch > 0 {
-		t.Fatalf("crashed epoch was checkpointed as complete: %d", st.Epoch)
-	}
-
 	// Resume replays the lost epoch and finishes; a reference run that
 	// never crashed must be indistinguishable.
 	flR, err := sys.NewFleet(baseline, mkCfg(dirB))
@@ -348,6 +339,11 @@ func TestFleetCrashMidEpochResume(t *testing.T) {
 	resR, err := flR.Run()
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
+	}
+	// At most the in-flight epoch may be lost: the crash happened during
+	// epoch 0, so no completed epoch may be checkpointed.
+	if resR.StartEpoch != 0 {
+		t.Fatalf("crashed epoch was checkpointed as complete: %d", resR.StartEpoch)
 	}
 	dirC := t.TempDir()
 	flC, err := sys.NewFleet(baseline, mkCfg(dirC))

@@ -157,15 +157,7 @@ func runIngest(opts ingestOpts) error {
 	}
 
 	if opts.snapshotPath != "" {
-		f, err := os.Create(opts.snapshotPath)
-		if err != nil {
-			return err
-		}
-		if _, err := svc.GlobalSnapshot().WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeProfileFile(opts.snapshotPath, svc.GlobalSnapshot()); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,7 @@
 //	pibe fleet    [-seed N] [-fleet 4] [-fleet-shards 8] [-fleet-epochs 3]
 //	              [-drift-threshold 0.75] [-fleet-mix apache,nginx] [-fleet-decay 0.5]
 //	              [-canary 1] [-regression-budget 0.05] [-state DIR]
-//	              [-profile baseline.txt] [...build flags] [-measure]
+//	              [-profile baseline.txt] [...build flags] [-measure] [-snapshot-out final.txt]
 //	pibe sweep    [-seed N] [-sweep-grid 0,50,90,99,99.9,99.99,99.9999] [-sweep-combos retpoline,all]
 //	              [-sweep-knee 1.1] [-sweep-kernel-scale 1] [-sweep-timings]
 //	              [-state sweep.state] [-sweep-shards N -sweep-shard I]
@@ -105,20 +105,26 @@
 // only changes wall-clock time. Machines the compiled tier cannot run
 // (live recorder, hook, injector, exact accounting) silently fall back.
 //
-// Fleet mode runs continuous profiling: -fleet concurrent collectors per
-// epoch stream profile deltas into a sharded aggregator with per-epoch
-// exponential decay; when the live hot set's overlap with the baseline
-// profile falls below -drift-threshold, the image is rebuilt from the
-// fresh aggregate. A rebuilt image must pass differential validation
-// against the unoptimized-but-hardened reference, then serve -canary
-// epochs; it is promoted only if its canary latency stays within
-// -regression-budget of the incumbent and no new fault kinds appeared —
-// otherwise the incumbent keeps serving and the rejection reason is
-// printed. With -state DIR, the fleet checkpoints after every epoch and
-// a rerun with the same directory resumes mid-loop, losing at most the
-// epoch that was in flight when the process died. With -measure, each
-// epoch reports the active image's per-request kernel cycles, so a
-// promotion shows up as a latency drop.
+// Fleet mode runs continuous profiling as the ingest service with one
+// tenant: -fleet concurrent collectors per epoch profile real workload
+// runs and submit their deltas, and each epoch ends at the service's
+// round barrier, where the tenant's aggregate (decayed by -fleet-decay,
+// in (0, 1], once per epoch) is checked for drift: when the live hot
+// set's overlap with the baseline profile falls below -drift-threshold,
+// the image is rebuilt from the fresh aggregate. A rebuilt image must
+// pass differential validation against the unoptimized-but-hardened
+// reference, then serve -canary epochs; it is promoted only if its
+// canary latency stays within -regression-budget of the incumbent and
+// no new fault kinds appeared — otherwise the incumbent keeps serving
+// and the rejection reason is printed. With -state DIR (created if
+// missing), the service checkpoints after every epoch and a rerun with
+// the same directory and flags resumes mid-loop (-fleet-epochs may
+// grow), losing at most the epoch that was in flight when the process
+// died. With -measure, each epoch reports the active image's
+// per-request kernel cycles, so a promotion shows up as a latency drop.
+// -snapshot-out writes the aggregate the last epoch's drift detector
+// read; a killed and resumed run writes the same bytes as an
+// uninterrupted one.
 //
 // Chaos mode (any command): -chaos RATE arms a deterministic fault
 // injector (seeded by -chaos-seed) that forces interpreter traps,
@@ -137,6 +143,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -170,10 +177,10 @@ func main() {
 	fleetEpochs := fs.Int("fleet-epochs", 3, "fleet profiling epochs")
 	driftThreshold := fs.Float64("drift-threshold", 0.75, "rebuild when hot-set overlap falls below this (0 disables)")
 	fleetMix := fs.String("fleet-mix", "apache,nginx", "comma-separated fleet workload mix")
-	fleetDecay := fs.Float64("fleet-decay", 0.5, "per-epoch count decay factor (1 disables)")
+	fleetDecay := fs.Float64("fleet-decay", 0.5, "per-epoch count decay factor in (0, 1] (1 disables)")
 	canary := fs.Int("canary", 1, "epochs a rebuilt candidate serves before the promotion decision")
 	regressionBudget := fs.Float64("regression-budget", 0.05, "canary latency regression tolerated vs the incumbent")
-	stateDir := fs.String("state", "", "crash-safe state: fleet checkpoint directory, or sweep state file (resumes if present)")
+	stateDir := fs.String("state", "", "crash-safe state: fleet or ingest checkpoint directory, or sweep state file (resumes if present)")
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate (0 disables chaos mode)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault-injection seed")
 	chaosMax := fs.Int("chaos-max", 0, "cap on total injected faults (0 = unlimited)")
@@ -227,7 +234,7 @@ func main() {
 	ingestMix := fs.String("ingest-mix", "lmbench,apache,nginx,dbench",
 		"comma-separated tenant base-profile flavors")
 	snapshotOut := fs.String("snapshot-out", "",
-		"write the final global aggregate profile here (the byte-identical resume artifact)")
+		"write the final aggregate profile here: ingest's global one, fleet's last drift snapshot (the byte-identical resume artifact)")
 	fs.Parse(os.Args[2:])
 
 	engine, err := pibe.ParseEngine(*engineName)
@@ -489,6 +496,9 @@ func main() {
 		}
 		fmt.Fprintf(w, "fleet: %d epochs, %d promoted, %d rejected, %d build-failures, partial=%v\n",
 			len(res.Epochs), res.Rebuilds, res.Rejections, res.RebuildFailures, res.Partial)
+		if *snapshotOut != "" && res.Final != nil {
+			check(writeProfileFile(*snapshotOut, res.Final))
+		}
 
 	default:
 		usage()
@@ -531,6 +541,19 @@ func collectProfile(sys *pibe.System, flavor pibe.Workload) *pibe.Profile {
 	}
 	check(err)
 	return p
+}
+
+// writeProfileFile writes a profile's canonical serialization to path.
+func writeProfileFile(path string, p io.WriterTo) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := p.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func parseDefenses(s string) pibe.Defenses {

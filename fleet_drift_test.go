@@ -2,11 +2,13 @@ package pibe_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	pibe "repro"
 	"repro/internal/ir"
+	"repro/internal/resilience"
 )
 
 // fleetBuild is the all-defenses optimized configuration the fleet's
@@ -319,5 +321,94 @@ func TestFleetStateResumeContinues(t *testing.T) {
 	}
 	if ca != cb {
 		t.Errorf("resumed fleet serves a different image: %.0f vs %.0f request cycles", cb, ca)
+	}
+}
+
+// TestFleetStateDirCreated: a state directory that does not exist yet
+// is created when the fleet opens it, so a 2-epoch run into it
+// checkpoints, and a rerun with 3 epochs resumes and replays only
+// epoch 2.
+func TestFleetStateDirCreated(t *testing.T) {
+	sys := testSystem(t)
+	profLM := testProfile(t, sys)
+	dir := filepath.Join(t.TempDir(), "not", "yet")
+	run := func(epochs int) *pibe.FleetResult {
+		fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
+			Runners:  2,
+			Shards:   2,
+			Epochs:   epochs,
+			Seed:     42,
+			Mix:      []pibe.Workload{pibe.Apache, pibe.Nginx},
+			StateDir: dir,
+		})
+		if err != nil {
+			t.Fatalf("NewFleet: %v", err)
+		}
+		res, err := fl.Run()
+		if err != nil {
+			t.Fatalf("Run with %d epochs into a new state dir: %v", epochs, err)
+		}
+		return res
+	}
+	run(2)
+	res := run(3)
+	if res.StartEpoch != 2 || len(res.Epochs) != 1 || res.Epochs[0].Epoch != 2 {
+		t.Fatalf("resume started at %d with epochs %+v, want exactly epoch 2", res.StartEpoch, res.Epochs)
+	}
+}
+
+// TestFleetRejectsOutOfRangeKnobs: a decay or hot budget outside
+// (0, 1] is a PhaseIngest/KindConfig fault instead of a silently
+// substituted value; 0 still selects the default.
+func TestFleetRejectsOutOfRangeKnobs(t *testing.T) {
+	sys := testSystem(t)
+	profLM := testProfile(t, sys)
+	for _, cfg := range []pibe.FleetConfig{
+		{Decay: 1.5}, {Decay: -0.5}, {HotBudget: 1.01}, {HotBudget: -0.2},
+	} {
+		_, err := sys.NewFleet(profLM, cfg)
+		if fe, ok := resilience.AsFault(err); !ok || fe.Phase != resilience.PhaseIngest || fe.Kind != resilience.KindConfig {
+			t.Errorf("decay %g, hot budget %g: NewFleet = %v, want an ingest/config fault", cfg.Decay, cfg.HotBudget, err)
+		}
+	}
+	fl, err := sys.NewFleet(profLM, pibe.FleetConfig{Runners: 1, Mix: []pibe.Workload{pibe.Apache}})
+	if err != nil {
+		t.Fatalf("zero decay and hot budget (the defaults) rejected: %v", err)
+	}
+	if _, err := fl.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestFleetEmptyAggregateFault: when every collector of every epoch
+// dies before contributing anything, each epoch still reaches its
+// barrier and reports its failed collectors, and the run ends with a
+// structured PhaseFleet/KindEmptyAggregate fault.
+func TestFleetEmptyAggregateFault(t *testing.T) {
+	sys := testSystem(t)
+	profLM := testProfile(t, sys)
+	sys.InjectFaults(5, pibe.FaultRates{Trap: 1}, 0)
+	defer sys.InjectFaults(0, pibe.FaultRates{}, 0)
+	fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
+		Runners: 2,
+		Shards:  2,
+		Epochs:  2,
+		Seed:    42,
+		Mix:     []pibe.Workload{pibe.Apache, pibe.Nginx},
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	res, err := fl.Run()
+	if fe, ok := resilience.AsFault(err); !ok || fe.Phase != resilience.PhaseFleet || fe.Kind != resilience.KindEmptyAggregate {
+		t.Fatalf("all-collectors-dead run = %v, want a fleet/empty-aggregate fault", err)
+	}
+	if res == nil || !res.Partial || len(res.Epochs) != 2 {
+		t.Fatalf("result = %+v, want both epochs reported and the run partial", res)
+	}
+	for _, e := range res.Epochs {
+		if e.Failed != 2 || e.Merged != 0 || len(e.FaultKinds) == 0 {
+			t.Errorf("epoch %d = %+v, want 2 failed collectors with their fault kinds", e.Epoch, e)
+		}
 	}
 }

@@ -1,3 +1,19 @@
+// Package fleet holds the two building blocks of the profile-freshness
+// loop: the Aggregator, a sharded, lock-striped merge of profile deltas
+// with per-barrier exponential decay, and the Promoter, the canary-gated
+// pipeline that rebuilds an image when the live hot set drifts away from
+// the profile the image was built from and promotes the rebuild only
+// after differential validation, a canary window and its latency and
+// fault-kind gates.
+//
+// The paper computes its optimization budgets over one offline,
+// "representative" profile; in production the workload mix drifts and a
+// stale profile silently erodes the ICP/inlining win (the §8.4
+// mismatched-profile effect). The loop that closes this gap is
+// internal/ingest: each tenant's deltas merge into an Aggregator, every
+// round barrier measures drift and steps the tenant's Promoter, and the
+// checkpoint carries both. `pibe fleet` (pibe.Fleet) is that loop with
+// one tenant whose deltas come from real workload runs.
 package fleet
 
 import (

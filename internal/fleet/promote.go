@@ -8,16 +8,16 @@ import (
 	"repro/internal/resilience"
 )
 
-// Promoter is the canary-gated promotion pipeline, extracted from the
-// fleet service so any profile-driven control loop can reuse it: the
-// fleet promotes one image per fleet, the multi-tenant ingestion front
-// promotes one per tenant. The owner feeds it one step (epoch, round)
-// at a time; the promoter watches the drift statistic, asks the
-// Controller for a candidate when drift trips the threshold, walks the
-// candidate through differential validation, a canary window, the
-// latency-regression and new-fault-kind gates, and either promotes it
-// (advancing the baseline) or rolls it back and arms the
-// capped-backoff rebuild cool-down.
+// Promoter is the canary-gated promotion pipeline of a profile-driven
+// control loop. The multi-tenant ingestion service (internal/ingest)
+// runs one per tenant, and `pibe fleet` is its one-tenant case. The
+// owner feeds it one step (round) at a time; the promoter watches the
+// drift statistic, asks the Controller for a candidate when drift
+// trips the threshold, walks the candidate through differential
+// validation, a canary window, the latency-regression and
+// new-fault-kind gates, and either promotes it (advancing the
+// baseline) or rolls it back and arms the capped-backoff rebuild
+// cool-down.
 //
 // Promoter is not safe for concurrent use; owners drive it from their
 // barrier, like the Breaker it composes with.
@@ -68,6 +68,44 @@ func (c PromoteConfig) withDefaults() PromoteConfig {
 	return c
 }
 
+// Controller is the build side of the promotion pipeline. The promoter
+// calls Rebuild when drift trips the threshold; the returned Candidate
+// is validated, canaried and only then promoted.
+type Controller struct {
+	// Rebuild builds a candidate image from the drifted snapshot.
+	// Returning an error counts as a failed rebuild (and a strike
+	// toward the cool-down).
+	Rebuild func(snap *prof.Profile) (*Candidate, error)
+	// Incumbent, when non-nil, measures the serving image's canary
+	// metric (e.g. geomean request latency); nil disables the latency
+	// regression gate.
+	Incumbent func() (float64, error)
+}
+
+// Candidate is one rebuilt image moving through the promotion gates.
+// Nil fields skip their gate.
+type Candidate struct {
+	// Validate differentially validates the candidate against its
+	// reference image (see internal/diffcheck); a non-nil error rejects
+	// the candidate before it serves a single canary step.
+	Validate func() error
+	// Measure returns the candidate's canary metric, compared against
+	// Controller.Incumbent under the regression budget.
+	Measure func() (float64, error)
+	// Promote activates the candidate as the serving image; it runs
+	// only after every gate passed.
+	Promote func() error
+}
+
+// canaryState tracks the candidate currently serving its canary window.
+type canaryState struct {
+	snap        *prof.Profile
+	cand        *Candidate
+	served      int
+	kindsBefore map[string]bool
+	newKinds    map[string]bool
+}
+
 // StepOutcome reports what one promotion step did; the zero value means
 // "nothing happened" (no drift, or the pipeline is disabled).
 type StepOutcome struct {
@@ -91,9 +129,9 @@ type StepOutcome struct {
 }
 
 // NewPromoter builds a promotion pipeline. baseline is the profile the
-// incumbent image was built from (nil disables drift detection until a
-// baseline is set); ctrl supplies the rebuild hooks (nil disables
-// rebuilds entirely — the promoter then only tracks fault kinds).
+// incumbent image was built from (nil disables drift detection); ctrl
+// supplies the rebuild hooks (nil disables rebuilds entirely — the
+// promoter then only tracks fault kinds).
 func NewPromoter(cfg PromoteConfig, ctrl *Controller, baseline *prof.Profile) *Promoter {
 	return &Promoter{
 		cfg:       cfg.withDefaults(),
@@ -107,29 +145,74 @@ func NewPromoter(cfg PromoteConfig, ctrl *Controller, baseline *prof.Profile) *P
 // advances on every promotion).
 func (p *Promoter) Baseline() *prof.Profile { return p.baseline }
 
-// SetBaseline replaces the drift baseline (a restored checkpoint's, or
-// the first snapshot of a fresh tenant).
-func (p *Promoter) SetBaseline(b *prof.Profile) { p.baseline = b }
-
-// Backoff returns the cool-down state for checkpointing: consecutive
-// strikes and the steps left before the next rebuild attempt.
-func (p *Promoter) Backoff() (strikes, cooldown int) { return p.strikes, p.cooldown }
-
-// RestoreBackoff reinstates checkpointed cool-down state. An in-flight
-// canary is not restorable through this path; dropping it on resume
-// rolls the candidate back, which is the safe direction.
-func (p *Promoter) RestoreBackoff(strikes, cooldown int) {
-	if strikes > 0 {
-		p.strikes = strikes
-	}
-	if cooldown > 0 {
-		p.cooldown = cooldown
-	}
+// PromoterState is the part of a Promoter its owner checkpoints at a
+// barrier, so that a resumed pipeline decides exactly as an
+// uninterrupted one. The baseline is not part of it: the owner keeps
+// the baseline with its other profiles and hands it to NewPromoter.
+type PromoterState struct {
+	// Strikes counts consecutive rejections and failed rebuilds;
+	// Cooldown is the steps left before the next rebuild attempt.
+	Strikes, Cooldown int
+	// SeenKinds lists, sorted, every fault kind stepped so far: a
+	// later canary counts only kinds outside this set as new.
+	SeenKinds []string
+	// Canary is the candidate serving its canary window, nil when none
+	// is.
+	Canary *CanaryState
 }
 
-// CanaryActive reports whether a candidate is currently serving its
-// canary window.
-func (p *Promoter) CanaryActive() bool { return p.canary != nil }
+// CanaryState is an in-flight canary as a checkpoint holds it.
+type CanaryState struct {
+	// Snap is the drifted snapshot the candidate was built from;
+	// Restore rebuilds the candidate from it.
+	Snap *prof.Profile
+	// Served counts the steps the candidate has served, the build step
+	// included.
+	Served int
+	// KindsBefore lists, sorted, the fault kinds seen before the build;
+	// NewKinds those first seen while the candidate served.
+	KindsBefore, NewKinds []string
+}
+
+// State returns the promoter's checkpointable state.
+func (p *Promoter) State() PromoterState {
+	st := PromoterState{Strikes: p.strikes, Cooldown: p.cooldown, SeenKinds: sortedKeys(p.seenKinds)}
+	if c := p.canary; c != nil {
+		st.Canary = &CanaryState{
+			Snap: c.snap, Served: c.served,
+			KindsBefore: sortedKeys(c.kindsBefore), NewKinds: sortedKeys(c.newKinds),
+		}
+	}
+	return st
+}
+
+// Restore reinstates checkpointed state into a freshly built promoter.
+// An in-flight canary is re-materialized by calling the controller's
+// Rebuild on its snapshot (builds are deterministic, so this is the
+// candidate that was serving). If that rebuild fails, the canary is
+// dropped, the rest of the state still applies, and the error is
+// returned; the drift detector then simply rebuilds again.
+func (p *Promoter) Restore(st PromoterState) error {
+	p.strikes, p.cooldown = st.Strikes, st.Cooldown
+	p.seenKinds = keySet(st.SeenKinds)
+	p.canary = nil
+	c := st.Canary
+	if c == nil || c.Snap == nil || p.ctrl == nil || p.ctrl.Rebuild == nil {
+		return nil
+	}
+	cand, err := p.ctrl.Rebuild(c.Snap)
+	if err != nil {
+		return fmt.Errorf("canary rebuild: %w", err)
+	}
+	if cand == nil {
+		cand = &Candidate{}
+	}
+	p.canary = &canaryState{
+		snap: c.Snap, cand: cand, served: c.Served,
+		kindsBefore: keySet(c.KindsBefore), newKinds: keySet(c.NewKinds),
+	}
+	return nil
+}
 
 // Step advances the pipeline by one step. overlap is the owner's drift
 // statistic against Baseline (1 = no drift), snap the aggregate snapshot
@@ -213,12 +296,7 @@ func (p *Promoter) decideCanary(out *StepOutcome) {
 	c := p.canary
 	p.canary = nil
 	if len(c.newKinds) > 0 {
-		kinds := make([]string, 0, len(c.newKinds))
-		for k := range c.newKinds {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		p.reject(out, fmt.Sprintf("canary: new fault kinds %v", kinds))
+		p.reject(out, fmt.Sprintf("canary: new fault kinds %v", sortedKeys(c.newKinds)))
 		return
 	}
 	if p.ctrl != nil && p.ctrl.Incumbent != nil && c.cand.Measure != nil {
@@ -265,4 +343,25 @@ func (p *Promoter) reject(out *StepOutcome, reason string) {
 func (p *Promoter) strike() {
 	p.strikes++
 	p.cooldown = p.cfg.Backoff.Steps(p.strikes)
+}
+
+// sortedKeys returns a set's members in sorted order (nil when empty).
+func sortedKeys(m map[string]bool) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func keySet(keys []string) map[string]bool {
+	m := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		m[k] = true
+	}
+	return m
 }

@@ -12,8 +12,8 @@ package ingest
 // can see: each tenant draws sites from its base profile (a real
 // profiling run of one workload flavor) inside a hot window that
 // rotates with the round index, so per-tenant drift is visible; every
-// fourth tenant reports only intermittently, exercising idle decay,
-// eviction and resurrection.
+// fourth tenant reports only intermittently, exercising decay while
+// idle, eviction and resurrection.
 
 import (
 	"encoding/binary"
@@ -310,8 +310,8 @@ func (s *Sim) Fingerprint(svc Config) string {
 	for _, b := range s.cfg.Bases {
 		fmt.Fprintf(h, "base %s\n", b.Name)
 	}
-	fmt.Fprintf(h, "batch %d\nshed %t\nidle-decay %g\nidle-evict %d\nhot-budget %g\n",
-		svc.BatchSize, svc.Shed, svc.IdleDecay, svc.IdleEvict, svc.HotBudget)
+	fmt.Fprintf(h, "batch %d\nshed %t\ndecay %g\nidle-evict %d\nhot-budget %g\n",
+		svc.BatchSize, svc.Shed, svc.Decay, svc.IdleEvict, svc.HotBudget)
 	fmt.Fprintf(h, "trip %d\nopen %d\nmax-open %d\njitter %d\nbrk-seed %d\n",
 		svc.TripFaults, svc.OpenRounds, svc.MaxOpenRounds, svc.ProbeJitter, svc.Seed)
 	fmt.Fprintf(h, "rate %d\nburst %d\ndrift-floor %g\nmax-delta %d\nuniverse %t\n",

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"sort"
 
 	"repro/internal/fleet"
 	"repro/internal/prof"
@@ -201,6 +202,7 @@ func (s *Service) healthStep(t *tenant, active bool) {
 		}
 	}
 	t.roundSubmits, t.roundPoison, t.roundOverload = 0, 0, 0
+	t.roundKinds = nil
 	if s.cfg.TenantRate > 0 {
 		t.tokens += s.cfg.TenantRate
 		if t.tokens > s.cfg.TenantBurst {
@@ -210,8 +212,7 @@ func (s *Service) healthStep(t *tenant, active bool) {
 }
 
 // newPromoter builds tenant t's canary-gated promotion pipeline from
-// the service config (the same Promoter the fleet service runs, one
-// instance per tenant).
+// the service config, one instance per tenant.
 func (s *Service) newPromoter(t *tenant) *fleet.Promoter {
 	var ctrl *fleet.Controller
 	if s.cfg.NewController != nil {
@@ -221,26 +222,31 @@ func (s *Service) newPromoter(t *tenant) *fleet.Promoter {
 }
 
 // promoteStep advances tenant t's per-tenant promotion pipeline by one
-// round. Called from EndRound with t.mu held, after drift is computed
-// and before the fault window resets (it reads the window for the
-// canary's fault-kind gate). Only tenants whose bulkhead is passing
-// traffic (healthy or degraded, judged on the health entering this
-// round) feed the pipeline: a quarantined tenant's snapshot is frozen
-// noise and must not drive a rebuild.
-func (s *Service) promoteStep(t *tenant, snap *prof.Profile) {
+// round and returns what it did. Called from EndRound with t.mu held,
+// after drift is computed and before the fault window resets (it reads
+// the window for the canary's fault-kind gate: the collector fault
+// kinds ReportFault recorded, plus overload and poison). Only tenants
+// whose bulkhead is passing traffic (healthy or degraded, judged on the
+// health entering this round) feed the pipeline: a quarantined tenant's
+// snapshot is frozen noise and must not drive a rebuild.
+func (s *Service) promoteStep(t *tenant, snap *prof.Profile) fleet.StepOutcome {
 	if s.cfg.Promote == nil || (t.health != Healthy && t.health != Degraded) {
-		return
+		return fleet.StepOutcome{}
 	}
 	if t.promo == nil {
 		t.promo = s.newPromoter(t)
 	}
-	var kinds []string
+	kinds := make([]string, 0, len(t.roundKinds)+2)
+	for k := range t.roundKinds {
+		kinds = append(kinds, k)
+	}
 	if t.roundOverload > 0 {
 		kinds = append(kinds, string(resilience.KindOverload))
 	}
 	if t.roundPoison > 0 {
 		kinds = append(kinds, string(resilience.KindPoison))
 	}
+	sort.Strings(kinds)
 	out := t.promo.Step(t.drift, snap, kinds)
 	if out.Promoted {
 		t.promoted++
@@ -255,4 +261,5 @@ func (s *Service) promoteStep(t *tenant, snap *prof.Profile) {
 		t.promoFailures++
 		s.met.promoFailures.Add(1)
 	}
+	return out
 }

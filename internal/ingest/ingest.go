@@ -1,11 +1,14 @@
-// Package ingest is the multi-tenant profile-ingestion service: the
-// fleet-of-fleets layer that sits above internal/fleet's single-fleet
-// aggregator. Each tenant is one fleet (one customer's kernel
-// population) whose reporting kernels stream profile deltas in; the
-// service batches deltas per tenant, merges batches through a bounded
-// worker pool into a per-tenant striped aggregator, and folds the same
-// batches into a global cross-tenant aggregate — the profile a
-// provider-wide PIBE policy build would train on.
+// Package ingest is the profile-freshness loop: the multi-tenant
+// profile-ingestion service. Each tenant is one fleet (one customer's
+// kernel population) whose reporting kernels stream profile deltas in;
+// the service batches deltas per tenant, merges batches through a
+// bounded worker pool into a per-tenant striped fleet.Aggregator, and
+// folds the same batches into a global cross-tenant aggregate — the
+// profile a provider-wide PIBE policy build would train on. At every
+// round barrier each reporting tenant's snapshot is checked for drift
+// against the profile its image was built from and steps the tenant's
+// canary-gated fleet.Promoter. `pibe fleet` runs this service with one
+// tenant whose deltas come from real workload runs.
 //
 // The determinism contract is inherited from prof.Merge: counts are
 // exact uint64 sums, merging is commutative and associative, so the
@@ -21,21 +24,23 @@
 // producer may back off and retry, and the overload counters quantify
 // the resulting under-count.
 //
-// Tenant lifecycle: tenants are created lazily on first Submit,
-// decay while idle (their aggregate is an EWMA of recent rounds, like
-// a fleet epoch's), and after Config.IdleEvict idle rounds are evicted
-// with a final crash-safe per-tenant checkpoint on the internal/ckpt
-// container format. A later Submit for an evicted tenant resurrects it
-// from that checkpoint. Eviction and decay touch only the per-tenant
-// view; the global aggregate keeps every delta ever merged, which is
-// what makes a resumed run's final global snapshot byte-identical to
-// an uninterrupted one's.
+// Tenant lifecycle: tenants are created lazily on first Submit (or
+// ReportFault), decay once at every barrier (their aggregate is an
+// exponentially weighted moving profile of recent rounds), and after
+// Config.IdleEvict idle rounds are evicted with a final crash-safe
+// per-tenant checkpoint on the internal/ckpt container format. A later
+// Submit for an evicted tenant resurrects it from that checkpoint.
+// Eviction and decay touch only the per-tenant view; the global
+// aggregate keeps every delta ever merged, which is what makes a
+// resumed run's final global snapshot byte-identical to an
+// uninterrupted one's.
 package ingest
 
 import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,16 +69,24 @@ type Config struct {
 	// Shed selects overload shedding: when the queue is full, Submit
 	// fails with PhaseIngest/KindOverload instead of blocking.
 	Shed bool
-	// IdleDecay is the per-idle-round decay factor applied to a
-	// tenant's aggregate in (0, 1]; 1 disables decay (default 0.5).
-	IdleDecay float64
+	// Decay is the factor every tenant's aggregate is scaled by once at
+	// every barrier, after the round's snapshot has fed drift,
+	// promotion, health and OnRound; checkpoints and eviction files hold
+	// the decayed aggregate. It must lie in (0, 1]: 1 disables decay,
+	// 0 selects the default 0.5.
+	Decay float64
 	// IdleEvict is how many consecutive idle rounds a tenant survives
 	// before eviction; 0 disables eviction (default 4).
 	IdleEvict int
-	// HotBudget is the hot-set budget for per-tenant drift (default
-	// 0.99): drift is prof.HotOverlap of the tenant's live aggregate
-	// against its baseline (the first active round's snapshot).
+	// HotBudget is the hot-set budget for per-tenant drift, in (0, 1]
+	// (0 selects the default 0.99): drift is prof.HotOverlap of the
+	// tenant's live aggregate against its baseline.
 	HotBudget float64
+	// Baseline, when non-nil, is every new tenant's drift baseline: the
+	// profile its serving image was built from. Nil makes a tenant's
+	// first active round's snapshot its baseline. A restored tenant keeps
+	// its checkpointed baseline (read it back with Service.Baseline).
+	Baseline *prof.Profile
 	// TripFaults is how many tenant faults (poison rejections plus
 	// admission-control refusals) within one round trip the tenant's
 	// circuit breaker (default 8). See internal/ingest/health.go.
@@ -116,6 +129,12 @@ type Config struct {
 	// NewController supplies each tenant's rebuild hooks (used only
 	// with Promote).
 	NewController func(tenantID string) *fleet.Controller
+	// OnRound, when non-nil, observes every tenant that reported in the
+	// round, in tenant-ID order, after the barrier's drift, promotion
+	// and health steps and before its decay and checkpoint. Returning an
+	// error aborts EndRound before the checkpoint, so the round is lost
+	// exactly as in a crash; the service must then be closed.
+	OnRound func(TenantRound) error
 	// StateDir, when non-empty, enables crash-safe checkpoints: the
 	// service checkpoints after every EndRound and evicted tenants get
 	// per-tenant files, all on the internal/ckpt container format.
@@ -145,8 +164,12 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.IdleDecay <= 0 || c.IdleDecay > 1 {
-		c.IdleDecay = 0.5
+	if c.Decay == 0 {
+		c.Decay = 0.5
+	}
+	if !(c.Decay > 0 && c.Decay <= 1) {
+		return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
+			"decay", "decay %g outside (0, 1]", c.Decay)
 	}
 	if c.IdleEvict < 0 {
 		return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
@@ -155,8 +178,12 @@ func (c *Config) fill() error {
 	if c.IdleEvict == 0 {
 		c.IdleEvict = 4
 	}
-	if c.HotBudget <= 0 || c.HotBudget > 1 {
+	if c.HotBudget == 0 {
 		c.HotBudget = 0.99
+	}
+	if !(c.HotBudget > 0 && c.HotBudget <= 1) {
+		return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
+			"hot-budget", "hot budget %g outside (0, 1]", c.HotBudget)
 	}
 	if c.TripFaults == 0 {
 		c.TripFaults = 8
@@ -203,10 +230,12 @@ type tenant struct {
 	pendingN int
 
 	agg *fleet.Aggregator
-	// baseline is the snapshot at the end of the tenant's first active
-	// round; drift is measured against it.
+	// baseline is Config.Baseline or else the snapshot at the end of the
+	// tenant's first active round, advanced by every promotion; drift is
+	// measured against it.
 	baseline *prof.Profile
-	// lastActive is the round index of the tenant's most recent Submit.
+	// lastActive is the round index of the tenant's most recent Submit
+	// or ReportFault.
 	lastActive int
 	// deltas counts every delta the tenant ever submitted (persisted).
 	deltas uint64
@@ -226,8 +255,10 @@ type tenant struct {
 	// the rate limiter.
 	poison, dropped, throttled uint64
 	// Current round's window: submissions seen, poison among them,
-	// admission refusals among them.
+	// admission refusals among them, and the kinds of the collector
+	// faults ReportFault recorded.
 	roundSubmits, roundPoison, roundOverload uint64
+	roundKinds                               map[string]bool
 
 	// Per-tenant promotion pipeline (armed by Config.Promote; lazily
 	// built). promoted / promoRejected / promoFailures persist.
@@ -320,7 +351,17 @@ func (s *Service) Round() int {
 
 // newTenantAgg builds the striped per-tenant aggregator.
 func (s *Service) newTenantAgg() *fleet.Aggregator {
-	return fleet.NewAggregator(s.cfg.TenantShards, s.cfg.IdleDecay)
+	return fleet.NewAggregator(s.cfg.TenantShards, s.cfg.Decay)
+}
+
+// newTenant builds a fresh tenant: an empty aggregate, Config.Baseline,
+// a closed breaker and a full token bucket.
+func (s *Service) newTenant(id string) *tenant {
+	return &tenant{
+		id: id, agg: s.newTenantAgg(), baseline: s.cfg.Baseline,
+		brk:    resilience.NewBreaker(s.breakerConfig(id)),
+		tokens: s.cfg.TenantBurst,
+	}
 }
 
 // validTenantID reports whether id is usable: non-empty, and a safe
@@ -357,26 +398,51 @@ func (s *Service) lookup(id string) (*tenant, error) {
 		return nil, resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
 			id, "invalid tenant id %q: want [A-Za-z0-9._-]+ not starting with a dot", id)
 	}
-	t := &tenant{
-		id: id, agg: s.newTenantAgg(), lastActive: s.Round(),
-		brk:    resilience.NewBreaker(s.breakerConfig(id)),
-		tokens: s.cfg.TenantBurst,
-	}
+	t := s.newTenant(id)
 	if s.cfg.StateDir != "" {
-		res, err := loadTenantFile(s.cfg.StateDir, id, s.cfg.Warnf)
+		res, err := s.loadTenantFile(id)
 		if err != nil {
 			return nil, err
 		}
 		if res != nil {
-			t.agg.Add(res.aggregate)
-			t.baseline = res.baseline
-			t.deltas = res.deltas
-			s.restoreIsolation(t, res.iso)
+			t = res
 			s.met.resurrections.Add(1)
 		}
 	}
+	t.lastActive = s.Round()
 	s.tenants[id] = t
 	return t, nil
+}
+
+// resident returns tenant id if it is resident, or nil.
+func (s *Service) resident(id string) *tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tenants[id]
+}
+
+// Baseline returns resident tenant id's drift baseline (Config.Baseline,
+// its first active round's snapshot, its last promoted snapshot, or what
+// a resumed checkpoint restored), or nil when the tenant is not resident
+// or has none yet.
+func (s *Service) Baseline(id string) *prof.Profile {
+	t := s.resident(id)
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.baseline
+}
+
+// TenantSnapshot returns a copy of resident tenant id's aggregate, as
+// the last barrier left it (decayed), or nil when the tenant is not
+// resident.
+func (s *Service) TenantSnapshot(id string) *prof.Profile {
+	if t := s.resident(id); t != nil {
+		return t.agg.Snapshot()
+	}
+	return nil
 }
 
 // Submit ingests one profile delta for the tenant. The delta runs the
@@ -448,6 +514,32 @@ func (s *Service) Submit(tenantID string, delta *prof.Profile) error {
 	return s.enqueue(b, s.cfg.Shed)
 }
 
+// ReportFault records that one of the tenant's collectors aborted or
+// failed this round, with the fault kind behind it ("" when the failure
+// carried none). The report marks the tenant as reporting in this
+// round, so its barrier still measures drift and steps its promotion
+// pipeline when no delta arrived, and the kind reaches the canary's
+// new-fault-kind gate. It never feeds the tenant's circuit breaker: a
+// collector's own fault says nothing about the deltas the tenant sends.
+// Like Submit, it is safe for concurrent use.
+func (s *Service) ReportFault(tenantID, kind string) error {
+	t, err := s.lookup(tenantID)
+	if err != nil {
+		return err
+	}
+	s.met.faults.Add(1)
+	t.mu.Lock()
+	t.lastActive = s.Round()
+	if kind != "" {
+		if t.roundKinds == nil {
+			t.roundKinds = make(map[string]bool)
+		}
+		t.roundKinds[kind] = true
+	}
+	t.mu.Unlock()
+	return nil
+}
+
 // enqueue hands a batch to the merge queue. shed selects the overload
 // policy; EndRound's partial-batch flush always passes shed=false so a
 // round barrier is lossless even in shed mode. The send happens under
@@ -504,18 +596,35 @@ func (s *Service) worker() {
 	}
 }
 
+// TenantRound is one reporting tenant's view of a round barrier, as
+// Config.OnRound observes it.
+type TenantRound struct {
+	Tenant string
+	Round  int
+	// Snapshot is the tenant aggregate the barrier's drift, promotion
+	// and health steps read, before the barrier's decay.
+	Snapshot *prof.Profile
+	// Drift is the hot-set overlap of Snapshot with the tenant's
+	// baseline (1 = no drift).
+	Drift float64
+	// Promotion is what the tenant's promotion pipeline did this round
+	// (the zero value when Promote is off or the bulkhead is closed).
+	Promotion fleet.StepOutcome
+}
+
 // EndRound is the round barrier. The caller must have quiesced its
-// producers (no Submit may be concurrent with EndRound). It flushes
-// every tenant's partial pending batch (losslessly, even in shed
-// mode), waits for the merge queue to drain, then runs tenant
-// lifecycle: active tenants get a fresh snapshot, a baseline if they
-// had none, and a drift measurement; the per-tenant promotion pipeline
-// and the health state machine advance (see health.go — this barrier
-// is the only place breakers transition, which is what keeps
-// quarantine windows schedule-independent); idle tenants decay, and
-// tenants idle for Config.IdleEvict rounds are evicted with a final
-// per-tenant checkpoint. Finally the service checkpoints itself (when
-// StateDir is set) and the round counter advances.
+// producers (no Submit or ReportFault may be concurrent with EndRound).
+// It flushes every tenant's partial pending batch (losslessly, even in
+// shed mode), waits for the merge queue to drain, then runs tenant
+// lifecycle: a tenant that reported this round gets a fresh snapshot, a
+// baseline if it had none, a drift measurement and a step of its
+// promotion pipeline; every tenant's health state machine advances (see
+// health.go — this barrier is the only place breakers transition, which
+// is what keeps quarantine windows schedule-independent); Config.OnRound
+// observes the reporting tenants; then every tenant's aggregate decays
+// once, and tenants idle for Config.IdleEvict rounds are evicted with a
+// final per-tenant checkpoint. Finally the service checkpoints itself
+// (when StateDir is set) and the round counter advances.
 func (s *Service) EndRound() error {
 	round := s.Round()
 	s.mu.Lock()
@@ -529,6 +638,7 @@ func (s *Service) EndRound() error {
 		ts = append(ts, t)
 	}
 	s.mu.Unlock()
+	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
 
 	for _, t := range ts {
 		t.mu.Lock()
@@ -545,26 +655,37 @@ func (s *Service) EndRound() error {
 	}
 	s.inflight.Wait()
 
-	// Lifecycle. Snapshots double as checkpoint payloads, so each live
-	// tenant is snapshotted exactly once per round. The tenant lock is
-	// uncontended here (producers are quiesced) but keeps a concurrent
-	// Stats reader from seeing torn drift/baseline updates.
-	snaps := make(map[string]*prof.Profile, len(ts))
+	// Lifecycle. The tenant lock is uncontended here (producers are
+	// quiesced) but keeps a concurrent Stats reader from seeing torn
+	// drift/baseline updates.
+	var reports []TenantRound
 	for _, t := range ts {
 		t.mu.Lock()
-		if t.lastActive == round {
+		active := t.lastActive == round
+		if active {
 			snap := t.agg.Snapshot()
 			if t.baseline == nil {
 				t.baseline = snap.Clone()
 			}
 			t.drift = prof.HotOverlap(snap, t.baseline, s.cfg.HotBudget)
-			s.promoteStep(t, snap)
-			s.healthStep(t, true)
-			snaps[t.id] = snap
-			t.mu.Unlock()
-			continue
+			out := s.promoteStep(t, snap)
+			reports = append(reports, TenantRound{
+				Tenant: t.id, Round: round, Snapshot: snap, Drift: t.drift, Promotion: out,
+			})
 		}
-		s.healthStep(t, false)
+		s.healthStep(t, active)
+		t.mu.Unlock()
+	}
+	if s.cfg.OnRound != nil {
+		for _, r := range reports {
+			if err := s.cfg.OnRound(r); err != nil {
+				return fmt.Errorf("ingest: round %d observer: %w", round, err)
+			}
+		}
+	}
+
+	for _, t := range ts {
+		t.mu.Lock()
 		t.agg.Decay()
 		if round-t.lastActive >= s.cfg.IdleEvict {
 			// Evict: persist the final per-tenant checkpoint BEFORE
@@ -582,15 +703,12 @@ func (s *Service) EndRound() error {
 			delete(s.tenants, t.id)
 			s.mu.Unlock()
 			s.met.evictions.Add(1)
-			t.mu.Unlock()
-			continue
 		}
-		snaps[t.id] = t.agg.Snapshot()
 		t.mu.Unlock()
 	}
 
 	if s.cfg.StateDir != "" {
-		if err := s.checkpoint(round+1, snaps); err != nil {
+		if err := s.checkpoint(round + 1); err != nil {
 			return err
 		}
 	}

@@ -40,6 +40,9 @@ type metrics struct {
 	promotions    atomic.Uint64
 	promoRejects  atomic.Uint64
 	promoFailures atomic.Uint64
+	// faults counts collector faults reported through ReportFault; they
+	// never feed a breaker. Deterministic and persisted.
+	faults atomic.Uint64
 
 	// closedRejects counts Submit/enqueue refusals after Close — a
 	// property of this process's shutdown, deliberately not persisted.
@@ -52,6 +55,7 @@ type metrics struct {
 		poisonRejects, quarantined, throttled   uint64
 		trips, heals                            uint64
 		promotions, promoRejects, promoFailures uint64
+		faults                                  uint64
 	}
 
 	queueHighWater atomic.Int64
@@ -190,6 +194,8 @@ type Stats struct {
 	// Promotions, PromoRejects and PromoFailures count per-tenant
 	// canary-pipeline outcomes (0 unless Config.Promote is armed).
 	Promotions, PromoRejects, PromoFailures uint64
+	// Faults counts collector faults reported through ReportFault.
+	Faults uint64
 	// ClosedRejects counts Submits refused after Close (this process).
 	ClosedRejects uint64
 	// Health counts resident tenants by health state name.
@@ -239,6 +245,7 @@ func (s *Service) Stats() Stats {
 	st.Promotions = s.met.promotions.Load() + s.met.prev.promotions
 	st.PromoRejects = s.met.promoRejects.Load() + s.met.prev.promoRejects
 	st.PromoFailures = s.met.promoFailures.Load() + s.met.prev.promoFailures
+	st.Faults = s.met.faults.Load() + s.met.prev.faults
 	st.ClosedRejects = s.met.closedRejects.Load()
 	st.ShedByReason = map[string]uint64{
 		"overload":   st.ShedDeltas,

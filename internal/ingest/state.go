@@ -7,13 +7,16 @@ package ingest
 //     atomically at every EndRound barrier. One "meta" section (round,
 //     fingerprint, the deterministic counters), one "global" section
 //     (the global aggregate's canonical serialization) and, per live
-//     tenant, a "tmeta-<id>" key/value section plus "tprof-<id>"
-//     (aggregate snapshot) and optionally "tbase-<id>" (baseline).
+//     tenant, its record: a "tmeta-<id>" key/value section (counters,
+//     drift, fault-isolation and promotion state) plus "tprof-<id>"
+//     (the decayed aggregate) and optionally "tbase-<id>" (baseline)
+//     and "tcanary-<id>" (the snapshot an in-flight canary was built
+//     from, rebuilt through the tenant's Controller on resume).
 //
-//   - "tenant-<id>.ckpt": an evicted tenant's final state (meta,
-//     aggregate, baseline), written atomically just before the tenant
-//     leaves the resident map. A later Submit for the tenant
-//     resurrects from it.
+//   - "tenant-<id>.ckpt": an evicted tenant's record (sections "meta",
+//     "aggregate", "baseline", "canary"), written atomically just
+//     before the tenant leaves the resident map. A later Submit for
+//     the tenant resurrects from it.
 //
 // Crash ordering: the tenant file is written before the tenant is
 // dropped and before the round's service checkpoint. A SIGKILL
@@ -25,13 +28,13 @@ package ingest
 // mid-round kill loses only the round in flight, which the driver
 // replays deterministically.
 //
-// Loading is lenient the way the fleet checkpoint is: a section whose
-// frame or CRC is damaged is dropped; a tenant whose sections are
-// incomplete or whose profile hash disagrees with the recorded one is
-// dropped with a warning (its counts are still in the global
-// aggregate; only its per-tenant view resets); a damaged global
-// section degrades to an empty global aggregate with a warning. Only
-// a missing meta section, or a fingerprint mismatch, is fatal.
+// Loading is lenient: a section whose frame or CRC is damaged is
+// dropped; a tenant whose aggregate is lost or disagrees with its
+// recorded hash is dropped with a warning (its counts are still in the
+// global aggregate; only its per-tenant view resets), a damaged
+// baseline or canary only loses that part; a damaged global section
+// degrades to an empty global aggregate with a warning. Only a missing
+// meta section, or a fingerprint mismatch, is fatal.
 
 import (
 	"bytes"
@@ -40,8 +43,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ckpt"
+	"repro/internal/fleet"
 	"repro/internal/prof"
 	"repro/internal/resilience"
 )
@@ -62,12 +67,7 @@ func profileSection(name string, p *prof.Profile) ckpt.Section {
 	return ckpt.Section{Name: name, Data: buf.Bytes()}
 }
 
-func parseProfile(data []byte) (*prof.Profile, error) {
-	return prof.Read(bytes.NewReader(data))
-}
-
-// parseKV decodes a "key value\n" section the way the fleet state
-// reader does.
+// parseKV decodes a "key value\n" section.
 func parseKV(data []byte) map[string]string {
 	out := make(map[string]string)
 	for _, line := range strings.Split(string(data), "\n") {
@@ -80,91 +80,180 @@ func parseKV(data []byte) map[string]string {
 	return out
 }
 
-// writeIsolation appends a tenant's fault-isolation state (health,
-// breaker, admission tokens, isolation tallies, promotion backoff) as
-// kv lines. Caller holds t.mu or has producers quiesced. Taking the
-// breaker snapshot here is safe: checkpoints only happen at round
+// The parts of one tenant's record, and the section names they take in
+// an eviction file; the service checkpoint prefixes them per tenant
+// (tenantSections).
+const (
+	partMeta      = "meta"
+	partAggregate = "aggregate"
+	partBaseline  = "baseline"
+	partCanary    = "canary"
+)
+
+// servicePrefix is the section-name prefix of each record part inside
+// the service checkpoint, where every tenant's record sits side by side.
+var servicePrefix = map[string]string{
+	partMeta: "tmeta-", partAggregate: "tprof-", partBaseline: "tbase-", partCanary: "tcanary-",
+}
+
+// servicePart names part of tenant id's record inside the service
+// checkpoint.
+func servicePart(id string) func(part string) string {
+	return func(part string) string { return servicePrefix[part] + id }
+}
+
+// tenantSections serializes tenant t's record: a kv meta section
+// (counters, drift, fault-isolation state, promotion state and the
+// content hash of every profile part) plus its aggregate, baseline and
+// in-flight canary snapshot. name maps each part to its section name.
+// Caller holds t.mu or has producers quiesced; taking the breaker
+// snapshot here is safe because records are only written at round
 // barriers, where the observation window is empty by construction.
-func writeIsolation(w *bytes.Buffer, t *tenant) {
-	fmt.Fprintf(w, "health %s\n", t.health)
-	fmt.Fprintf(w, "tokens %d\n", t.tokens)
-	fmt.Fprintf(w, "poison %d\n", t.poison)
-	fmt.Fprintf(w, "dropped %d\n", t.dropped)
-	fmt.Fprintf(w, "throttled %d\n", t.throttled)
+func tenantSections(t *tenant, name func(part string) string) []ckpt.Section {
+	agg := t.agg.Snapshot()
+	var w bytes.Buffer
+	fmt.Fprintf(&w, "deltas %d\n", t.deltas)
+	fmt.Fprintf(&w, "last-active %d\n", t.lastActive)
+	fmt.Fprintf(&w, "drift %s\n", strconv.FormatFloat(t.drift, 'g', -1, 64))
+	fmt.Fprintf(&w, "agg-hash %s\n", agg.Hash())
+	fmt.Fprintf(&w, "health %s\n", t.health)
+	fmt.Fprintf(&w, "tokens %d\n", t.tokens)
+	fmt.Fprintf(&w, "poison %d\n", t.poison)
+	fmt.Fprintf(&w, "dropped %d\n", t.dropped)
+	fmt.Fprintf(&w, "throttled %d\n", t.throttled)
 	snap := t.brk.Snap()
-	fmt.Fprintf(w, "brk-state %s\n", snap.State)
-	fmt.Fprintf(w, "brk-open-left %d\n", snap.OpenLeft)
-	fmt.Fprintf(w, "brk-strikes %d\n", snap.Strikes)
-	fmt.Fprintf(w, "brk-trips %d\n", snap.Trips)
-	fmt.Fprintf(w, "brk-heals %d\n", snap.Heals)
+	fmt.Fprintf(&w, "brk-state %s\n", snap.State)
+	fmt.Fprintf(&w, "brk-open-left %d\n", snap.OpenLeft)
+	fmt.Fprintf(&w, "brk-strikes %d\n", snap.Strikes)
+	fmt.Fprintf(&w, "brk-trips %d\n", snap.Trips)
+	fmt.Fprintf(&w, "brk-heals %d\n", snap.Heals)
+	fmt.Fprintf(&w, "promoted %d\n", t.promoted)
+	fmt.Fprintf(&w, "promo-rejected %d\n", t.promoRejected)
+	fmt.Fprintf(&w, "promo-failures %d\n", t.promoFailures)
+	secs := []ckpt.Section{{Name: name(partMeta)}, profileSection(name(partAggregate), agg)}
+	if t.baseline != nil {
+		fmt.Fprintf(&w, "base-hash %s\n", t.baseline.Hash())
+		secs = append(secs, profileSection(name(partBaseline), t.baseline))
+	}
 	if t.promo != nil {
-		strikes, cooldown := t.promo.Backoff()
-		fmt.Fprintf(w, "promo-strikes %d\n", strikes)
-		fmt.Fprintf(w, "promo-cooldown %d\n", cooldown)
+		ps := t.promo.State()
+		fmt.Fprintf(&w, "promo-strikes %d\n", ps.Strikes)
+		fmt.Fprintf(&w, "promo-cooldown %d\n", ps.Cooldown)
+		writeKinds(&w, "promo-seen-kinds", ps.SeenKinds)
+		if c := ps.Canary; c != nil {
+			fmt.Fprintf(&w, "canary-served %d\n", c.Served)
+			writeKinds(&w, "canary-kinds-before", c.KindsBefore)
+			writeKinds(&w, "canary-new-kinds", c.NewKinds)
+			fmt.Fprintf(&w, "canary-hash %s\n", c.Snap.Hash())
+			secs = append(secs, profileSection(name(partCanary), c.Snap))
+		}
 	}
-	fmt.Fprintf(w, "promoted %d\n", t.promoted)
-	fmt.Fprintf(w, "promo-rejected %d\n", t.promoRejected)
-	fmt.Fprintf(w, "promo-failures %d\n", t.promoFailures)
+	secs[0].Data = w.Bytes()
+	return secs
 }
 
-// isolationState is the parsed form of writeIsolation's kv lines.
-type isolationState struct {
-	health                     string
-	tokens                     int
-	poison, dropped, throttled uint64
-	brk                        resilience.BreakerSnap
-
-	promoStrikes, promoCooldown            int
-	promoted, promoRejected, promoFailures int
+// writeKinds writes a fault-kind list as one kv line, omitted when empty.
+func writeKinds(w *bytes.Buffer, key string, kinds []string) {
+	if len(kinds) > 0 {
+		fmt.Fprintf(w, "%s %s\n", key, strings.Join(kinds, " "))
+	}
 }
 
-// parseIsolation recovers isolation state from a tenant kv section.
-// A section with no "health" key predates the isolation layer (or lost
-// the lines to corruption) and yields nil — the tenant resumes with a
-// fresh, closed bulkhead.
-func parseIsolation(kv map[string]string) *isolationState {
+// readTenant rebuilds tenant id from its record; part returns a part's
+// section data. Lenient: a baseline or canary that is missing,
+// unparseable or disagrees with its recorded hash is dropped with a
+// warning (a tenant without a baseline falls back to Config.Baseline,
+// a dropped canary is rebuilt by the drift detector), and isolation
+// state that does not parse degrades to a fresh bulkhead. A damaged
+// aggregate is returned as aggErr alongside a tenant whose aggregate is
+// empty: the caller decides between dropping the tenant and keeping it.
+func (s *Service) readTenant(id string, part func(string) ([]byte, bool)) (t *tenant, aggErr error) {
+	meta, _ := part(partMeta)
+	kv := parseKV(meta)
+	t = s.newTenant(id)
+	t.deltas, _ = strconv.ParseUint(kv["deltas"], 10, 64)
+	t.lastActive, _ = strconv.Atoi(kv["last-active"])
+	t.drift, _ = strconv.ParseFloat(kv["drift"], 64)
+	agg, aggErr := readProfile(part, partAggregate, kv["agg-hash"])
+	if aggErr == nil {
+		t.agg.Add(agg)
+	}
+	if base, err := readProfile(part, partBaseline, kv["base-hash"]); err == nil {
+		t.baseline = base
+	} else if _, ok := part(partBaseline); ok {
+		s.cfg.Warnf("ingest: warning: tenant %s baseline dropped: %v", id, err)
+	}
+	s.restoreIsolation(t, kv)
+	if _, ok := kv["promo-strikes"]; ok && s.cfg.Promote != nil {
+		st := fleet.PromoterState{SeenKinds: strings.Fields(kv["promo-seen-kinds"])}
+		st.Strikes, _ = strconv.Atoi(kv["promo-strikes"])
+		st.Cooldown, _ = strconv.Atoi(kv["promo-cooldown"])
+		if served, ok := kv["canary-served"]; ok {
+			snap, err := readProfile(part, partCanary, kv["canary-hash"])
+			if err != nil {
+				s.cfg.Warnf("ingest: warning: tenant %s in-flight canary dropped: %v", id, err)
+			} else {
+				c := &fleet.CanaryState{Snap: snap,
+					KindsBefore: strings.Fields(kv["canary-kinds-before"]),
+					NewKinds:    strings.Fields(kv["canary-new-kinds"]),
+				}
+				c.Served, _ = strconv.Atoi(served)
+				st.Canary = c
+			}
+		}
+		t.promo = s.newPromoter(t)
+		if err := t.promo.Restore(st); err != nil {
+			s.cfg.Warnf("ingest: warning: tenant %s in-flight canary dropped: %v", id, err)
+		}
+	}
+	return t, aggErr
+}
+
+// readProfile parses one profile part and checks it against its
+// recorded content hash (when one was recorded).
+func readProfile(part func(string) ([]byte, bool), name, wantHash string) (*prof.Profile, error) {
+	data, ok := part(name)
+	if !ok {
+		return nil, fmt.Errorf("%s section lost", name)
+	}
+	p, err := prof.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s unparseable: %w", name, err)
+	}
+	if wantHash != "" && p.Hash() != wantHash {
+		return nil, fmt.Errorf("%s hash %s != recorded %s", name, p.Hash(), wantHash)
+	}
+	return p, nil
+}
+
+// restoreIsolation applies a record's fault-isolation state and
+// promotion counters to a freshly built tenant (which already has a
+// closed breaker and a full token bucket). A record with no "health"
+// key (or one that lost the lines to corruption) leaves the fresh
+// bulkhead; a breaker or health state that does not parse degrades to
+// it with a warning rather than failing the resume.
+func (s *Service) restoreIsolation(t *tenant, kv map[string]string) {
 	if _, ok := kv["health"]; !ok {
-		return nil
-	}
-	iso := &isolationState{health: kv["health"]}
-	iso.tokens, _ = strconv.Atoi(kv["tokens"])
-	iso.poison, _ = strconv.ParseUint(kv["poison"], 10, 64)
-	iso.dropped, _ = strconv.ParseUint(kv["dropped"], 10, 64)
-	iso.throttled, _ = strconv.ParseUint(kv["throttled"], 10, 64)
-	iso.brk.State = kv["brk-state"]
-	iso.brk.OpenLeft, _ = strconv.Atoi(kv["brk-open-left"])
-	iso.brk.Strikes, _ = strconv.Atoi(kv["brk-strikes"])
-	iso.brk.Trips, _ = strconv.ParseUint(kv["brk-trips"], 10, 64)
-	iso.brk.Heals, _ = strconv.ParseUint(kv["brk-heals"], 10, 64)
-	iso.promoStrikes, _ = strconv.Atoi(kv["promo-strikes"])
-	iso.promoCooldown, _ = strconv.Atoi(kv["promo-cooldown"])
-	iso.promoted, _ = strconv.Atoi(kv["promoted"])
-	iso.promoRejected, _ = strconv.Atoi(kv["promo-rejected"])
-	iso.promoFailures, _ = strconv.Atoi(kv["promo-failures"])
-	return iso
-}
-
-// restoreIsolation applies parsed isolation state to a freshly built
-// tenant (which already has a closed breaker and a full token bucket).
-// Lenient: a breaker or health state that does not parse degrades to
-// the fresh bulkhead with a warning rather than failing the resume.
-func (s *Service) restoreIsolation(t *tenant, iso *isolationState) {
-	if iso == nil {
 		return
 	}
-	t.poison, t.dropped, t.throttled = iso.poison, iso.dropped, iso.throttled
-	t.promoted, t.promoRejected, t.promoFailures = iso.promoted, iso.promoRejected, iso.promoFailures
+	t.poison, _ = strconv.ParseUint(kv["poison"], 10, 64)
+	t.dropped, _ = strconv.ParseUint(kv["dropped"], 10, 64)
+	t.throttled, _ = strconv.ParseUint(kv["throttled"], 10, 64)
+	t.promoted, _ = strconv.Atoi(kv["promoted"])
+	t.promoRejected, _ = strconv.Atoi(kv["promo-rejected"])
+	t.promoFailures, _ = strconv.Atoi(kv["promo-failures"])
 	if s.cfg.TenantRate > 0 {
-		t.tokens = iso.tokens
-		if t.tokens < 0 {
-			t.tokens = 0
-		}
-		if t.tokens > s.cfg.TenantBurst {
-			t.tokens = s.cfg.TenantBurst
-		}
+		tokens, _ := strconv.Atoi(kv["tokens"])
+		t.tokens = min(max(tokens, 0), s.cfg.TenantBurst)
 	}
-	health, herr := parseHealth(iso.health)
-	brk, berr := resilience.RestoreBreaker(s.breakerConfig(t.id), iso.brk)
+	var snap resilience.BreakerSnap
+	snap.State = kv["brk-state"]
+	snap.OpenLeft, _ = strconv.Atoi(kv["brk-open-left"])
+	snap.Strikes, _ = strconv.Atoi(kv["brk-strikes"])
+	snap.Trips, _ = strconv.ParseUint(kv["brk-trips"], 10, 64)
+	snap.Heals, _ = strconv.ParseUint(kv["brk-heals"], 10, 64)
+	health, herr := parseHealth(kv["health"])
+	brk, berr := resilience.RestoreBreaker(s.breakerConfig(t.id), snap)
 	if herr != nil || berr != nil {
 		s.cfg.Warnf("ingest: warning: tenant %s isolation state unusable (%v, %v); resuming with a fresh bulkhead",
 			t.id, herr, berr)
@@ -172,52 +261,26 @@ func (s *Service) restoreIsolation(t *tenant, iso *isolationState) {
 	}
 	t.health = health
 	t.brk = brk
-	if s.cfg.Promote != nil && (iso.promoStrikes > 0 || iso.promoCooldown > 0) {
-		t.promo = s.newPromoter(t)
-		t.promo.RestoreBackoff(iso.promoStrikes, iso.promoCooldown)
-	}
 }
 
 // saveTenantFile writes a tenant's eviction checkpoint atomically.
 // Called from EndRound with producers quiesced, so the tenant's fields
 // are stable.
 func saveTenantFile(dir string, t *tenant) error {
-	agg := t.agg.Snapshot()
-	var meta bytes.Buffer
-	fmt.Fprintf(&meta, "deltas %d\n", t.deltas)
-	fmt.Fprintf(&meta, "last-active %d\n", t.lastActive)
-	fmt.Fprintf(&meta, "agg-hash %s\n", agg.Hash())
-	writeIsolation(&meta, t)
-	secs := []ckpt.Section{
-		{Name: "meta", Data: nil},
-		profileSection("aggregate", agg),
-	}
-	if t.baseline != nil {
-		fmt.Fprintf(&meta, "base-hash %s\n", t.baseline.Hash())
-		secs = append(secs, profileSection("baseline", t.baseline))
-	}
-	secs[0].Data = meta.Bytes()
+	secs := tenantSections(t, func(part string) string { return part })
 	if err := ckpt.SaveAtomic(tenantFile(dir, t.id), secs); err != nil {
 		return fmt.Errorf("ingest: evict %s: %w", t.id, err)
 	}
 	return nil
 }
 
-// restoredTenant is what loadTenantFile recovers.
-type restoredTenant struct {
-	aggregate *prof.Profile
-	baseline  *prof.Profile
-	deltas    uint64
-	iso       *isolationState
-}
-
-// loadTenantFile reads a tenant's eviction checkpoint leniently. A
+// loadTenantFile reads tenant id's eviction checkpoint leniently. A
 // missing file returns (nil, nil): the tenant is genuinely new. A
 // damaged file degrades to whatever survived — at minimum a fresh
-// tenant — with warnings; it never fails the Submit that triggered
-// the resurrection.
-func loadTenantFile(dir, id string, warnf func(string, ...any)) (*restoredTenant, error) {
-	path := tenantFile(dir, id)
+// tenant, an unusable aggregate resurrecting empty — with warnings; it
+// never fails the Submit that triggered the resurrection.
+func (s *Service) loadTenantFile(id string) (*tenant, error) {
+	path := tenantFile(s.cfg.StateDir, id)
 	secs, sal, err := ckpt.Load(path)
 	if err != nil {
 		return nil, resilience.Fault(resilience.PhaseIngest, resilience.KindCorrupt, id,
@@ -227,65 +290,39 @@ func loadTenantFile(dir, id string, warnf func(string, ...any)) (*restoredTenant
 		return nil, nil
 	}
 	if sal != nil && !sal.Clean() {
-		warnf("ingest: warning: tenant checkpoint %s damaged; salvaging (%s)", path, sal)
+		s.cfg.Warnf("ingest: warning: tenant checkpoint %s damaged; salvaging (%s)", path, sal)
 	}
+	byName := sectionMap(secs)
+	t, err := s.readTenant(id, func(part string) ([]byte, bool) {
+		data, ok := byName[part]
+		return data, ok
+	})
+	if err != nil {
+		s.cfg.Warnf("ingest: warning: tenant %s aggregate unusable, resurrecting empty: %v", id, err)
+	}
+	return t, nil
+}
+
+func sectionMap(secs []ckpt.Section) map[string][]byte {
 	byName := make(map[string][]byte, len(secs))
-	for _, s := range secs {
-		byName[s.Name] = s.Data
+	for _, sec := range secs {
+		byName[sec.Name] = sec.Data
 	}
-	res := &restoredTenant{aggregate: prof.New()}
-	kv := parseKV(byName["meta"])
-	if v, ok := kv["deltas"]; ok {
-		res.deltas, _ = strconv.ParseUint(v, 10, 64)
-	}
-	res.iso = parseIsolation(kv)
-	if data, ok := byName["aggregate"]; ok {
-		p, err := parseProfile(data)
-		if err != nil {
-			warnf("ingest: warning: tenant %s aggregate unparseable, resurrecting empty: %v", id, err)
-		} else if want := kv["agg-hash"]; want != "" && p.Hash() != want {
-			warnf("ingest: warning: tenant %s aggregate hash %s != recorded %s, resurrecting empty", id, p.Hash(), want)
-		} else {
-			res.aggregate = p
-		}
-	}
-	if data, ok := byName["baseline"]; ok {
-		p, err := parseProfile(data)
-		if err != nil {
-			warnf("ingest: warning: tenant %s baseline unparseable, dropping: %v", id, err)
-		} else if want := kv["base-hash"]; want != "" && p.Hash() != want {
-			warnf("ingest: warning: tenant %s baseline hash mismatch, dropping", id)
-		} else {
-			res.baseline = p
-		}
-	}
-	return res, nil
+	return byName
 }
 
 // checkpoint writes the service checkpoint for `round` completed
-// rounds. snaps holds the per-tenant aggregate snapshots EndRound
-// already took; tenants are serialized in sorted ID order so the file
-// bytes are deterministic.
-func (s *Service) checkpoint(round int, snaps map[string]*prof.Profile) error {
+// rounds. Tenants are serialized in sorted ID order so the file bytes
+// are deterministic.
+func (s *Service) checkpoint(round int) error {
 	var meta bytes.Buffer
 	fmt.Fprintf(&meta, "round %d\n", round)
 	if s.cfg.Fingerprint != "" {
 		fmt.Fprintf(&meta, "fingerprint %s\n", s.cfg.Fingerprint)
 	}
-	fmt.Fprintf(&meta, "deltas %d\n", s.met.prev.deltas+s.met.deltas.Load())
-	fmt.Fprintf(&meta, "batches %d\n", s.met.prev.batches+s.met.batches.Load())
-	fmt.Fprintf(&meta, "overloads %d\n", s.met.prev.overloads+s.met.overloads.Load())
-	fmt.Fprintf(&meta, "shed-deltas %d\n", s.met.prev.shedDeltas+s.met.shedDeltas.Load())
-	fmt.Fprintf(&meta, "evictions %d\n", s.met.prev.evictions+s.met.evictions.Load())
-	fmt.Fprintf(&meta, "resurrections %d\n", s.met.prev.resurrections+s.met.resurrections.Load())
-	fmt.Fprintf(&meta, "poison %d\n", s.met.prev.poisonRejects+s.met.poisonRejects.Load())
-	fmt.Fprintf(&meta, "quarantine-dropped %d\n", s.met.prev.quarantined+s.met.quarantined.Load())
-	fmt.Fprintf(&meta, "throttled %d\n", s.met.prev.throttled+s.met.throttled.Load())
-	fmt.Fprintf(&meta, "trips %d\n", s.met.prev.trips+s.met.trips.Load())
-	fmt.Fprintf(&meta, "heals %d\n", s.met.prev.heals+s.met.heals.Load())
-	fmt.Fprintf(&meta, "promotions %d\n", s.met.prev.promotions+s.met.promotions.Load())
-	fmt.Fprintf(&meta, "promo-rejects %d\n", s.met.prev.promoRejects+s.met.promoRejects.Load())
-	fmt.Fprintf(&meta, "promo-failures %d\n", s.met.prev.promoFailures+s.met.promoFailures.Load())
+	for _, c := range s.counters() {
+		fmt.Fprintf(&meta, "%s %d\n", c.key, *c.prev+c.cur.Load())
+	}
 
 	global := s.global.Snapshot()
 	fmt.Fprintf(&meta, "global-hash %s\n", global.Hash())
@@ -295,44 +332,50 @@ func (s *Service) checkpoint(round int, snaps map[string]*prof.Profile) error {
 	}
 
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	ts := make(map[string]*tenant, len(s.tenants))
-	for id, t := range s.tenants {
-		ts[id] = t
+	ts := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		ts = append(ts, t)
 	}
 	s.mu.Unlock()
-	sort.Strings(ids)
-
-	for _, id := range ids {
-		t := ts[id]
-		snap := snaps[id]
-		if snap == nil {
-			snap = t.agg.Snapshot()
-		}
-		var tm bytes.Buffer
-		fmt.Fprintf(&tm, "deltas %d\n", t.deltas)
-		fmt.Fprintf(&tm, "last-active %d\n", t.lastActive)
-		fmt.Fprintf(&tm, "drift %s\n", strconv.FormatFloat(t.drift, 'g', -1, 64))
-		fmt.Fprintf(&tm, "agg-hash %s\n", snap.Hash())
-		writeIsolation(&tm, t)
-		if t.baseline != nil {
-			fmt.Fprintf(&tm, "base-hash %s\n", t.baseline.Hash())
-		}
-		secs = append(secs,
-			ckpt.Section{Name: "tmeta-" + id, Data: tm.Bytes()},
-			profileSection("tprof-"+id, snap))
-		if t.baseline != nil {
-			secs = append(secs, profileSection("tbase-"+id, t.baseline))
-		}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
+	for _, t := range ts {
+		secs = append(secs, tenantSections(t, servicePart(t.id))...)
 	}
 
 	if err := ckpt.SaveAtomic(filepath.Join(s.cfg.StateDir, StateFile), secs); err != nil {
 		return fmt.Errorf("ingest: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// counter pairs a persisted counter's checkpoint key with its restored
+// value and this process's tally.
+type counter struct {
+	key  string
+	prev *uint64
+	cur  *atomic.Uint64
+}
+
+// counters lists the deterministic counters the checkpoint persists.
+func (s *Service) counters() []counter {
+	m := &s.met
+	return []counter{
+		{"deltas", &m.prev.deltas, &m.deltas},
+		{"batches", &m.prev.batches, &m.batches},
+		{"overloads", &m.prev.overloads, &m.overloads},
+		{"shed-deltas", &m.prev.shedDeltas, &m.shedDeltas},
+		{"evictions", &m.prev.evictions, &m.evictions},
+		{"resurrections", &m.prev.resurrections, &m.resurrections},
+		{"poison", &m.prev.poisonRejects, &m.poisonRejects},
+		{"quarantine-dropped", &m.prev.quarantined, &m.quarantined},
+		{"throttled", &m.prev.throttled, &m.throttled},
+		{"trips", &m.prev.trips, &m.trips},
+		{"heals", &m.prev.heals, &m.heals},
+		{"promotions", &m.prev.promotions, &m.promotions},
+		{"promo-rejects", &m.prev.promoRejects, &m.promoRejects},
+		{"promo-failures", &m.prev.promoFailures, &m.promoFailures},
+		{"faults", &m.prev.faults, &m.faults},
+	}
 }
 
 // restore loads the service checkpoint from cfg.StateDir into a
@@ -351,10 +394,7 @@ func (s *Service) restore() error {
 	if sal != nil && !sal.Clean() {
 		s.cfg.Warnf("ingest: warning: checkpoint %s damaged; salvaging (%s)", path, sal)
 	}
-	byName := make(map[string][]byte, len(secs))
-	for _, sec := range secs {
-		byName[sec.Name] = sec.Data
-	}
+	byName := sectionMap(secs)
 	metaData, ok := byName["meta"]
 	if !ok {
 		return fmt.Errorf("ingest: checkpoint %s unusable: meta section lost (%s)", path, sal)
@@ -369,38 +409,20 @@ func (s *Service) restore() error {
 		return fmt.Errorf("ingest: checkpoint %s unusable: bad round %q", path, kv["round"])
 	}
 	s.round.Store(int64(round))
-	parseCounter := func(key string, dst *uint64) {
-		if v, ok := kv[key]; ok {
-			*dst, _ = strconv.ParseUint(v, 10, 64)
+	for _, c := range s.counters() {
+		if v, ok := kv[c.key]; ok {
+			*c.prev, _ = strconv.ParseUint(v, 10, 64)
 		}
 	}
-	parseCounter("deltas", &s.met.prev.deltas)
-	parseCounter("batches", &s.met.prev.batches)
-	parseCounter("overloads", &s.met.prev.overloads)
-	parseCounter("shed-deltas", &s.met.prev.shedDeltas)
-	parseCounter("evictions", &s.met.prev.evictions)
-	parseCounter("resurrections", &s.met.prev.resurrections)
-	parseCounter("poison", &s.met.prev.poisonRejects)
-	parseCounter("quarantine-dropped", &s.met.prev.quarantined)
-	parseCounter("throttled", &s.met.prev.throttled)
-	parseCounter("trips", &s.met.prev.trips)
-	parseCounter("heals", &s.met.prev.heals)
-	parseCounter("promotions", &s.met.prev.promotions)
-	parseCounter("promo-rejects", &s.met.prev.promoRejects)
-	parseCounter("promo-failures", &s.met.prev.promoFailures)
 
-	if data, ok := byName["global"]; ok {
-		p, err := parseProfile(data)
-		switch {
-		case err != nil:
-			s.cfg.Warnf("ingest: warning: global aggregate unparseable, restarting empty: %v", err)
-		case kv["global-hash"] != "" && p.Hash() != kv["global-hash"]:
-			s.cfg.Warnf("ingest: warning: global aggregate hash %s != recorded %s, restarting empty", p.Hash(), kv["global-hash"])
-		default:
-			s.global.Add(p)
-		}
+	section := func(name string) ([]byte, bool) {
+		data, ok := byName[name]
+		return data, ok
+	}
+	if p, err := readProfile(section, "global", kv["global-hash"]); err != nil {
+		s.cfg.Warnf("ingest: warning: checkpoint %s: global aggregate unusable, restarting it empty: %v", path, err)
 	} else {
-		s.cfg.Warnf("ingest: warning: checkpoint %s lost its global section; restarting the global aggregate empty", path)
+		s.global.Add(p)
 	}
 
 	for _, sec := range secs {
@@ -412,41 +434,12 @@ func (s *Service) restore() error {
 			s.cfg.Warnf("ingest: warning: dropping checkpointed tenant with invalid id %q", id)
 			continue
 		}
-		tkv := parseKV(sec.Data)
-		profData, ok := byName["tprof-"+id]
-		if !ok {
-			s.cfg.Warnf("ingest: warning: tenant %s lost its aggregate section; dropping (its counts remain in the global aggregate)", id)
-			continue
-		}
-		agg, err := parseProfile(profData)
+		name := servicePart(id)
+		t, err := s.readTenant(id, func(part string) ([]byte, bool) { return section(name(part)) })
 		if err != nil {
-			s.cfg.Warnf("ingest: warning: tenant %s aggregate unparseable; dropping: %v", id, err)
+			s.cfg.Warnf("ingest: warning: tenant %s dropped (its counts remain in the global aggregate): %v", id, err)
 			continue
 		}
-		if want := tkv["agg-hash"]; want != "" && agg.Hash() != want {
-			s.cfg.Warnf("ingest: warning: tenant %s aggregate hash %s != recorded %s; dropping", id, agg.Hash(), want)
-			continue
-		}
-		t := &tenant{
-			id: id, agg: s.newTenantAgg(),
-			brk:    resilience.NewBreaker(s.breakerConfig(id)),
-			tokens: s.cfg.TenantBurst,
-		}
-		t.agg.Add(agg)
-		t.deltas, _ = strconv.ParseUint(tkv["deltas"], 10, 64)
-		t.lastActive, _ = strconv.Atoi(tkv["last-active"])
-		t.drift, _ = strconv.ParseFloat(tkv["drift"], 64)
-		if baseData, ok := byName["tbase-"+id]; ok {
-			base, err := parseProfile(baseData)
-			if err != nil {
-				s.cfg.Warnf("ingest: warning: tenant %s baseline unparseable; dropping baseline: %v", id, err)
-			} else if want := tkv["base-hash"]; want != "" && base.Hash() != want {
-				s.cfg.Warnf("ingest: warning: tenant %s baseline hash mismatch; dropping baseline", id)
-			} else {
-				t.baseline = base
-			}
-		}
-		s.restoreIsolation(t, parseIsolation(tkv))
 		s.tenants[id] = t
 	}
 	return nil

@@ -206,7 +206,7 @@ func TestIngestEvictionFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sim := smallSim(t, 1, 1)
 	tn := &tenant{id: "t-round", agg: nil, deltas: 7, lastActive: 3}
-	svc, err := Open(Config{Workers: 1})
+	svc, err := Open(Config{Workers: 1, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestIngestEvictionFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := loadTenantFile(dir, "t-round", func(string, ...any) {})
+	res, err := svc.loadTenantFile("t-round")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +229,14 @@ func TestIngestEvictionFileRoundTrip(t *testing.T) {
 	if res.deltas != 7 {
 		t.Errorf("deltas = %d, want 7", res.deltas)
 	}
-	if !bytes.Equal(serialized(t, res.aggregate), serialized(t, tn.agg.Snapshot())) {
+	if !bytes.Equal(serialized(t, res.agg.Snapshot()), serialized(t, tn.agg.Snapshot())) {
 		t.Error("aggregate did not round-trip")
 	}
 	if !bytes.Equal(serialized(t, res.baseline), serialized(t, tn.baseline)) {
 		t.Error("baseline did not round-trip")
 	}
 
-	missing, err := loadTenantFile(dir, "no-such-tenant", func(string, ...any) {})
+	missing, err := svc.loadTenantFile("no-such-tenant")
 	if err != nil || missing != nil {
 		t.Errorf("missing tenant file: got (%v, %v), want (nil, nil)", missing, err)
 	}

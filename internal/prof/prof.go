@@ -264,7 +264,7 @@ func (p *Profile) HotSet(budget float64) map[string]uint64 {
 	return out
 }
 
-// HotOverlap is the drift statistic of the fleet profiling service: the
+// HotOverlap is the drift statistic of the profile-ingestion loop: the
 // histogram intersection of the two profiles' budget-selected hot sets,
 // Σ min(ŵ_live, ŵ_base) over hot items, where ŵ is an item's weight
 // normalized by its profile's total hot weight. It is 1 exactly when

@@ -26,8 +26,10 @@ package pibe
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
+	"sort"
 
 	"repro/internal/attack"
 	"repro/internal/cpu"
@@ -35,6 +37,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/harden"
 	"repro/internal/icp"
+	"repro/internal/ingest"
 	"repro/internal/inline"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -551,17 +554,18 @@ func (img *Image) DumpFunction(name string) string {
 	return ir.Print(f)
 }
 
-// FleetConfig configures continuous fleet profiling (see internal/fleet):
-// N concurrent workload runners stream profile deltas into a sharded
-// aggregator with per-epoch exponential decay; a drift detector compares
-// the live hot set against the profile the active image was built from
-// and rebuilds the image from the fresh aggregate when overlap falls
-// below the threshold. A rebuilt image is not trusted blindly: it must
-// pass differential validation against the unoptimized-but-hardened
-// reference (internal/diffcheck), then serve a canary window, and is
-// promoted only when its canary latency stays within RegressionBudget of
-// the incumbent and no new fault kinds appeared — otherwise the
-// incumbent keeps serving.
+// FleetConfig configures continuous fleet profiling: every epoch, N
+// concurrent workload runners profile the live image and stream their
+// deltas into a one-tenant profile-ingestion service (internal/ingest),
+// whose aggregate decays once per epoch. At each epoch's barrier a
+// drift detector compares the live hot set against the profile the
+// active image was built from and rebuilds the image from the fresh
+// aggregate when overlap falls below the threshold. A rebuilt image is
+// not trusted blindly: it must pass differential validation against the
+// unoptimized-but-hardened reference (internal/diffcheck), then serve a
+// canary window, and is promoted only when its canary latency stays
+// within RegressionBudget of the incumbent and no new fault kinds
+// appeared — otherwise the incumbent keeps serving.
 type FleetConfig struct {
 	// Runners is the concurrent collector count per epoch (default 4);
 	// runner i profiles Mix[i%len(Mix)].
@@ -576,12 +580,12 @@ type FleetConfig struct {
 	// aggregate snapshots (absent fault injection).
 	Seed int64
 	// Decay is the per-epoch count multiplier in (0, 1]; 0 means the
-	// default 0.5, 1 disables decay.
+	// default 0.5, 1 disables decay, and anything else is rejected.
 	Decay float64
 	// Mix lists the flavors the fleet runs (default all-LMBench).
 	Mix []Workload
-	// HotBudget is the cumulative-weight budget defining the hot set the
-	// drift detector compares (default 0.99).
+	// HotBudget is the cumulative-weight budget in (0, 1] defining the
+	// hot set the drift detector compares (0 means the default 0.99).
 	HotBudget float64
 	// DriftThreshold triggers a rebuild when live-vs-baseline hot-set
 	// overlap falls below it; 0 disables drift-triggered rebuilds.
@@ -594,10 +598,13 @@ type FleetConfig struct {
 	// tolerated versus the incumbent before the candidate is rolled back
 	// (0 means the default 0.05; negative means zero tolerance).
 	RegressionBudget float64
-	// StateDir, when non-empty, makes the fleet crash-safe: the service
-	// checkpoints its aggregate, counters and promotion state there
-	// after every epoch, and NewFleet resumes mid-loop from an existing
-	// checkpoint (losing at most the epoch that was in flight).
+	// StateDir, when non-empty, makes the fleet crash-safe: the ingest
+	// service checkpoints its aggregate, counters and promotion state
+	// there after every epoch (creating the directory if needed), and
+	// NewFleet resumes mid-loop from an existing checkpoint (losing at
+	// most the epoch that was in flight). A checkpoint written under a
+	// different configuration — anything but Epochs and Shards — is
+	// rejected instead of resumed.
 	StateDir string
 	// Build is the image configuration the rebuild controller uses; its
 	// Profile field is replaced by the baseline profile for the initial
@@ -614,6 +621,43 @@ type FleetConfig struct {
 	// before differential validation, which must then reject the
 	// candidate. Never set in production.
 	TamperRebuild func(*ir.Module)
+}
+
+func (c FleetConfig) withDefaults() FleetConfig {
+	if c.Runners <= 0 {
+		c.Runners = 4
+	}
+	if c.Shards <= 0 {
+		c.Shards = 8
+	}
+	if c.Epochs <= 0 {
+		c.Epochs = 1
+	}
+	if c.OpsScale <= 0 {
+		c.OpsScale = 2
+	}
+	if len(c.Mix) == 0 {
+		c.Mix = []Workload{LMBench}
+	}
+	if c.Measure && workload.Request(c.MeasureApp) == nil {
+		c.MeasureApp = Apache
+	}
+	return c
+}
+
+// fingerprint identifies the configuration a fleet checkpoint was
+// written under. It covers everything that changes what the collectors
+// report or what the loop decides, and leaves out Epochs (a finished
+// run resumes with more), Shards (striping never changes a count) and
+// the measurement settings.
+func (c FleetConfig) fingerprint() string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "seed %d\nrunners %d\nops-scale %d\nmix %v\ndecay %g\nhot-budget %g\n",
+		c.Seed, c.Runners, c.OpsScale, c.Mix, c.Decay, c.HotBudget)
+	fmt.Fprintf(h, "drift-threshold %g\ncanary-epochs %d\nregression-budget %g\n",
+		c.DriftThreshold, c.CanaryEpochs, c.RegressionBudget)
+	fmt.Fprintf(h, "build %+v %+v %t\n", c.Build.Optimize, c.Build.Defenses, c.Build.JumpSwitches)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // FleetEpoch is one epoch of a fleet run: the collection tallies, the
@@ -643,7 +687,8 @@ type FleetEpoch struct {
 	// cool-down remained (counting this one) when drift was detected but
 	// the rebuild was suppressed after recent rejections.
 	CoolingDown int
-	// Sites and Ops describe the aggregate snapshot.
+	// Sites and Ops describe the aggregate snapshot the drift detector
+	// read (before the epoch's decay).
 	Sites int
 	Ops   uint64
 	// RequestCycles is the overhead-trajectory sample (0 when Measure is
@@ -668,62 +713,89 @@ type FleetResult struct {
 	// Partial reports that some collectors aborted or failed and the
 	// aggregate under-counts the fleet (graceful degradation).
 	Partial bool
-	// Final is the aggregate snapshot after the last epoch.
+	// Final is the aggregate snapshot the drift detector read at the
+	// last epoch's barrier. After a resume that left no epoch to run, it
+	// is the restored aggregate, which that barrier already decayed.
 	Final *Profile
 }
 
-// Fleet couples a fleet profiling service to this system's build
-// pipeline: it keeps an active (incumbent) image, detects workload
-// drift against the profile that image was built from, re-optimizes on
-// drift, and promotes the rebuilt image only after it passes
-// differential validation and its canary window.
+// fleetTenant is the one tenant a Fleet's ingest service runs.
+const fleetTenant = "fleet"
+
+// Fleet couples a one-tenant profile-ingestion service to this
+// system's build pipeline: it keeps an active (incumbent) image, feeds
+// the service deltas from real workload runs, re-optimizes when the
+// service detects drift against the profile that image was built from,
+// and promotes the rebuilt image only after it passes differential
+// validation and its canary window.
 type Fleet struct {
-	sys      *System
-	cfg      FleetConfig
-	baseline *Profile
-	img      *Image
+	sys *System
+	cfg FleetConfig
+	img *Image
 	// ref is the lazily built unoptimized-but-hardened reference image
 	// candidates are differentially validated against.
 	ref *Image
-	// state is a checkpoint loaded from cfg.StateDir, applied to the
-	// service before Run.
-	state *fleet.State
+	svc *ingest.Service
+	// res is the result Run is filling; tally the collector tallies of
+	// the epoch whose barrier is running. epochRow reads both.
+	res   *FleetResult
+	tally FleetEpoch
 }
 
-// NewFleet builds the initial image from baseline (via cfg.Build with
-// its Profile replaced by baseline) and returns a fleet whose drift
-// detector compares live aggregates against that baseline. When
-// cfg.StateDir holds a checkpoint from an interrupted run, the fleet
-// resumes from it: the checkpointed baseline (which reflects any
-// promotions before the crash) drives the initial image and Run
-// continues at the checkpointed epoch. The system's chaos injector, if
-// armed, is threaded through the collectors.
+// NewFleet opens the fleet's ingest service and builds the initial
+// image from baseline (via cfg.Build with its Profile replaced by
+// baseline); the drift detector compares live aggregates against that
+// baseline. When cfg.StateDir holds a checkpoint from an interrupted
+// run, the fleet resumes from it: the checkpointed baseline (which
+// reflects any promotions before the crash) drives the initial image,
+// an in-flight canary is rebuilt, and Run continues at the checkpointed
+// epoch. The system's chaos injector, if armed, is threaded through the
+// collectors. The service stays open, with one merge goroutine, until
+// Run returns.
 func (s *System) NewFleet(baseline *Profile, cfg FleetConfig) (f *Fleet, err error) {
 	defer resilience.RecoverPanic(&err, resilience.PhaseFleet, "NewFleet")
 	if baseline == nil {
 		return nil, errors.New("pibe: fleet requires a baseline profile")
 	}
-	var st *fleet.State
-	if cfg.StateDir != "" {
-		loaded, _, err := fleet.LoadState(cfg.StateDir)
-		if err != nil {
-			return nil, fmt.Errorf("pibe: fleet resume: %w", err)
+	cfg = cfg.withDefaults()
+	for _, w := range cfg.Mix {
+		if workload.Mix(w) == nil {
+			return nil, fmt.Errorf("pibe: fleet flavor %v has no workload mix", w)
 		}
-		st = loaded
-		if st != nil && st.Baseline != nil {
-			// The checkpointed baseline is the profile the incumbent at
-			// crash time was built from; rebuilding from it restores that
-			// incumbent exactly (builds are deterministic).
-			baseline = &Profile{p: st.Baseline}
-		}
+	}
+	f = &Fleet{sys: s, cfg: cfg}
+	f.svc, err = ingest.Open(ingest.Config{
+		TenantShards: cfg.Shards,
+		Workers:      1,
+		Decay:        cfg.Decay,
+		HotBudget:    cfg.HotBudget,
+		Baseline:     baseline.p,
+		Promote: &fleet.PromoteConfig{
+			DriftThreshold:   cfg.DriftThreshold,
+			CanarySteps:      cfg.CanaryEpochs,
+			RegressionBudget: cfg.RegressionBudget,
+		},
+		NewController: func(string) *fleet.Controller { return f.controller() },
+		OnRound:       f.epochRow,
+		StateDir:      cfg.StateDir,
+		Fingerprint:   cfg.fingerprint(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	if b := f.svc.Baseline(fleetTenant); b != nil {
+		// The checkpointed baseline is the profile the incumbent at
+		// crash time was built from; rebuilding from it restores that
+		// incumbent exactly (builds are deterministic).
+		baseline = &Profile{p: b}
 	}
 	bc := cfg.Build
 	bc.Profile = baseline
-	img, err := s.Build(bc)
-	if err != nil {
+	if f.img, err = s.Build(bc); err != nil {
+		f.svc.Close()
 		return nil, fmt.Errorf("pibe: fleet initial build: %w", err)
 	}
-	return &Fleet{sys: s, cfg: cfg, baseline: baseline, img: img, state: st}, nil
+	return f, nil
 }
 
 // Image returns the currently active (most recently promoted) image.
@@ -799,53 +871,12 @@ func (f *Fleet) canaryMetric(img *Image) (float64, error) {
 	return math.Exp(logSum / float64(len(lats))), nil
 }
 
-// Run executes the configured epochs: concurrent collection, sharded
-// aggregation with decay, drift detection, and canary-gated rebuild
-// promotion. It returns a partial result alongside the error when the
-// run degrades terminally (for example, every collector failing).
-func (f *Fleet) Run() (res *FleetResult, err error) {
-	defer resilience.RecoverPanic(&err, resilience.PhaseFleet, "Fleet.Run")
-	measureApp := f.cfg.MeasureApp
-	if f.cfg.Measure && workload.Request(measureApp) == nil {
-		measureApp = Apache
-	}
-	res = &FleetResult{}
-	fcfg := fleet.Config{
-		Runners:          f.cfg.Runners,
-		Shards:           f.cfg.Shards,
-		Epochs:           f.cfg.Epochs,
-		OpsScale:         f.cfg.OpsScale,
-		Seed:             f.cfg.Seed,
-		Decay:            f.cfg.Decay,
-		Mix:              f.cfg.Mix,
-		HotBudget:        f.cfg.HotBudget,
-		DriftThreshold:   f.cfg.DriftThreshold,
-		CanaryEpochs:     f.cfg.CanaryEpochs,
-		RegressionBudget: f.cfg.RegressionBudget,
-		StateDir:         f.cfg.StateDir,
-		Inject:           f.sys.inject,
-		Engine:           f.sys.engine,
-		OnEpoch: func(r fleet.EpochReport) error {
-			fe := FleetEpoch{
-				Epoch: r.Epoch, Merged: r.Merged, Aborted: r.Aborted, Failed: r.Failed,
-				FaultKinds: r.FaultKinds,
-				Overlap:    r.Overlap, Rebuilt: r.Rebuilt, RebuildErr: r.RebuildErr,
-				Canary: r.Canary, Promoted: r.Promoted, Rejected: r.Rejected,
-				CoolingDown: r.CoolingDown,
-				Sites:       r.Sites, Ops: r.Ops,
-			}
-			if f.cfg.Measure {
-				c, err := f.img.MeasureRequestCycles(measureApp)
-				if err != nil {
-					return fmt.Errorf("trajectory measurement: %w", err)
-				}
-				fe.RequestCycles = c
-			}
-			res.Epochs = append(res.Epochs, fe)
-			return nil
-		},
-	}
-	ctrl := &fleet.Controller{
+// controller is the fleet tenant's rebuild controller: a candidate is
+// built from the drifted snapshot, validated against the reference,
+// canaried on the mix's request latency, and promoted by swapping the
+// active image.
+func (f *Fleet) controller() *fleet.Controller {
+	return &fleet.Controller{
 		Rebuild: func(snap *prof.Profile) (*fleet.Candidate, error) {
 			bc := f.cfg.Build
 			bc.Profile = &Profile{p: snap}
@@ -866,34 +897,161 @@ func (f *Fleet) Run() (res *FleetResult, err error) {
 			return &fleet.Candidate{
 				Validate: func() error { return f.validateCandidate(img) },
 				Measure:  func() (float64, error) { return f.canaryMetric(img) },
-				Promote: func() error {
-					f.img = img
-					f.baseline = bc.Profile
-					return nil
-				},
+				Promote:  func() error { f.img = img; return nil },
 			}, nil
 		},
 		Incumbent: func() (float64, error) { return f.canaryMetric(f.img) },
 	}
-	svc, err := fleet.New(f.sys.Kernel, f.sys.prog, fcfg, f.baseline.p, ctrl)
+}
+
+// Run executes the configured epochs, from the checkpointed epoch when
+// NewFleet resumed: each epoch's collectors profile the mix on real
+// workload runs and submit their deltas, and the service's barrier
+// measures drift and steps the canary-gated promotion pipeline. Run
+// closes the fleet's service, so it may be called once. It returns a
+// partial result alongside the error when the run degrades terminally
+// (for example, every collector failing).
+func (f *Fleet) Run() (res *FleetResult, err error) {
+	defer resilience.RecoverPanic(&err, resilience.PhaseFleet, "Fleet.Run")
+	defer f.svc.Close()
+	res = &FleetResult{StartEpoch: f.svc.Round()}
+	f.res = res
+	for e := res.StartEpoch; e < f.cfg.Epochs && err == nil; e++ {
+		err = f.runEpoch(e)
+	}
+	st := f.svc.Stats()
+	res.Rebuilds = int(st.Promotions)
+	res.RebuildFailures = int(st.PromoFailures)
+	res.Rejections = int(st.PromoRejects)
+	res.Partial = st.Faults > 0
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	if f.state != nil {
-		if err := svc.Restore(f.state); err != nil {
-			return nil, fmt.Errorf("pibe: fleet restore: %w", err)
+	if res.Final == nil {
+		if snap := f.svc.TenantSnapshot(fleetTenant); snap != nil {
+			res.Final = &Profile{p: snap}
 		}
-		res.StartEpoch = f.state.Epoch
 	}
-	fres, err := svc.Run()
-	res.Rebuilds = fres.Rebuilds
-	res.RebuildFailures = fres.RebuildFailures
-	res.Rejections = fres.Rejections
-	res.Partial = fres.Partial
-	if fres.Final != nil {
-		res.Final = &Profile{p: fres.Final}
+	if res.Final == nil || len(res.Final.p.Sites) == 0 && len(res.Final.p.Invocations) == 0 {
+		return res, resilience.Faultf(resilience.PhaseFleet, resilience.KindEmptyAggregate, "aggregate",
+			"pibe: fleet: every collector failed; nothing aggregated after %d epochs", f.cfg.Epochs)
 	}
-	return res, err
+	return res, nil
+}
+
+// runEpoch runs one epoch's collectors concurrently, submits what each
+// collected and reports each aborted or failed collector's fault kind,
+// then runs the service's barrier (which calls epochRow).
+func (f *Fleet) runEpoch(epoch int) error {
+	deltas := make([]fleetDelta, f.cfg.Runners)
+	err := workload.RunCells(f.cfg.Runners, f.cfg.Runners, func(i int) error {
+		d := f.collect(epoch, i)
+		deltas[i] = d
+		if d.p != nil {
+			if err := f.svc.Submit(fleetTenant, d.p); err != nil {
+				return err
+			}
+		}
+		if d.aborted || d.p == nil {
+			return f.svc.ReportFault(fleetTenant, d.kind)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("pibe: fleet epoch %d: %w", epoch, err)
+	}
+	f.tally = FleetEpoch{}
+	kinds := make(map[string]bool)
+	for _, d := range deltas {
+		switch {
+		case d.p == nil:
+			f.tally.Failed++
+		case d.aborted:
+			f.tally.Aborted++
+			f.tally.Merged++
+		default:
+			f.tally.Merged++
+		}
+		if d.kind != "" && !kinds[d.kind] {
+			kinds[d.kind] = true
+			f.tally.FaultKinds = append(f.tally.FaultKinds, d.kind)
+		}
+	}
+	sort.Strings(f.tally.FaultKinds)
+	if err := f.svc.EndRound(); err != nil {
+		return fmt.Errorf("pibe: fleet epoch %d: %w", epoch, err)
+	}
+	return nil
+}
+
+// epochRow is the service's OnRound observer: after the barrier's
+// promotion decision and before its checkpoint, it completes the
+// epoch's row and takes the trajectory sample. A failed sample aborts
+// the barrier, losing exactly the epoch in flight.
+func (f *Fleet) epochRow(r ingest.TenantRound) error {
+	row := f.tally
+	row.Epoch, row.Overlap = r.Round, r.Drift
+	row.Rebuilt, row.RebuildErr = r.Promotion.Rebuilt, r.Promotion.RebuildErr
+	row.Canary, row.Promoted, row.Rejected = r.Promotion.Canary, r.Promotion.Promoted, r.Promotion.Rejected
+	row.CoolingDown = r.Promotion.CoolingDown
+	row.Sites, row.Ops = len(r.Snapshot.Sites), r.Snapshot.Ops
+	if f.cfg.Measure {
+		c, err := f.img.MeasureRequestCycles(f.cfg.MeasureApp)
+		if err != nil {
+			return fmt.Errorf("trajectory measurement: %w", err)
+		}
+		row.RequestCycles = c
+	}
+	f.res.Epochs = append(f.res.Epochs, row)
+	f.res.Final = &Profile{p: r.Snapshot}
+	return nil
+}
+
+// fleetDelta is one collector's contribution to an epoch: a complete
+// profile, the partial profile an aborted run salvaged (aborted), or
+// nothing (failed). kind is the fault kind behind an abort or failure,
+// when it was structured.
+type fleetDelta struct {
+	p       *prof.Profile
+	aborted bool
+	kind    string
+}
+
+// collect runs collector i of an epoch: a profiling run of its flavor,
+// seeded from (Seed, epoch, i), degrading an aborted run to its
+// salvaged partial profile and a panic to a failed delta.
+func (f *Fleet) collect(epoch, i int) (d fleetDelta) {
+	defer func() {
+		if r := recover(); r != nil {
+			d = fleetDelta{kind: string(resilience.KindPanic)}
+		}
+	}()
+	kind := func(err error) string {
+		if fe, ok := resilience.AsFault(err); ok {
+			return string(fe.Kind)
+		}
+		return ""
+	}
+	seed := f.cfg.Seed*1_000_003 + int64(epoch)*8191 + int64(i)*127 + 1
+	r, err := workload.NewRunner(f.sys.Kernel, f.sys.prog, f.cfg.Mix[i%len(f.cfg.Mix)], seed)
+	if err != nil {
+		return fleetDelta{kind: kind(err)}
+	}
+	r.Inject = f.sys.inject
+	r.Engine = f.sys.engine
+	p, err := r.Profile(f.cfg.OpsScale)
+	switch {
+	case p == nil:
+		return fleetDelta{kind: kind(err)}
+	case err != nil && resilience.IsAbort(err):
+		if len(p.Sites) == 0 && len(p.Invocations) == 0 {
+			return fleetDelta{kind: kind(err)}
+		}
+		return fleetDelta{p: p, aborted: true, kind: kind(err)}
+	case err != nil:
+		return fleetDelta{kind: kind(err)}
+	}
+	return fleetDelta{p: p}
 }
 
 // HotSetOverlap exposes the fleet drift statistic: the fraction of a's
