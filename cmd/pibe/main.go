@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	pibe profile  [-seed N] [-workload lmbench|apache] [-o profile.txt]
+//	pibe profile  [-seed N] [-workload lmbench|apache|nginx|dbench] [-o profile.txt]
 //	pibe build    [-seed N] [-profile profile.txt] [-defenses all|retpolines|ret-retpolines|lvi|fineibt|pac-cfi|verifence|none]
 //	              [-icp 0.99999] [-inline 0.999999] [-lax 0.99] [-llvm-inliner] [-jumpswitches]
 //	              [-measure] [-security]
 //	pibe measure  [-seed N] [-profile profile.txt] ... (build + LMBench latencies)
-//	pibe top      [-seed N] [-workload lmbench|apache] [-n 30]   (hottest call sites)
+//	pibe top      [-seed N] [-workload lmbench|apache|nginx|dbench] [-n 30]   (hottest call sites)
 //	pibe dump     [-seed N] -func NAME [...build flags]          (one function's IR)
 //	pibe fleet    [-seed N] [-fleet 4] [-fleet-shards 8] [-fleet-epochs 3]
 //	              [-drift-threshold 0.75] [-fleet-mix apache,nginx] [-fleet-decay 0.5]
@@ -102,8 +102,10 @@
 // pre-compiled threaded code (closure chains) instead of per-instruction
 // dispatch; it is cycle-exact against the interpreter — profiles,
 // latencies, sweep surfaces and censuses are identical — so the flag
-// only changes wall-clock time. Machines the compiled tier cannot run
-// (live recorder, hook, injector, exact accounting) silently fall back.
+// only changes wall-clock time. Profiling machines carry a recorder and
+// no CPU model, and run on the compiled tier's model-free chain.
+// Machines the compiled tier cannot run (hook, injector, exact
+// accounting, or a recorder beside a CPU model) silently fall back.
 //
 // Fleet mode runs continuous profiling as the ingest service with one
 // tenant: -fleet concurrent collectors per epoch profile real workload
@@ -159,7 +161,7 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "kernel generation seed")
-	workloadName := fs.String("workload", "lmbench", "profiling workload: lmbench or apache")
+	workloadName := fs.String("workload", "lmbench", "profiling workload: lmbench, apache, nginx or dbench")
 	out := fs.String("o", "", "output file (default stdout)")
 	profilePath := fs.String("profile", "", "profile file from 'pibe profile'")
 	defenses := fs.String("defenses", "all", "defenses: all, retpolines, ret-retpolines, lvi, fineibt, pac-cfi, verifence, none")
@@ -213,7 +215,7 @@ func main() {
 	ingestShed := fs.Bool("ingest-shed", false,
 		"shed batches with an overload fault when the merge queue is full (default: block)")
 	ingestIdleEvict := fs.Int("ingest-idle-evict", 4,
-		"evict a tenant after this many idle rounds")
+		"evict a tenant after this many idle rounds (0 selects the default 4)")
 	ingestTripFaults := fs.Uint64("ingest-trip-faults", 8,
 		"tenant faults (poison + throttle) in one round that trip its circuit breaker")
 	ingestOpenRounds := fs.Int("ingest-open-rounds", 2,
@@ -331,11 +333,7 @@ func main() {
 
 	switch cmd {
 	case "top":
-		flavor := pibe.LMBench
-		if *workloadName == "apache" {
-			flavor = pibe.Apache
-		}
-		p, err := sys.Profile(flavor, 5)
+		p, err := sys.Profile(parseFlavor(*workloadName), 5)
 		check(err)
 		fmt.Fprint(w, p.TopReport(*topN))
 
@@ -354,11 +352,7 @@ func main() {
 		fmt.Fprint(w, out)
 
 	case "profile":
-		flavor := pibe.LMBench
-		if *workloadName == "apache" {
-			flavor = pibe.Apache
-		}
-		p := collectProfile(sys, flavor)
+		p := collectProfile(sys, parseFlavor(*workloadName))
 		_, err = p.WriteTo(w)
 		check(err)
 
@@ -505,23 +499,31 @@ func main() {
 	}
 }
 
-// parseMix parses a comma-separated flavor list ("apache,nginx").
+// parseFlavor parses one workload name: lmbench, apache, nginx or
+// dbench. Any other name exits 2.
+func parseFlavor(name string) pibe.Workload {
+	switch name {
+	case "lmbench":
+		return pibe.LMBench
+	case "apache":
+		return pibe.Apache
+	case "nginx":
+		return pibe.Nginx
+	case "dbench":
+		return pibe.DBench
+	}
+	fmt.Fprintf(os.Stderr, "pibe: unknown workload %q (want lmbench, apache, nginx or dbench)\n", name)
+	os.Exit(2)
+	return 0
+}
+
+// parseMix parses a comma-separated flavor list ("apache,nginx");
+// an empty list is LMBench alone.
 func parseMix(s string) []pibe.Workload {
 	var mix []pibe.Workload
 	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(name) {
-		case "lmbench":
-			mix = append(mix, pibe.LMBench)
-		case "apache":
-			mix = append(mix, pibe.Apache)
-		case "nginx":
-			mix = append(mix, pibe.Nginx)
-		case "dbench":
-			mix = append(mix, pibe.DBench)
-		case "":
-		default:
-			fmt.Fprintf(os.Stderr, "pibe: unknown workload %q in mix\n", name)
-			os.Exit(2)
+		if name = strings.TrimSpace(name); name != "" {
+			mix = append(mix, parseFlavor(name))
 		}
 	}
 	if len(mix) == 0 {

@@ -75,8 +75,9 @@ type Config struct {
 	// the decayed aggregate. It must lie in (0, 1]: 1 disables decay,
 	// 0 selects the default 0.5.
 	Decay float64
-	// IdleEvict is how many consecutive idle rounds a tenant survives
-	// before eviction; 0 disables eviction (default 4).
+	// IdleEvict is how many consecutive idle rounds a tenant may have:
+	// the barrier that ends its IdleEvict-th idle round evicts it. 0
+	// selects the default 4, so eviction cannot be turned off.
 	IdleEvict int
 	// HotBudget is the hot-set budget for per-tenant drift, in (0, 1]
 	// (0 selects the default 0.99): drift is prof.HotOverlap of the

@@ -46,6 +46,38 @@ func TestIngestRejectsOutOfRangeKnobs(t *testing.T) {
 	}
 }
 
+// TestIdleEvictZeroIsDefault: IdleEvict 0 selects the default 4, not
+// "never": a tenant active in round 0 survives three idle barriers and
+// the fourth evicts it.
+func TestIdleEvictZeroIsDefault(t *testing.T) {
+	svc, err := Open(Config{Workers: 1, IdleEvict: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.Submit("a", sitesDelta(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.EndRound(); err != nil {
+		t.Fatal(err)
+	}
+	for idle := 1; idle <= 4; idle++ {
+		if err := svc.EndRound(); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(0)
+		if idle == 4 {
+			want = 1
+		}
+		if got := svc.Stats().Evictions; got != want {
+			t.Fatalf("after idle round %d: %d evictions, want %d", idle, got, want)
+		}
+	}
+	if svc.TenantSnapshot("a") != nil {
+		t.Fatal("tenant still resident after its fourth idle round")
+	}
+}
+
 // TestDecayEveryBarrier: every barrier decays every tenant once, active
 // ones included, after OnRound saw the undecayed snapshot; the service
 // checkpoint and the eviction file hold the decayed aggregate.

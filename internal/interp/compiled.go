@@ -39,11 +39,24 @@
 //     into the first event's closure, as is every superblock seam
 //     (cStep) for the event that follows it.
 //
-// The tier is opt-in (Machine.Engine) and conservative: machines with a
-// Recorder, ICallHook, Injector, replaced RNG or ExactAccounting fall
-// back to the interpreter silently — those paths observe per-event
-// execution and the compiled chain does not expose it. OnResolve is
-// supported (diffcheck depends on it).
+// Machines without a cpu.Model run a second, model-free chain built by
+// the same compileProgram skeleton: the same block split, leaf
+// descriptors, frame protocol and fault helpers, with per-event
+// closures that keep only what such a run can observe — the step/fuel
+// sequence points at block entries and seams, control flow, RNG draws,
+// resolver picks, OnResolve, traps and the Recorder's counts. The
+// counts land at the interpreter's sequence points: a direct or
+// indirect edge before the callee's depth check, the callee's
+// invocation after it (the entry's too), so every profile, partial
+// ones after a fuel, depth or unresolved-site trap included, is
+// byte-identical to the interpreter's. Profile collection runs on it.
+//
+// The tier is opt-in (Machine.Engine) and conservative: machines with an
+// ICallHook, Injector, replaced RNG or ExactAccounting, and machines
+// carrying a Recorder beside a cpu.Model, fall back to the interpreter
+// silently — those paths observe per-event execution the closure
+// chains do not expose. OnResolve is supported (diffcheck depends on
+// it).
 package interp
 
 import (
@@ -62,8 +75,9 @@ const (
 	// EngineInterp is the packed-event interpreter — the reference tier.
 	EngineInterp Engine = iota
 	// EngineCompiled is the threaded-code tier. Machines that carry
-	// state the compiled chain cannot observe (recorder, hook, injector,
-	// replaced RNG, ExactAccounting) fall back to the interpreter.
+	// state the compiled chains cannot observe (hook, injector, replaced
+	// RNG, ExactAccounting, or a recorder beside a cpu.Model) fall back
+	// to the interpreter.
 	EngineCompiled
 )
 
@@ -224,6 +238,10 @@ type cvm struct {
 	// RSBTop in [0, RSBDepth) with len(RSB) == RSBDepth (gated in
 	// runCompiled) keeps every access in bounds.
 	rsbP unsafe.Pointer
+
+	// rec is the machine's recorder; only the model-free chain counts
+	// into it (compiledEligible keeps it nil beside a model).
+	rec *Recorder
 }
 
 // --- inlined cpu.Model operations ----------------------------------
@@ -554,17 +572,105 @@ func (vm *cvm) runFlatInline(cf *cfn, retAddr int64, next cop) cop {
 	return next
 }
 
+// --- model-free frame protocol -------------------------------------
+
+// tick is one step/fuel sequence point of the model-free chain; it
+// reports whether the budget is exhausted.
+func (vm *cvm) tick() bool {
+	vm.steps++
+	return vm.steps > vm.maxSteps
+}
+
+// call enters cf on the model-free chain once the caller has counted
+// its edge: the callee's depth check, then its invocation count (the
+// order of pushFrame and runFlat), then its body — a leaf's segments
+// as one fuel charge, a call-free body on the nested driver, anything
+// else in a fresh frame. No return address is kept without a model.
+func (vm *cvm) call(cf *cfn, next cop) cop {
+	if lb := cf.leaf; lb != nil {
+		return vm.callLeaf(cf, int64(len(lb.segs)), next)
+	}
+	if vm.depth+1 >= vm.maxDepth {
+		return vm.depthFault(cf.name)
+	}
+	if vm.rec != nil {
+		vm.rec.invoke(cf.index)
+	}
+	if cf.flatEntry0 != nil {
+		return vm.runFlatInline(cf, 0, next)
+	}
+	return vm.enter(cf, 0, next)
+}
+
+// callLeaf is vm.call for a leaf callee of n segments: with depth and
+// fuel to spare, the invocation count and one fuel charge for the whole
+// body.
+func (vm *cvm) callLeaf(cf *cfn, n int64, next cop) cop {
+	if vm.depth+1 >= vm.maxDepth || vm.steps+n > vm.maxSteps {
+		return vm.leafFault(cf)
+	}
+	if vm.rec != nil {
+		vm.rec.invoke(cf.index)
+	}
+	vm.steps += n
+	return next
+}
+
+// leafFault is callLeaf's slow path, in the interpreter's order: the
+// depth check, the invocation count, then the fuel budget running out
+// inside the body. Nothing observable happens between a leaf's segments
+// here, so the fault lands at maxSteps+1, as a segment-by-segment count
+// would.
+func (vm *cvm) leafFault(cf *cfn) cop {
+	if vm.depth+1 >= vm.maxDepth {
+		return vm.depthFault(cf.name)
+	}
+	if vm.rec != nil {
+		vm.rec.invoke(cf.index)
+	}
+	vm.steps = vm.maxSteps + 1
+	return vm.fuelFault(cf.name)
+}
+
+// leave is the model-free return: the frame pop the charged return
+// closures inline after their RSB charge. The depth-0 return ends the
+// run.
+func (vm *cvm) leave() cop {
+	d := vm.depth
+	if d == 0 {
+		return nil
+	}
+	d--
+	fr := &vm.stack[d]
+	vm.regs, vm.trips, vm.flag, vm.retAddr = fr.regs, fr.trips, fr.flag, fr.retAddr
+	vm.depth = d
+	return fr.cont
+}
+
 // --- compilation ----------------------------------------------------
 
-// compiledProgram builds (once) and returns the threaded-code form.
+// compiledProgram builds (once) and returns the charged threaded-code
+// form, the one machines with a cpu.Model run.
 func (p *Program) compiledProgram() *compiled {
 	p.compileOnce.Do(func() {
-		p.compiledP = compileProgram(p)
+		p.compiledP = compileProgram(p, false)
 	})
 	return p.compiledP
 }
 
-func compileProgram(p *Program) *compiled {
+// freeProgram builds (once) and returns the model-free threaded-code
+// form, the one machines without a cpu.Model run.
+func (p *Program) freeProgram() *compiled {
+	p.freeOnce.Do(func() {
+		p.freeP = compileProgram(p, true)
+	})
+	return p.freeP
+}
+
+// compileProgram builds one threaded-code form of p: the charged chain,
+// or with free set the model-free one. Only the per-event closures
+// differ (genEvent and genResolveICall against genFree).
+func compileProgram(p *Program, free bool) *compiled {
 	cp := &compiled{
 		funcs: make([]cfn, len(p.funcs)),
 		addrs: make([]int64, len(p.funcs)),
@@ -586,7 +692,7 @@ func compileProgram(p *Program) *compiled {
 		cp.funcs[i] = f
 	}
 	for i := range p.funcs {
-		compileFn(cp, p, int32(i))
+		compileFn(cp, p, int32(i), free)
 	}
 	for i := range cp.funcs {
 		f := &cp.funcs[i]
@@ -715,23 +821,23 @@ func fuse(pre *segPre, body cop) cop {
 	}
 }
 
-func compileFn(cp *compiled, p *Program, fi int32) {
+func compileFn(cp *compiled, p *Program, fi int32, free bool) {
 	src := &p.funcs[fi]
 	f := &cp.funcs[fi]
 	for bi := range src.blocks {
-		f.entries[bi] = compileBlock(cp, src, f, bi, f.entries, false)
+		f.entries[bi] = compileBlock(cp, src, f, bi, f.entries, false, free)
 	}
 	// Flat functions get a second chain whose return ends a nested
 	// driver loop; branch closures target the flat entries so control
 	// never escapes into the framed chain mid-run.
 	if f.flatEntries != nil {
 		for bi := range src.blocks {
-			f.flatEntries[bi] = compileBlock(cp, src, f, bi, f.flatEntries, true)
+			f.flatEntries[bi] = compileBlock(cp, src, f, bi, f.flatEntries, true, free)
 		}
 	}
 }
 
-func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatRet bool) cop {
+func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatRet, free bool) cop {
 	b := &src.blocks[bi]
 	name := src.name
 
@@ -785,7 +891,7 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 
 	// Fall-off closure: reached only when the block has no terminator.
 	tailBI := bi
-	chargeTail := b.mayFault && b.tailCount != 0
+	chargeTail := !free && b.mayFault && b.tailCount != 0
 	tc, tn := int64(b.tailCost), int64(b.tailCount)
 	next := cop(func(vm *cvm) cop {
 		if chargeTail {
@@ -797,9 +903,15 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 	})
 
 	// Pass 2: build closures back-to-front so each captures its
-	// successor directly. Resolve+icall pairs fuse into one closure.
+	// successor directly. On the charged chain resolve+icall pairs fuse
+	// into one closure; the model-free chain gained nothing measurable
+	// from that fusion.
 	for k := len(items) - 1; k >= 0; k-- {
 		it := items[k]
+		if free {
+			next = genFree(cp, src, it.pre, it.ci, name, next, entries, flatRet)
+			continue
+		}
 		if it.ci == nil {
 			next = fuse(it.pre, next)
 			continue
@@ -1244,38 +1356,258 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 	})
 }
 
+// genFree emits one event's closure on the model-free chain, or with ci
+// nil a standalone prefix. Without a model a prefix's only observable
+// is its step/fuel sequence point, so the closure ticks it first when
+// pre is non-nil; genEvent's charges, touches and predictor updates
+// have nothing to act on. The tick is a captured flag, not a closure
+// wrapped around the event as fuse does: the wrapper's extra indirect
+// call made profile collection about 5% slower. Calls count into the
+// recorder and enter their callee through vm.call.
+func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, next cop, entries []cop, flatRet bool) cop {
+	tick := pre != nil
+	if ci == nil {
+		return func(vm *cvm) cop {
+			if vm.tick() {
+				return vm.fuelFault(name)
+			}
+			return next
+		}
+	}
+	switch ci.kind {
+	case cResolve:
+		orig, site, reg := ci.orig, ci.site, int(ci.reg)
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			var d *Dist
+			if vm.res != nil {
+				d = vm.res.Get(orig)
+			}
+			if d == nil {
+				vm.err = trap(name, "interp: %s: no target distribution for site %d (orig %d)", name, site, orig)
+				return nil
+			}
+			tgt := d.pickFast(vm.src)
+			vm.regs[reg] = tgt + 1
+			if vm.onResolve != nil {
+				vm.onResolve(orig, tgt)
+			}
+			return next
+		}
+
+	case cCmpFn:
+		reg, want := int(ci.reg), ci.callee+1
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			vm.flag = vm.regs[reg] == want
+			return next
+		}
+
+	case cBr:
+		thenP, elsP := &entries[ci.then], &entries[ci.els]
+		switch {
+		case ci.trip > 0:
+			tripIdx, tripMax := int(ci.tripIdx), ci.trip
+			return func(vm *cvm) cop {
+				if tick && vm.tick() {
+					return vm.fuelFault(name)
+				}
+				if cnt := vm.trips[tripIdx]; cnt < tripMax-1 {
+					vm.trips[tripIdx] = cnt + 1
+					return *thenP
+				}
+				vm.trips[tripIdx] = 0
+				return *elsP
+			}
+		case ci.useFlag:
+			return func(vm *cvm) cop {
+				if tick && vm.tick() {
+					return vm.fuelFault(name)
+				}
+				if vm.flag {
+					return *thenP
+				}
+				return *elsP
+			}
+		}
+		thresh := uint32(ci.cost)
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			if uint32(vm.src.Uint64()>>40) < thresh {
+				return *thenP
+			}
+			return *elsP
+		}
+
+	case cJmp:
+		thenP := &entries[ci.then]
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			return *thenP
+		}
+
+	case cSwitch:
+		targets := src.switchTargets[ci.callee]
+		nT := uint64(len(targets))
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			return entries[targets[uint64nSrc(vm.src, nT)]]
+		}
+
+	case cCall:
+		orig := ci.orig
+		callee := &cp.funcs[ci.callee]
+		if lb := callee.leaf; lb != nil {
+			// call->leaf: the callee's kind is known here, so skip
+			// vm.call's dispatch on it.
+			n := int64(len(lb.segs))
+			return func(vm *cvm) cop {
+				if tick && vm.tick() {
+					return vm.fuelFault(name)
+				}
+				if vm.rec != nil {
+					vm.rec.direct(orig)
+				}
+				return vm.callLeaf(callee, n, next)
+			}
+		}
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			if vm.rec != nil {
+				vm.rec.direct(orig)
+			}
+			return vm.call(callee, next)
+		}
+
+	case cICall:
+		reg, site, orig := int(ci.reg), ci.site, ci.orig
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			tgt := vm.regs[reg] - 1
+			if tgt < 0 {
+				vm.err = trap(name, "interp: %s: icall through unresolved register r%d (site %d)", name, reg, site)
+				return nil
+			}
+			if vm.rec != nil {
+				vm.rec.indirect(orig, tgt)
+			}
+			return vm.call(&cp.funcs[tgt], next)
+		}
+
+	case cRet:
+		if flatRet {
+			// Ends the nested driver loop of a frameless flat run.
+			return func(vm *cvm) cop {
+				if tick && vm.tick() {
+					return vm.fuelFault(name)
+				}
+				return nil
+			}
+		}
+		return func(vm *cvm) cop {
+			if tick && vm.tick() {
+				return vm.fuelFault(name)
+			}
+			return vm.leave()
+		}
+	}
+	// cStep never reaches here (pass 1 folds it into prefixes).
+	return func(vm *cvm) cop {
+		vm.err = trap(name, "interp: %s: unknown compiled event", name)
+		return nil
+	}
+}
+
 // --- machine integration --------------------------------------------
 
 // compiledEligible reports whether this machine's configuration can run
-// on the compiled tier. Recorder, hook and injector observe per-event
-// execution the closure chain does not expose; a replaced RNG breaks
-// the concrete-source draw path; ExactAccounting exists to exercise the
-// interpreter's per-event charging. OnResolve is supported.
+// on the compiled tier. Only the model-free chain counts into a
+// recorder, so a recorder is admitted exactly when the machine has no
+// cpu.Model. Hook and injector observe per-event execution the closure
+// chains do not expose; a replaced RNG breaks the concrete-source draw
+// path; ExactAccounting exists to exercise the interpreter's per-event
+// charging. OnResolve is supported.
 func (mc *Machine) compiledEligible() bool {
-	return mc.Rec == nil && mc.Hook == nil && mc.Inject == nil &&
+	return (mc.Rec == nil || mc.CPU == nil) && mc.Hook == nil && mc.Inject == nil &&
 		!mc.ExactAccounting && mc.RNG == mc.ownRNG
 }
 
-// runCompiled executes one entry on the threaded-code tier. It returns
-// errEngineUnavailable (without touching any model state) when the
-// model's geometry has no inlined form; the caller falls back to the
-// interpreter.
+// compiledVM returns the machine's compiled-tier state, made on first
+// use.
+func (mc *Machine) compiledVM() *cvm {
+	if mc.vm == nil {
+		mc.vm = &cvm{}
+	}
+	return mc.vm
+}
+
+// reset binds vm to one run of chain cp on mc.
+func (vm *cvm) reset(mc *Machine, cp *compiled) {
+	vm.cp = cp
+	vm.src = mc.src
+	vm.res = mc.Res
+	vm.onResolve = mc.OnResolve
+	vm.rec = mc.Rec
+	vm.maxSteps = mc.MaxSteps
+	vm.maxDepth = mc.MaxDepth
+	vm.steps = 0
+	vm.err = nil
+}
+
+// drive runs entry fi of vm.cp from a fresh depth-0 frame to the end of
+// its chain, with pushFrame's prologue order (the depth check, then the
+// entry's invocation count), and returns the run's fault, if any.
+func (vm *cvm) drive(fi int32, retAddr int64) error {
+	cf := &vm.cp.funcs[fi]
+	var op cop
+	if vm.maxDepth <= 0 {
+		op = vm.depthFault(cf.name)
+	} else {
+		if vm.rec != nil {
+			vm.rec.invoke(fi)
+		}
+		vm.installFrame(cf, 0, retAddr)
+		op = cf.entry0
+	}
+	for op != nil {
+		op = op(vm)
+	}
+	err := vm.err
+	vm.err = nil
+	return err
+}
+
+// runFree executes one entry on the model-free chain. There is no model
+// state to borrow, so the run is the entry frame and the chain.
+func (mc *Machine) runFree(fi int32, entryRetAddr int64) error {
+	vm := mc.compiledVM()
+	vm.reset(mc, mc.Prog.freeProgram())
+	err := vm.drive(fi, entryRetAddr)
+	mc.steps = vm.steps
+	return err
+}
+
+// runCompiled executes one entry on the charged chain against the
+// machine's cpu.Model. It returns errEngineUnavailable (without touching
+// any model state) when the model's geometry has no inlined form; the
+// caller falls back to the interpreter.
 func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	model := mc.CPU
-	if model == nil {
-		// Control flow never reads model state, so a machine without a
-		// CPU (functional validation, diffcheck) runs against a private
-		// throwaway model rather than a nil-check in every closure.
-		if mc.scratchCPU == nil {
-			mc.scratchCPU = cpu.New(cpu.DefaultParams())
-		}
-		model = mc.scratchCPU
-	}
-	vm := mc.vm
-	if vm == nil {
-		vm = &cvm{}
-		mc.vm = vm
-	}
+	vm := mc.compiledVM()
 	if vm.model != model {
 		// First run against this model: take the full borrowed view and
 		// hoist the cost parameters. Parameters and geometry are fixed at
@@ -1310,20 +1642,10 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	} else {
 		model.EngineSync(&vm.st)
 	}
-	cp := mc.Prog.compiledProgram()
-	vm.cp = cp
-	vm.src = mc.src
-	vm.res = mc.Res
-	vm.onResolve = mc.OnResolve
-	vm.maxSteps = mc.MaxSteps
-	vm.maxDepth = mc.MaxDepth
-	vm.steps = 0
-	vm.err = nil
+	vm.reset(mc, mc.Prog.compiledProgram())
 
 	// Entry sequence, in the interpreter's order: RSB refill and the
-	// synthetic entry call are charged only when the machine has a real
-	// CPU (a throwaway model absorbs them otherwise, unobservably), then
-	// the depth-0 frame check.
+	// synthetic entry call, then the depth-0 frame check.
 	if mc.RefillRSB {
 		vm.refillRSB()
 	}
@@ -1331,20 +1653,8 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	vm.st.Cycles += vm.directCallCost
 	vm.pushRSB(entryRetAddr)
 
-	cf := &cp.funcs[fi]
-	var op cop
-	if vm.maxDepth <= 0 {
-		op = vm.depthFault(cf.name)
-	} else {
-		vm.installFrame(cf, 0, entryRetAddr)
-		op = cf.entry0
-	}
-	for op != nil {
-		op = op(vm)
-	}
+	err := vm.drive(fi, entryRetAddr)
 	mc.steps = vm.steps
 	model.EngineRestore(&vm.st)
-	err := vm.err
-	vm.err = nil
 	return err
 }

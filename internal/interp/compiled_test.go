@@ -3,29 +3,37 @@ package interp
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/ir"
 	"repro/internal/kernel"
+	"repro/internal/resilience"
 )
 
 // The compiled tier's contract is byte-identical observables against
 // the interpreter: same resolve trace, same outcome, same Cycles, same
-// Stats, for any program, seed and fault mode. These tests enforce it
-// over the real synthetic kernel and over fuzz-generated programs.
+// Stats, same recorded profile, for any program, seed and fault mode.
+// These tests enforce it over the real synthetic kernel and over
+// fuzz-generated programs.
 
 // enginePair is two machines over the same program — interpreter
-// reference and compiled candidate — with independent CPU models and
-// identical seeds, plus FNV digests of their resolve streams.
+// reference and compiled candidate — with identical seeds. Both carry
+// independent CPU models, or in recorder mode a Recorder each and no
+// model, so the candidate runs the model-free chain.
 type enginePair struct {
 	ref, cand *Machine
 }
 
-func newEnginePair(p *Program, res *Resolver, seed int64, maxDepth int, maxSteps int64) *enginePair {
+func newEnginePair(p *Program, res *Resolver, seed int64, maxDepth int, maxSteps int64, recorder bool) *enginePair {
 	mk := func(eng Engine) *Machine {
 		mc := NewMachine(p, seed)
-		mc.CPU = cpu.New(cpu.DefaultParams())
+		if recorder {
+			mc.Rec = NewRecorder(p)
+		} else {
+			mc.CPU = cpu.New(cpu.DefaultParams())
+		}
 		mc.Res = res
 		mc.Engine = eng
 		if maxDepth > 0 {
@@ -39,45 +47,75 @@ func newEnginePair(p *Program, res *Resolver, seed int64, maxDepth int, maxSteps
 	return &enginePair{ref: mk(EngineInterp), cand: mk(EngineCompiled)}
 }
 
-// runBoth runs one rep on each machine and returns the two observations
-// (outcome, resolve digest, cycles, stats).
-func observedRun(mc *Machine, p *Program, entry string) (string, string, int64, cpu.Counters) {
+// observation is what one run shows: its outcome, an FNV digest of its
+// resolve stream, and whichever cumulative state the machine carries —
+// model cycles and stats, or the hash of its recorder's lifted profile.
+// Machine.steps is not observed: the interpreter does not publish its
+// step count on every exit.
+type observation struct {
+	outcome, digest string
+	cycles          int64
+	stats           cpu.Counters
+	profile         string
+}
+
+func observedRun(mc *Machine, p *Program, entry string) observation {
 	h := fnv.New64a()
 	mc.OnResolve = func(orig ir.SiteID, target int32) {
 		fmt.Fprintf(h, "%d>%s\n", orig, p.FuncName(int(target)))
 	}
 	err := mc.Run(entry)
 	mc.OnResolve = nil
-	outcome := "ok"
+	ob := observation{outcome: "ok", digest: fmt.Sprintf("%016x", h.Sum64())}
 	if err != nil {
-		outcome = err.Error()
+		ob.outcome = err.Error()
 	}
-	return outcome, fmt.Sprintf("%016x", h.Sum64()), mc.CPU.Cycles, mc.CPU.Stats
+	if mc.CPU != nil {
+		ob.cycles, ob.stats = mc.CPU.Cycles, mc.CPU.Stats
+	}
+	if mc.Rec != nil {
+		if pr, err := mc.Rec.Profile(); err != nil {
+			ob.profile = "lift: " + err.Error()
+		} else {
+			ob.profile = pr.Hash()
+		}
+	}
+	return ob
 }
 
 // checkPair runs reps paired executions and fails on the first
-// divergence. Models are not reset between reps, so warm predictor
-// state (BTB/PHT/RSB/icache) must also stay in lockstep: any drift
-// shows up as a cycle mismatch in a later rep.
-func checkPair(t *testing.T, pair *enginePair, p *Program, entry string, reps int) {
+// divergence. Models and recorders are not reset between reps, so warm
+// predictor state (BTB/PHT/RSB/icache) and the recorded counts must also
+// stay in lockstep: any drift shows up as a mismatch in a later rep.
+// It returns the reference's observations.
+func checkPair(t *testing.T, pair *enginePair, p *Program, entry string, reps int) []observation {
 	t.Helper()
+	var obs []observation
 	for r := 0; r < reps; r++ {
-		refOut, refDig, refCyc, refStats := observedRun(pair.ref, p, entry)
-		candOut, candDig, candCyc, candStats := observedRun(pair.cand, p, entry)
-		if refOut != candOut {
-			t.Fatalf("%s rep %d: outcome diverged:\n  interp:   %s\n  compiled: %s", entry, r, refOut, candOut)
+		ref := observedRun(pair.ref, p, entry)
+		cand := observedRun(pair.cand, p, entry)
+		if ref.outcome != cand.outcome {
+			t.Fatalf("%s rep %d: outcome diverged:\n  interp:   %s\n  compiled: %s", entry, r, ref.outcome, cand.outcome)
 		}
-		if refDig != candDig {
-			t.Fatalf("%s rep %d: resolve digest diverged: interp %s, compiled %s", entry, r, refDig, candDig)
+		if ref.digest != cand.digest {
+			t.Fatalf("%s rep %d: resolve digest diverged: interp %s, compiled %s", entry, r, ref.digest, cand.digest)
 		}
-		if refCyc != candCyc {
-			t.Fatalf("%s rep %d: cycles diverged: interp %d, compiled %d", entry, r, refCyc, candCyc)
+		if ref.cycles != cand.cycles {
+			t.Fatalf("%s rep %d: cycles diverged: interp %d, compiled %d", entry, r, ref.cycles, cand.cycles)
 		}
-		if refStats != candStats {
-			t.Fatalf("%s rep %d: stats diverged:\n  interp:   %+v\n  compiled: %+v", entry, r, refStats, candStats)
+		if ref.stats != cand.stats {
+			t.Fatalf("%s rep %d: stats diverged:\n  interp:   %+v\n  compiled: %+v", entry, r, ref.stats, cand.stats)
 		}
+		if ref.profile != cand.profile {
+			t.Fatalf("%s rep %d: recorded profile diverged: interp %s, compiled %s", entry, r, ref.profile, cand.profile)
+		}
+		obs = append(obs, ref)
 	}
+	return obs
 }
+
+// ranCompiled reports whether mc ran on the compiled tier at least once.
+func ranCompiled(mc *Machine) bool { return mc.vm != nil }
 
 // kernelResolver installs a deterministic skewed distribution for every
 // site of a generated kernel.
@@ -115,7 +153,7 @@ func TestCompiledEquivalenceKernel(t *testing.T) {
 	res := kernelResolver(t, k, p)
 	for _, seed := range []int64{1, 7, 12345} {
 		for _, spec := range k.Specs {
-			pair := newEnginePair(p, res, seed, 0, 0)
+			pair := newEnginePair(p, res, seed, 0, 0, false)
 			checkPair(t, pair, p, k.Entries[spec.Name], 4)
 		}
 	}
@@ -123,7 +161,11 @@ func TestCompiledEquivalenceKernel(t *testing.T) {
 
 // TestCompiledEquivalenceFaults drives both engines into every fault
 // class — fuel exhaustion, depth exhaustion, unresolved sites — and
-// requires identical outcomes and identical partial charges.
+// requires identical outcomes and identical partial charges. The
+// -recorder subtests run the same faults on recorder machines without
+// a model, so the partial profiles the model-free chain leaves behind
+// must match the interpreter's byte for byte. The entry takes 11 steps,
+// so a budget of 10 runs out in its last callee.
 func TestCompiledEquivalenceFaults(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 2})
 	if err != nil {
@@ -135,20 +177,36 @@ func TestCompiledEquivalenceFaults(t *testing.T) {
 	}
 	res := kernelResolver(t, k, p)
 	entry := k.Entries[k.Specs[0].Name]
-	t.Run("fuel", func(t *testing.T) {
-		pair := newEnginePair(p, res, 3, 0, 25)
-		checkPair(t, pair, p, entry, 3)
-	})
-	t.Run("depth", func(t *testing.T) {
-		pair := newEnginePair(p, res, 3, 2, 0)
-		checkPair(t, pair, p, entry, 3)
-	})
-	t.Run("unresolved", func(t *testing.T) {
-		pair := newEnginePair(p, NewResolver(), 3, 0, 0)
-		checkPair(t, pair, p, entry, 3)
-	})
+	for _, c := range []struct {
+		name     string
+		res      *Resolver
+		maxDepth int
+		maxSteps int64
+	}{
+		{"fuel", res, 0, 10},
+		{"depth", res, 2, 0},
+		{"unresolved", NewResolver(), 0, 0},
+	} {
+		run := func(t *testing.T, recorder bool) {
+			pair := newEnginePair(p, c.res, 3, c.maxDepth, c.maxSteps, recorder)
+			obs := checkPair(t, pair, p, entry, 3)
+			if !ranCompiled(pair.cand) {
+				t.Fatal("the compiled tier did not run")
+			}
+			if obs[0].outcome == "ok" {
+				t.Fatal("the run did not fault")
+			}
+			if recorder {
+				if pr, err := pair.ref.Rec.Profile(); err != nil || len(pr.Sites) == 0 {
+					t.Fatalf("partial profile = %v, %v; want recorded sites", pr, err)
+				}
+			}
+		}
+		t.Run(c.name, func(t *testing.T) { run(t, false) })
+		t.Run(c.name+"-recorder", func(t *testing.T) { run(t, true) })
+	}
 	t.Run("refill-rsb", func(t *testing.T) {
-		pair := newEnginePair(p, res, 3, 0, 0)
+		pair := newEnginePair(p, res, 3, 0, 0, false)
 		pair.ref.RefillRSB = true
 		pair.cand.RefillRSB = true
 		checkPair(t, pair, p, entry, 3)
@@ -177,7 +235,7 @@ func TestCompiledEquivalenceGeometry(t *testing.T) {
 	}{{2, 16, 64}, {8, 64, 32}, {8, 64, 128}} {
 		par := cpu.DefaultParams()
 		par.ICacheWays, par.ICacheSets, par.ICacheLine = g.ways, g.sets, g.line
-		pair := newEnginePair(p, res, 5, 0, 0)
+		pair := newEnginePair(p, res, 5, 0, 0, false)
 		pair.ref.CPU, pair.cand.CPU = cpu.New(par), cpu.New(par)
 		checkPair(t, pair, p, entry, 4)
 		if pair.cand.vm == nil || pair.cand.vm.model != pair.cand.CPU {
@@ -191,9 +249,10 @@ func TestCompiledEquivalenceGeometry(t *testing.T) {
 }
 
 // TestCompiledFallback pins the eligibility rule: machines carrying
-// interpreter-only state (a recorder, a replaced RNG, ExactAccounting)
-// run the interpreter even with Engine=EngineCompiled, and behave
-// identically to an explicit interpreter machine.
+// interpreter-only state (a recorder beside a cpu.Model, an injector,
+// ExactAccounting, a replaced RNG) run the interpreter even with
+// Engine=EngineCompiled, and behave identically to an explicit
+// interpreter machine.
 func TestCompiledFallback(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 1})
 	if err != nil {
@@ -206,30 +265,27 @@ func TestCompiledFallback(t *testing.T) {
 	res := kernelResolver(t, k, p)
 	entry := k.Entries[k.Specs[0].Name]
 
-	pair := newEnginePair(p, res, 9, 0, 0)
-	pair.ref.Rec = NewRecorder(p)
-	pair.cand.Rec = NewRecorder(p)
-	if pair.cand.compiledEligible() {
-		t.Fatal("machine with recorder must not be compiled-eligible")
-	}
-	checkPair(t, pair, p, entry, 2)
-	refProf, err := pair.ref.Rec.Profile()
-	if err != nil {
-		t.Fatalf("ref profile: %v", err)
-	}
-	candProf, err := pair.cand.Rec.Profile()
-	if err != nil {
-		t.Fatalf("cand profile: %v", err)
-	}
-	if refProf.Hash() != candProf.Hash() {
-		t.Fatal("recorder output diverged between fallback and interpreter machines")
-	}
-
-	mc := NewMachine(p, 9)
-	mc.Engine = EngineCompiled
-	mc.ExactAccounting = true
-	if mc.compiledEligible() {
-		t.Fatal("ExactAccounting machine must not be compiled-eligible")
+	for _, c := range []struct {
+		name  string
+		equip func(mc *Machine)
+	}{
+		{"recorder and model", func(mc *Machine) { mc.Rec = NewRecorder(p) }},
+		// Rates that fire nothing: the run completes, and still takes
+		// the interpreter.
+		{"injector", func(mc *Machine) { mc.Inject = resilience.NewInjector(4, resilience.Rates{}) }},
+		{"ExactAccounting", func(mc *Machine) { mc.ExactAccounting = true }},
+		{"replaced RNG", func(mc *Machine) { mc.RNG = rand.New(newFastSource(9)) }},
+	} {
+		pair := newEnginePair(p, res, 9, 0, 0, false)
+		c.equip(pair.ref)
+		c.equip(pair.cand)
+		if pair.cand.compiledEligible() {
+			t.Fatalf("%s: machine must not be compiled-eligible", c.name)
+		}
+		checkPair(t, pair, p, entry, 2)
+		if ranCompiled(pair.cand) {
+			t.Fatalf("%s: the compiled tier ran", c.name)
+		}
 	}
 }
 
@@ -406,15 +462,18 @@ func fuzzResolver(r *fz, p *Program, sites []ir.SiteID, nFuncs int) (*Resolver, 
 // asserts the compiled engine's resolve-trace digest, outcome, cycle
 // count and full predictor statistics are byte-identical to the
 // interpreter's — including under tight fuel and depth budgets that
-// fault mid-run.
+// fault mid-run. In recorder mode both machines carry a Recorder and
+// no model, and the recorded profiles must match instead.
 func FuzzCompiledEquivalence(f *testing.F) {
-	f.Add(uint64(1), int64(1), uint8(0), uint16(0))
-	f.Add(uint64(2), int64(99), uint8(6), uint16(120))
-	f.Add(uint64(3), int64(7), uint8(0), uint16(40))
-	f.Add(uint64(12345), int64(-5), uint8(3), uint16(0))
-	f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9))
-	f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500))
-	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16) {
+	for _, recorder := range []bool{false, true} {
+		f.Add(uint64(1), int64(1), uint8(0), uint16(0), recorder)
+		f.Add(uint64(2), int64(99), uint8(6), uint16(120), recorder)
+		f.Add(uint64(3), int64(7), uint8(0), uint16(40), recorder)
+		f.Add(uint64(12345), int64(-5), uint8(3), uint16(0), recorder)
+		f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9), recorder)
+		f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500), recorder)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16, recorder bool) {
 		mod, sites := genModule(seed)
 		if err := ir.Verify(mod, ir.VerifyOptions{}); err != nil {
 			t.Fatalf("generated module does not verify: %v", err)
@@ -430,8 +489,11 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		}
 		// maxDepth 0 keeps the default; small values exercise depth
 		// faults. maxSteps likewise for fuel faults.
-		pair := newEnginePair(p, res, runSeed, int(maxDepth), int64(maxSteps))
+		pair := newEnginePair(p, res, runSeed, int(maxDepth), int64(maxSteps), recorder)
 		checkPair(t, pair, p, "f0", 3)
+		if !ranCompiled(pair.cand) {
+			t.Fatal("the compiled tier did not run")
+		}
 	})
 }
 

@@ -164,10 +164,14 @@ type Program struct {
 	funcs  []cfunc
 	byName map[string]int32
 
-	// Threaded-code form (compiled.go), built lazily on first use and
-	// shared by every Machine running this program.
+	// Threaded-code forms (compiled.go), each built lazily on first use
+	// and shared by every Machine running this program: the charged
+	// chain for machines with a cpu.Model, the model-free chain for
+	// machines without one.
 	compileOnce sync.Once
 	compiledP   *compiled
+	freeOnce    sync.Once
+	freeP       *compiled
 
 	// Site table Recorder.Profile lifts through (recorder.go), built on
 	// the first lift and shared by every Recorder on this program.
@@ -523,11 +527,12 @@ type Machine struct {
 	// prove it (same seed, batched vs exact, identical Cycles/Stats).
 	ExactAccounting bool
 
-	// Engine selects the execution tier. EngineCompiled runs the
+	// Engine selects the execution tier. EngineCompiled runs a
 	// threaded-code chain (compiled.go) when the machine's configuration
-	// permits — no recorder, hook, injector, replaced RNG or
-	// ExactAccounting — and falls back to the interpreter silently
-	// otherwise, so callers can set it unconditionally.
+	// permits — no hook, injector, replaced RNG or ExactAccounting, and
+	// a recorder only on a machine without a CPU — and falls back to the
+	// interpreter silently otherwise, so callers can set it
+	// unconditionally.
 	Engine Engine
 
 	steps int64
@@ -544,11 +549,9 @@ type Machine struct {
 	// both are cleared per invocation, matching a fresh frame.
 	leafRegs  []int32
 	leafTrips []int32
-	// vm is the compiled tier's per-machine state; scratchCPU stands in
-	// for a nil CPU there (closures charge unconditionally rather than
-	// nil-check per event).
-	vm         *cvm
-	scratchCPU *cpu.Model
+	// vm is the compiled tier's per-machine state, shared by both of
+	// its chains.
+	vm *cvm
 }
 
 // fastSource is a splitmix64 rand.Source64. Compared with the standard
@@ -617,6 +620,9 @@ func (mc *Machine) RunIndex(idx int) error {
 	// has a matching RSB entry after warm-up.
 	const entryRetAddr = 0x7fff0000
 	if mc.Engine == EngineCompiled && mc.compiledEligible() {
+		if mc.CPU == nil {
+			return mc.runFree(int32(idx), entryRetAddr)
+		}
 		err := mc.runCompiled(int32(idx), entryRetAddr)
 		if err != errEngineUnavailable {
 			return err

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -70,41 +71,39 @@ entry:
 	}
 }
 
-// TestConcurrentLiftsShareProgram: recorders on one shared Program lift
-// at the same time, racing to build the program's lift table, and each
-// profile equals the one a serial lift on its own Program yields. Each
-// round takes a fresh Program, so every round races the build again.
-// Run it under -race.
+// TestConcurrentLiftsShareProgram: recorders on one shared Program
+// record on the compiled tier's model-free chain at the same time, then
+// lift at the same time, racing to build the program's chain and its
+// lift table, and each profile equals the one a serial interpreter run
+// on its own Program yields. Each round takes a fresh Program, so every
+// round races both builds again. Run it under -race.
 func TestConcurrentLiftsShareProgram(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 1})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	record := func(p *Program, res *Resolver, seed int64) *Recorder {
-		mc := NewMachine(p, seed)
-		mc.Res = res
-		mc.Rec = NewRecorder(p)
-		for _, sp := range k.Specs[:4] {
-			if err := mc.Run(k.Entries[sp.Name]); err != nil {
-				t.Fatalf("seed %d: Run %s: %v", seed, sp.Name, err)
-			}
-		}
-		mc.Rec.AddOps(4)
-		return mc.Rec
-	}
-	const workers, rounds = 4, 4
-	// recordAll compiles a fresh Program and records one run per worker.
-	recordAll := func() []*Recorder {
+	compile := func() (*Program, *Resolver) {
 		p, err := Compile(k.Mod.Clone())
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
-		res := kernelResolver(t, k, p)
-		recs := make([]*Recorder, workers)
-		for i := range recs {
-			recs[i] = record(p, res, int64(i+1))
+		return p, kernelResolver(t, k, p)
+	}
+	record := func(p *Program, res *Resolver, seed int64, eng Engine) (*Recorder, error) {
+		mc := NewMachine(p, seed)
+		mc.Res = res
+		mc.Rec = NewRecorder(p)
+		mc.Engine = eng
+		for _, sp := range k.Specs[:4] {
+			if err := mc.Run(k.Entries[sp.Name]); err != nil {
+				return nil, fmt.Errorf("seed %d: Run %s: %v", seed, sp.Name, err)
+			}
 		}
-		return recs
+		if eng == EngineCompiled && !ranCompiled(mc) {
+			return nil, fmt.Errorf("seed %d: the compiled tier did not run", seed)
+		}
+		mc.Rec.AddOps(4)
+		return mc.Rec, nil
 	}
 	lift := func(r *Recorder) (string, error) {
 		p, err := r.Profile()
@@ -113,37 +112,52 @@ func TestConcurrentLiftsShareProgram(t *testing.T) {
 		}
 		return p.Hash(), nil
 	}
+	const workers, rounds = 4, 4
 
 	want := make([]string, workers)
-	for i, r := range recordAll() {
-		h, err := lift(r)
-		if err != nil {
-			t.Fatalf("serial lift %d: %v", i, err)
+	p, res := compile()
+	for i := range want {
+		r, err := record(p, res, int64(i+1), EngineInterp)
+		if err == nil {
+			want[i], err = lift(r)
 		}
-		want[i] = h
+		if err != nil {
+			t.Fatalf("serial run %d: %v", i, err)
+		}
 	}
-	for round := 0; round < rounds; round++ {
-		recs := recordAll()
-		got := make([]string, workers)
-		errs := make([]error, workers)
+	// together runs f(i) for every worker at once and waits for all.
+	together := func(f func(i int)) {
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		for i := range recs {
+		for i := 0; i < workers; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				got[i], errs[i] = lift(recs[i])
+				f(i)
 			}(i)
 		}
 		close(start)
 		wg.Wait()
+	}
+	for round := 0; round < rounds; round++ {
+		p, res := compile()
+		recs := make([]*Recorder, workers)
+		got := make([]string, workers)
+		errs := make([]error, workers)
+		together(func(i int) { recs[i], errs[i] = record(p, res, int64(i+1), EngineCompiled) })
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: concurrent run %d: %v", round, i, err)
+			}
+		}
+		together(func(i int) { got[i], errs[i] = lift(recs[i]) })
 		for i := range got {
 			if errs[i] != nil {
 				t.Fatalf("round %d: concurrent lift %d: %v", round, i, errs[i])
 			}
 			if got[i] != want[i] {
-				t.Errorf("round %d: concurrent lift %d hashes %s, serial lift %s", round, i, got[i], want[i])
+				t.Errorf("round %d: concurrent profile %d hashes %s, serial interpreter %s", round, i, got[i], want[i])
 			}
 		}
 	}

@@ -63,9 +63,22 @@ func BenchmarkMeasureAllSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileCollection profiles the Apache mix.
+// BenchmarkProfileCollection profiles the Apache mix on the
+// interpreter; BenchmarkProfileCollectionCompiled is the other half of
+// the pair.
 func BenchmarkProfileCollection(b *testing.B) {
+	benchProfile(b, interp.EngineInterp)
+}
+
+// BenchmarkProfileCollectionCompiled profiles the Apache mix on the
+// compiled tier's model-free chain.
+func BenchmarkProfileCollectionCompiled(b *testing.B) {
+	benchProfile(b, interp.EngineCompiled)
+}
+
+func benchProfile(b *testing.B, eng interp.Engine) {
 	r := benchRunner(b, Apache)
+	r.Engine = eng
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Profile(2); err != nil {

@@ -193,10 +193,11 @@ type Runner struct {
 	NewHook func() interp.ICallHook
 
 	// Engine selects the execution tier for every machine this runner
-	// builds. The compiled tier is cycle-exact (and falls back to the
-	// interpreter when a machine's configuration rules it out — e.g.
-	// profiling machines carry a recorder), so results are identical
-	// for either setting; only wall-clock changes.
+	// builds. The compiled tier is cycle-exact, and profiling machines
+	// (a recorder, no CPU model) run on its model-free chain; it falls
+	// back to the interpreter when a machine's configuration rules it
+	// out (e.g. an injector or a hook). Results are identical for
+	// either setting; only wall-clock changes.
 	Engine interp.Engine
 }
 
@@ -272,7 +273,10 @@ func (r *Runner) measureBenches(benches []string) ([]Measurement, error) {
 
 // Profile executes the flavor's operation mix with recording enabled and
 // returns the aggregated profile. opsScale multiplies the mix weights
-// (an opsScale of 20 runs 20 operations per unit of mix weight).
+// (an opsScale of 20 runs 20 operations per unit of mix weight). The
+// machine carries a recorder and no CPU model, so under EngineCompiled
+// it records on the compiled tier's model-free chain (an injector sends
+// it to the interpreter); both engines yield the same profile bytes.
 //
 // If a run aborts — an interpreter trap or fuel/depth exhaustion,
 // organic or injected — Profile degrades gracefully: it returns the
@@ -287,8 +291,6 @@ func (r *Runner) Profile(opsScale int) (*prof.Profile, error) {
 	mc.Res = r.Res
 	mc.Inject = r.Inject
 	mc.Rec = interp.NewRecorder(r.Prog)
-	// Engine selection is honored but moot here: a recorder-carrying
-	// machine always falls back to the interpreter.
 	mc.Engine = r.Engine
 	mix := Mix(r.Flavor)
 	benches := make([]string, 0, len(mix))

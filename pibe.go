@@ -261,9 +261,11 @@ type Engine = interp.Engine
 // Execution tiers: the packed-event interpreter (the default) and the
 // threaded-code compiled engine. The compiled tier is cycle-exact, so
 // every profile, measurement, sweep surface and census is identical
-// under either; only wall-clock changes. Machines whose configuration
-// the compiled tier does not support (live recorder, hook, injector or
-// exact-accounting mode) fall back to the interpreter silently.
+// under either; only wall-clock changes. Profiling runs (a recorder and
+// no CPU model) take its model-free chain. Machines whose configuration
+// the compiled tier does not support (hook, injector, exact-accounting
+// mode, or a recorder beside a CPU model) fall back to the interpreter
+// silently.
 const (
 	EngineInterp   = interp.EngineInterp
 	EngineCompiled = interp.EngineCompiled

@@ -11,11 +11,21 @@ import (
 // snapshot are all built from profiles like these, so a change to the
 // recorder, the interpreter's draw order or the profile serializer that
 // alters a single count shows up here first, with the workload named.
+// Both engines must yield the same bytes: the compiled system profiles
+// on the model-free chain, and its chaos run takes the interpreter,
+// because a machine with an injector falls back to it.
 func TestProfileGoldenDigests(t *testing.T) {
+	for _, eng := range []pibe.Engine{pibe.EngineInterp, pibe.EngineCompiled} {
+		t.Run(eng.String(), func(t *testing.T) { checkProfileGoldens(t, eng) })
+	}
+}
+
+func checkProfileGoldens(t *testing.T, eng pibe.Engine) {
 	sys, err := pibe.NewSyntheticKernel(pibe.KernelConfig{Seed: 1})
 	if err != nil {
 		t.Fatalf("NewSyntheticKernel: %v", err)
 	}
+	sys.SetEngine(eng)
 	check := func(name string, p *pibe.Profile, hash string, sites int, ops uint64) {
 		t.Helper()
 		raw := p.Raw()
