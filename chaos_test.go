@@ -228,7 +228,7 @@ func TestPartialProfileMergeWorkflow(t *testing.T) {
 }
 
 // TestFleetUnderFaults runs the continuous-profiling fleet with a seeded
-// chaos injector tripping interpreter traps inside the collectors, and
+// chaos injector tripping execution traps inside the collectors, and
 // asserts the degradation contract: the fleet neither panics nor aborts,
 // the run is marked partial with at least one aborted collector, and the
 // final aggregate is a usable non-empty partial profile that still

@@ -97,15 +97,15 @@
 // injected measurement faults are drawn and retried before any
 // repetition runs.
 //
-// Every command accepts -engine interp|compiled to select the execution
-// tier for profiling and measurement machines. The compiled engine runs
-// pre-compiled threaded code (closure chains) instead of per-instruction
-// dispatch; it is cycle-exact against the interpreter — profiles,
-// latencies, sweep surfaces and censuses are identical — so the flag
-// only changes wall-clock time. Profiling machines carry a recorder and
-// no CPU model, and run on the compiled tier's model-free chain.
-// Machines the compiled tier cannot run (hook, injector, exact
-// accounting, or a recorder beside a CPU model) silently fall back.
+// Every command accepts -engine compiled|interp to select the execution
+// tier for profiling and measurement machines. The default, compiled,
+// runs pre-compiled threaded code (closure chains) on every machine,
+// JumpSwitches and chaos runs included; profiling machines carry a
+// recorder and no CPU model and run on its model-free chain. interp
+// runs the per-event reference loop the compiled tier is checked
+// against. The tier is cycle-exact — profiles, latencies, sweep
+// surfaces and censuses are identical — so the flag only changes
+// wall-clock time.
 //
 // Fleet mode runs continuous profiling as the ingest service with one
 // tenant: -fleet concurrent collectors per epoch profile real workload
@@ -129,7 +129,7 @@
 // uninterrupted one.
 //
 // Chaos mode (any command): -chaos RATE arms a deterministic fault
-// injector (seeded by -chaos-seed) that forces interpreter traps,
+// injector (seeded by -chaos-seed) that forces execution traps,
 // fuel/depth exhaustion and transient measurement failures at the given
 // rate. The pipeline degrades gracefully — aborted profiling runs emit
 // the partial profile collected so far, and transient measurement
@@ -189,8 +189,8 @@ func main() {
 	lenient := fs.Bool("lenient", false, "salvage corrupt/truncated -profile inputs instead of failing")
 	measureWorkers := fs.Int("measure-workers", runtime.GOMAXPROCS(0),
 		"goroutines measurement repetitions run on (below 2: the calling goroutine; results are identical for every value)")
-	engineName := fs.String("engine", "interp",
-		"execution engine: interp (packed-event reference) or compiled (threaded code; cycle-exact, faster)")
+	engineName := fs.String("engine", "compiled",
+		"execution engine: compiled (threaded code) or interp (the per-event reference loop; cycle-exact, slower)")
 	sweepGrid := fs.String("sweep-grid", "0,50,90,99,99.9,99.99,99.9999",
 		"comma-separated budget grid in percent, applied to both sweep axes")
 	sweepCombos := fs.String("sweep-combos", "retpoline,ret-retpoline,lvi-cfi,fineibt,pac-cfi,verifence,all",

@@ -311,28 +311,9 @@ func (m *Model) Micros() float64 {
 	return float64(m.Cycles) / (m.P.FreqGHz * 1e3)
 }
 
-// Straightline charges the pre-aggregated cost of a basic block's
-// non-control instructions and touches its instruction-cache lines.
-// lineBase is the address of the block's first line; nLines the number of
-// consecutive lines the block spans.
-func (m *Model) Straightline(cost int64, nInstr int64, lineBase int64, nLines int) {
-	m.Cycles += cost
-	m.Stats.Instructions += nInstr
-	line := lineBase &^ (m.P.ICacheLine - 1)
-	if nLines == 1 { // the common case: small block within one line
-		m.touchLine(line)
-		return
-	}
-	stride := m.P.ICacheLine
-	for i := 0; i < nLines; i++ {
-		m.touchLine(line)
-		line += stride
-	}
-}
-
 // AddStraightline charges pre-aggregated instruction cost without
-// touching the cache; the interpreter pairs it with TouchLines at block
-// entry.
+// touching the cache; the reference loop charges each event's preceding
+// run with it and touches a segment's lines with TouchLines.
 func (m *Model) AddStraightline(cost, nInstr int64) {
 	m.Cycles += cost
 	m.Stats.Instructions += nInstr

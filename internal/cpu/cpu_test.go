@@ -165,11 +165,11 @@ func TestPHTLearnsBias(t *testing.T) {
 
 func TestICacheHitsAfterWarmup(t *testing.T) {
 	m := newModel()
-	m.Straightline(10, 5, 0x4000, 2)
+	m.TouchLines(0x4000, 2)
 	if m.Stats.ICacheMisses != 2 {
 		t.Fatalf("cold misses = %d, want 2", m.Stats.ICacheMisses)
 	}
-	m.Straightline(10, 5, 0x4000, 2)
+	m.TouchLines(0x4000, 2)
 	if m.Stats.ICacheHits != 2 {
 		t.Errorf("warm hits = %d, want 2", m.Stats.ICacheHits)
 	}
@@ -181,10 +181,10 @@ func TestICacheCapacityEviction(t *testing.T) {
 	// the first: it must have been evicted (LRU).
 	setStride := m.P.ICacheLine * int64(m.P.ICacheSets)
 	for i := 0; i <= m.P.ICacheWays; i++ {
-		m.Straightline(0, 0, int64(i)*setStride, 1)
+		m.TouchLine(int64(i) * setStride)
 	}
 	missesBefore := m.Stats.ICacheMisses
-	m.Straightline(0, 0, 0, 1)
+	m.TouchLine(0)
 	if m.Stats.ICacheMisses != missesBefore+1 {
 		t.Error("LRU line was not evicted at capacity")
 	}
@@ -248,7 +248,8 @@ func TestCyclesMonotoneQuick(t *testing.T) {
 			case 4:
 				m.CondBranch(addr, op%2 == 0)
 			case 5:
-				m.Straightline(int64(op), 1, addr, 1)
+				m.AddStraightline(int64(op), 1)
+				m.TouchLine(addr)
 			}
 			if m.Cycles < prev {
 				return false

@@ -104,7 +104,8 @@ func checkICacheAgainstOracle(t *testing.T, sets, ways int, line int64) {
 				m.TouchLines(a, int(n))
 			default:
 				n = int64(1 + rng.Intn(3))
-				m.Straightline(5, 3, a, int(n))
+				m.AddStraightline(5, 3)
+				m.TouchLines(a, int(n))
 				cycles += 5
 				want.Instructions += 3
 			}

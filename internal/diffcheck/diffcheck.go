@@ -12,8 +12,8 @@
 //     (harden.CheckInvariants) — no transformation dropped a hardening
 //     site.
 //  2. Behavioural: the candidate and the reference (unoptimized-but-
-//     hardened) image are executed over the workload corpus under the
-//     interpreter with identical seeds, and their observable results must
+//     hardened) image are executed over the workload corpus with
+//     identical seeds, and their observable results must
 //     match — per-run trap status and the profile-visible sequence of
 //     indirect-target resolutions (which original site resolved to which
 //     function). The optimization passes reorder *dispatch* — promote it,
@@ -37,6 +37,7 @@ import (
 	"repro/internal/harden"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/jumpswitch"
 	"repro/internal/kernel"
 	"repro/internal/resilience"
 	"repro/internal/workload"
@@ -158,7 +159,7 @@ func Validate(k *kernel.Kernel, ref, cand *interp.Program, cfg Config) (*Report,
 }
 
 // ValidateEngines differentially validates the threaded-code execution
-// tier against the packed-event interpreter on a single program: the
+// tier against the per-event reference loop on a single program: the
 // same image is executed over the workload corpus by both engines with
 // identical seeds, and every run must agree on trap outcome, on the
 // profile-visible resolution sequence, and — stronger than the
@@ -167,6 +168,8 @@ func Validate(k *kernel.Kernel, ref, cand *interp.Program, cfg Config) (*Report,
 // promote candidate images, applied to promoting the fast engine: a
 // compiled-tier miscompilation surfaces exactly like an optimizer
 // miscompilation would, as a KindDivergence fault naming the cell.
+// With cfg.JumpSwitches each machine gets its own JumpSwitches runtime,
+// so the comparison covers the hooked icall path too.
 func ValidateEngines(k *kernel.Kernel, prog *interp.Program, cfg Config) (*Report, error) {
 	if k == nil || prog == nil {
 		return nil, resilience.Faultf(resilience.PhasePromote, resilience.KindConfig, "diffcheck",
@@ -210,30 +213,33 @@ func ValidateEngines(k *kernel.Kernel, prog *interp.Program, cfg Config) (*Repor
 			refOb.mc.Engine = interp.EngineInterp
 			refOb.mc.CPU = cpu.New(cpu.DefaultParams())
 			candOb := observedMachine(prog, res, seed)
-			candOb.mc.Engine = interp.EngineCompiled
 			candOb.mc.CPU = cpu.New(cpu.DefaultParams())
+			if cfg.JumpSwitches {
+				refOb.mc.Hook = jumpswitch.New(jumpswitch.DefaultParams())
+				candOb.mc.Hook = jumpswitch.New(jumpswitch.DefaultParams())
+			}
 			for r := 0; r < runs; r++ {
 				refObs := runObserved(refOb, entry)
 				candObs := runObserved(candOb, entry)
 				if refObs.outcome != candObs.outcome {
 					return nil, resilience.Faultf(resilience.PhasePromote, resilience.KindDivergence, cell,
-						"run %d: trap status diverged: interpreter %s, compiled %s",
+						"run %d: trap status diverged: reference %s, compiled %s",
 						r, refObs.outcome, candObs.outcome)
 				}
 				if refObs.digest != candObs.digest {
 					return nil, resilience.Faultf(resilience.PhasePromote, resilience.KindDivergence, cell,
-						"run %d: resolution trace diverged after %d resolutions (interpreter saw %d): "+
+						"run %d: resolution trace diverged after %d resolutions (reference saw %d): "+
 							"first mismatch at %s",
 						r, candObs.resolves, refObs.resolves, firstMismatch(refObs, candObs))
 				}
 				if refOb.mc.CPU.Cycles != candOb.mc.CPU.Cycles {
 					return nil, resilience.Faultf(resilience.PhasePromote, resilience.KindDivergence, cell,
-						"run %d: cycle count diverged: interpreter %d, compiled %d",
+						"run %d: cycle count diverged: reference %d, compiled %d",
 						r, refOb.mc.CPU.Cycles, candOb.mc.CPU.Cycles)
 				}
 				if refOb.mc.CPU.Stats != candOb.mc.CPU.Stats {
 					return nil, resilience.Faultf(resilience.PhasePromote, resilience.KindDivergence, cell,
-						"run %d: event counters diverged: interpreter %+v, compiled %+v",
+						"run %d: event counters diverged: reference %+v, compiled %+v",
 						r, refOb.mc.CPU.Stats, candOb.mc.CPU.Stats)
 				}
 				fmt.Fprintf(total, "%s %d %s %s %d\n", cell, r, refObs.outcome, refObs.digest, refOb.mc.CPU.Cycles)

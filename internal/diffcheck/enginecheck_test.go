@@ -11,7 +11,8 @@ import (
 
 // TestValidateEngines runs the engine-vs-engine gate over the full
 // workload corpus: the threaded-code tier must be observationally and
-// cycle-exactly identical to the interpreter on the generated kernel.
+// cycle-exactly identical to the reference loop on the generated
+// kernel, with and without a JumpSwitches runtime on each machine.
 func TestValidateEngines(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 3})
 	if err != nil {
@@ -44,6 +45,21 @@ func TestValidateEngines(t *testing.T) {
 	}
 	if rep.Digest != rep2.Digest || rep.Entries != rep2.Entries || rep.Runs != rep2.Runs {
 		t.Fatalf("validation not deterministic: %+v vs %+v", rep, rep2)
+	}
+
+	// The unhardened kernel leaves every icall bare, so with JumpSwitches
+	// each one goes through the runtime on both engines.
+	rep3, err := ValidateEngines(k, prog, Config{
+		Flavors:      []workload.Flavor{workload.LMBench, workload.Apache},
+		Seed:         41,
+		Runs:         2,
+		JumpSwitches: true,
+	})
+	if err != nil {
+		t.Fatalf("ValidateEngines (JumpSwitches): %v", err)
+	}
+	if rep3.Entries == 0 || rep3.Runs == 0 {
+		t.Fatalf("empty JumpSwitches validation: %+v", rep3)
 	}
 
 	// Nil inputs are configuration faults, not panics.

@@ -198,7 +198,7 @@ func TestAggregatorMatchesSerialMerge(t *testing.T) {
 }
 
 // TestPartialAggregateUnderFaults: collectors whose profiling runs
-// abort on injected interpreter traps degrade to the partial profiles
+// abort on injected execution traps degrade to the partial profiles
 // they salvaged, and those merge into a usable non-empty aggregate —
 // exactly the serial merge of every delta, partial ones included.
 func TestPartialAggregateUnderFaults(t *testing.T) {

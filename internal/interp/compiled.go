@@ -1,26 +1,29 @@
-// Threaded-code compilation tier.
+// Threaded-code compilation tier: the engine every machine runs unless
+// it selects the reference loop (EngineInterp).
 //
-// The packed-event interpreter (interp.go) still pays a switch dispatch,
-// a bounds-checked event fetch and several cpu.Model method calls per
-// control-flow event. This file adds a second execution tier that
-// removes all three: each cblock is pre-compiled into a chain of Go
-// closures (classic threaded code — the standard pure-Go answer to
-// having no runtime codegen), so steady-state execution runs
-// closure-to-closure through a two-instruction driver loop
-// (`for op != nil { op = op(vm) }`) with every compile-time constant —
-// addresses, costs, branch thresholds, defense kinds, callee identities
-// — captured in the closure instead of fetched and decoded per event.
+// The reference loop (interp.go) pays a switch dispatch, a
+// bounds-checked event fetch and several cpu.Model method calls per
+// control-flow event. This tier removes all three: each cblock is
+// pre-compiled into a chain of Go closures (classic threaded code — the
+// standard pure-Go answer to having no runtime codegen), so
+// steady-state execution runs closure-to-closure through a
+// two-instruction driver loop (`for op != nil { op = op(vm) }`) with
+// every compile-time constant — addresses, costs, branch thresholds,
+// defense kinds, callee identities — captured in the closure instead of
+// fetched and decoded per event.
 //
 // Cycle accounting is folded into the chain: the VM borrows the
 // cpu.Model's predictor and cache state (cpu.EngineState) for the
 // duration of a run and applies the model's own update rules inline,
 // with Cycles/Stats accumulating in VM-local fields written back at
-// exit. Because every charge is a pure sum and the order-sensitive
-// state (BTB/PHT slots, RSB cursor, the i-cache sets' recency order) is
-// updated through the same arrays with the same rules in the same
-// sequence, the compiled tier is cycle-exact against the interpreter —
-// a property the equivalence tests, FuzzCompiledEquivalence and the
-// diffcheck engine-vs-engine gate all enforce.
+// exit. Straight-line runs of segments that cannot fault are charged in
+// one batch at segment entry. Because every charge is a pure sum and the
+// order-sensitive state (BTB/PHT slots, RSB cursor, the i-cache sets'
+// recency order) is updated through the same arrays with the same rules
+// in the same sequence, the tier is cycle-exact against the reference
+// loop's per-event account — a property the equivalence tests,
+// FuzzCompiledEquivalence and the diffcheck engine-vs-engine gate all
+// enforce.
 //
 // Superinstruction fusion: the profile work in PR 4/5 identified the
 // hot event shapes on the syscall path — straight-line segments ending
@@ -43,20 +46,21 @@
 // the same compileProgram skeleton: the same block split, leaf
 // descriptors, frame protocol and fault helpers, with per-event
 // closures that keep only what such a run can observe — the step/fuel
-// sequence points at block entries and seams, control flow, RNG draws,
-// resolver picks, OnResolve, traps and the Recorder's counts. The
-// counts land at the interpreter's sequence points: a direct or
-// indirect edge before the callee's depth check, the callee's
-// invocation after it (the entry's too), so every profile, partial
-// ones after a fuel, depth or unresolved-site trap included, is
-// byte-identical to the interpreter's. Profile collection runs on it.
+// sequence points at block entries and seams, control flow, random
+// draws, resolver picks, OnResolve, traps and the Recorder's counts.
+// The counts land at the reference loop's sequence points: a direct or
+// indirect edge before the callee's call check, the callee's invocation
+// after it (the entry's too), so every profile, partial ones after a
+// fuel, depth or unresolved-site trap included, is byte-identical to
+// the reference loop's. Profile collection runs on it.
 //
-// The tier is opt-in (Machine.Engine) and conservative: machines with an
-// ICallHook, Injector, replaced RNG or ExactAccounting, and machines
-// carrying a Recorder beside a cpu.Model, fall back to the interpreter
-// silently — those paths observe per-event execution the closure
-// chains do not expose. OnResolve is supported (diffcheck depends on
-// it).
+// A machine's ICallHook is a nil check in the charged chain's
+// undefended icall closures. Its injector adds nothing to either
+// chain's fast paths: reset installs step and depth limits every check
+// fails, so each block entry, seam and call takes the slow path that
+// already handles the real limits, and that path draws from the
+// injector in the reference loop's order. Slow paths are tail calls
+// (see callSlow).
 package interp
 
 import (
@@ -72,36 +76,36 @@ import (
 type Engine uint8
 
 const (
-	// EngineInterp is the packed-event interpreter — the reference tier.
-	EngineInterp Engine = iota
-	// EngineCompiled is the threaded-code tier. Machines that carry
-	// state the compiled chains cannot observe (hook, injector, replaced
-	// RNG, ExactAccounting, or a recorder beside a cpu.Model) fall back
-	// to the interpreter.
-	EngineCompiled
+	// EngineCompiled, the zero value, is the threaded-code tier, the
+	// engine every machine runs by default.
+	EngineCompiled Engine = iota
+	// EngineInterp is the per-event reference loop, the oracle the
+	// threaded-code tier is checked against.
+	EngineInterp
 )
 
-// ParseEngine parses an engine name as used by the -engine CLI flag.
+// ParseEngine parses an engine name as used by the -engine CLI flag; the
+// empty name is the default, compiled.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "interp":
-		return EngineInterp, nil
-	case "compiled":
+	case "", "compiled":
 		return EngineCompiled, nil
+	case "interp":
+		return EngineInterp, nil
 	}
-	return EngineInterp, errors.New("interp: unknown engine " + s + " (want interp or compiled)")
+	return EngineCompiled, errors.New("interp: unknown engine " + s + " (want compiled or interp)")
 }
 
 func (e Engine) String() string {
-	if e == EngineCompiled {
-		return "compiled"
+	if e == EngineInterp {
+		return "interp"
 	}
-	return "interp"
+	return "compiled"
 }
 
 // errEngineUnavailable reports that the model's geometry has no inlined
 // form (an i-cache with fewer than two ways, which the two-way probe
-// needs); the caller falls back to the interpreter for this run.
+// needs); the caller runs the reference loop instead.
 var errEngineUnavailable = errors.New("interp: compiled engine unavailable for this cpu model")
 
 // cop is one compiled operation: execute, return the next operation.
@@ -133,8 +137,7 @@ type cfn struct {
 	// flatEntries/flatEntry0 are a second compilation of call-free
 	// functions whose return ends a nested driver loop instead of
 	// popping a frame; call sites run them on scratch registers with no
-	// frame push at all (the compiled analogue of the interpreter's
-	// frameless runFlat path). nil for functions that make calls.
+	// frame push at all. nil for functions that make calls.
 	flatEntries []cop
 	flatEntry0  cop
 }
@@ -191,7 +194,9 @@ type cvm struct {
 	alignMask        int64 // ^(ICacheLine-1)
 	icLine           int64
 
-	// execution state
+	// execution state. maxSteps and maxDepth are the limits the fast
+	// paths compare against: the machine's own, or with an injector
+	// limits every check fails (see reset).
 	steps     int64
 	maxSteps  int64
 	maxDepth  int
@@ -240,8 +245,18 @@ type cvm struct {
 	rsbP unsafe.Pointer
 
 	// rec is the machine's recorder; only the model-free chain counts
-	// into it (compiledEligible keeps it nil beside a model).
+	// into it (RunIndex rejects a recorder beside a model).
 	rec *Recorder
+
+	// The slow paths' state: the machine's injector and real limits,
+	// which fuelFault and depthFault apply.
+	inject     *resilience.Injector
+	stepLimit  int64
+	depthLimit int
+
+	// hook is the machine's ICallHook, consulted by the charged chain's
+	// undefended icalls.
+	hook ICallHook
 }
 
 // --- inlined cpu.Model operations ----------------------------------
@@ -383,6 +398,27 @@ func (vm *cvm) icallDef(siteAddr, targetAddr int64, def ir.Defense) {
 	}
 }
 
+// hookedCall runs an undefended icall the machine's ICallHook
+// intercepts: the hook's cycles, then a direct call's charge and RSB
+// push, then the callee. Only JumpSwitches machines take it, and as a
+// tail call (see callSlow) it costs the icall closures one nil check.
+//
+//go:noinline
+func (vm *cvm) hookedCall(site ir.SiteID, target int32, args, retAddr int64, next cop) cop {
+	vm.st.Cycles += vm.hook.Handle(site, target)
+	vm.st.Stats.DirectCalls++
+	vm.st.Cycles += vm.directCallCost + args*vm.callArgCost
+	vm.pushRSB(retAddr)
+	callee := &vm.cp.funcs[target]
+	if callee.leaf != nil {
+		return vm.runLeaf(callee, retAddr, next)
+	}
+	if callee.flatEntry0 != nil {
+		return vm.runFrameless(callee, retAddr, next)
+	}
+	return vm.enter(callee, retAddr, next)
+}
+
 // dispatch mirrors Model.dispatch: a BTB-predicted indirect branch.
 func (vm *cvm) dispatch(siteAddr, targetAddr, cost int64) {
 	slot := siteAddr & vm.st.BTBMask
@@ -428,27 +464,40 @@ func (vm *cvm) ijump(siteAddr, targetAddr int64, def ir.Defense) {
 
 // --- faults ---------------------------------------------------------
 
-func (vm *cvm) fuelFault(name string) cop {
-	vm.err = resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, name,
-		"interp: step budget exhausted in %s", name)
-	return nil
+// fuelFault is the slow path of a step/fuel sequence point whose fast
+// check failed: fuelCheck against the real budget and the injector. It
+// reports whether the run faults; if not, the run goes on. It and
+// depthFault stay out of line so the closures' fast paths stay small.
+//
+//go:noinline
+func (vm *cvm) fuelFault(name string) bool {
+	vm.err = fuelCheck(vm.inject, name, vm.steps, vm.stepLimit)
+	return vm.err != nil
 }
 
-func (vm *cvm) depthFault(name string) cop {
-	vm.err = resilience.Faultf(resilience.PhaseExecute, resilience.KindDepthExhausted, name,
-		"interp: call depth exceeds %d at %s", vm.maxDepth, name)
-	return nil
+// depthFault is the slow path of a call whose fast depth check failed:
+// callCheck at callee depth d against the real limit and the injector.
+// It reports whether the run faults; if not, the call goes on.
+//
+//go:noinline
+func (vm *cvm) depthFault(name string, d int) bool {
+	vm.err = callCheck(vm.inject, name, d, vm.depthLimit)
+	return vm.err != nil
 }
 
 // --- frame protocol -------------------------------------------------
 
 // enter suspends the current frame and installs a fresh one for cf,
-// mirroring pushFrame (depth check, cleared registers/trips). cont is
-// the closure to resume the caller at after cf returns.
+// mirroring pushFrame (call check, invocation count, cleared
+// registers/trips). cont is the closure to resume the caller at after
+// cf returns.
 func (vm *cvm) enter(cf *cfn, retAddr int64, cont cop) cop {
 	d := vm.depth + 1
 	if d >= vm.maxDepth {
-		return vm.depthFault(cf.name)
+		return vm.callSlow(cf, retAddr, cont, (*cvm).enter)
+	}
+	if vm.rec != nil {
+		vm.rec.invoke(cf.index)
 	}
 	if vm.depth >= len(vm.stack) {
 		vm.stack = append(vm.stack, make([]cframe, vm.depth+1-len(vm.stack))...)
@@ -457,6 +506,25 @@ func (vm *cvm) enter(cf *cfn, retAddr int64, cont cop) cop {
 	fr.regs, fr.trips, fr.flag, fr.retAddr, fr.cont = vm.regs, vm.trips, vm.flag, vm.retAddr, cont
 	vm.installFrame(cf, d, retAddr)
 	return cf.entry0
+}
+
+// callSlow is the slow path of a call into cf whose fast depth check
+// failed: depthFault, and if the call goes on (only an injected run's
+// can), run — the fast path that called it — under the real depth
+// limit. Every slow path is a tail call like this one, so a closure or
+// helper keeps nothing live across it and its fast path saves nothing
+// to the stack.
+//
+//go:noinline
+func (vm *cvm) callSlow(cf *cfn, retAddr int64, next cop, run func(*cvm, *cfn, int64, cop) cop) cop {
+	if vm.depthFault(cf.name, vm.depth+1) {
+		return nil
+	}
+	limit := vm.maxDepth
+	vm.maxDepth = vm.depthLimit
+	op := run(vm, cf, retAddr, next)
+	vm.maxDepth = limit
+	return op
 }
 
 // installFrame points the VM's live register state at the pooled file
@@ -478,15 +546,17 @@ func (vm *cvm) installFrame(cf *cfn, d int, retAddr int64) {
 	vm.depth = d
 }
 
-// runLeaf executes a leaf body inline at a call site: the exact
-// observable sequence of runFlat for this shape — depth check, one
-// step/fuel sequence point plus batched charge and icache touch per
-// segment, then the return — with no frame and no dispatch. The caller
-// has already charged the call itself. next resumes the caller.
-func (vm *cvm) runLeaf(lb *leafBody, retAddr int64, next cop) cop {
+// runLeaf executes a leaf body inline at a call site on the charged
+// chain: the exact observable sequence of a framed call of this shape —
+// call check, one step/fuel sequence point plus batched charge and
+// icache touch per segment, then the return — with no frame and no
+// dispatch. The caller has already charged the call itself. next
+// resumes the caller.
+func (vm *cvm) runLeaf(cf *cfn, retAddr int64, next cop) cop {
 	if vm.depth+1 >= vm.maxDepth {
-		return vm.depthFault(lb.name)
+		return vm.callSlow(cf, retAddr, next, (*cvm).runLeaf)
 	}
+	lb := cf.leaf
 	if n := int64(len(lb.segs)); vm.steps+n <= vm.maxSteps {
 		// Whole body fits in the fuel budget: one steps update, no
 		// per-segment checks. End state is identical to the careful
@@ -509,8 +579,8 @@ func (vm *cvm) runLeaf(lb *leafBody, retAddr int64, next cop) cop {
 		for i := range lb.segs {
 			s := &lb.segs[i]
 			vm.steps++
-			if vm.steps > vm.maxSteps {
-				return vm.fuelFault(lb.name)
+			if vm.steps > vm.maxSteps && vm.fuelFault(lb.name) {
+				return nil
 			}
 			vm.st.Cycles += s.cost
 			vm.st.Stats.Instructions += s.count
@@ -540,16 +610,19 @@ func (vm *cvm) runLeaf(lb *leafBody, retAddr int64, next cop) cop {
 	return next
 }
 
-// runFlatInline executes a call-free function at a call site with no
+// runFrameless executes a call-free function at a call site with no
 // frame push: the current frame's register pointers are parked in
 // locals, the callee runs on the VM's scratch file through a nested
 // driver loop over its flat-compiled chain (whose return closure ends
 // the loop instead of popping a frame), and the caller's pointers are
-// put back. Mirrors the interpreter's runFlat, including the depth
-// check. next resumes the caller; nil propagates a fault.
-func (vm *cvm) runFlatInline(cf *cfn, retAddr int64, next cop) cop {
+// put back. Mirrors a framed call, including the call check and the
+// invocation count. next resumes the caller; nil propagates a fault.
+func (vm *cvm) runFrameless(cf *cfn, retAddr int64, next cop) cop {
 	if vm.depth+1 >= vm.maxDepth {
-		return vm.depthFault(cf.name)
+		return vm.callSlow(cf, retAddr, next, (*cvm).runFrameless)
+	}
+	if vm.rec != nil {
+		vm.rec.invoke(cf.index)
 	}
 	sRegs, sTrips, sFlag, sRet := vm.regs, vm.trips, vm.flag, vm.retAddr
 	if cap(vm.flatRegs) < cf.numRegs {
@@ -575,29 +648,35 @@ func (vm *cvm) runFlatInline(cf *cfn, retAddr int64, next cop) cop {
 // --- model-free frame protocol -------------------------------------
 
 // tick is one step/fuel sequence point of the model-free chain; it
-// reports whether the budget is exhausted.
+// reports whether the fast check failed, so tickSlow must decide.
 func (vm *cvm) tick() bool {
 	vm.steps++
 	return vm.steps > vm.maxSteps
 }
 
+// tickSlow is the slow path of a model-free tick: fuelFault, and if the
+// run goes on, op — the ticked event compiled without its tick. Like
+// callSlow it is a tail call.
+//
+//go:noinline
+func (vm *cvm) tickSlow(name string, op cop) cop {
+	if vm.fuelFault(name) {
+		return nil
+	}
+	return op
+}
+
 // call enters cf on the model-free chain once the caller has counted
-// its edge: the callee's depth check, then its invocation count (the
-// order of pushFrame and runFlat), then its body — a leaf's segments
-// as one fuel charge, a call-free body on the nested driver, anything
-// else in a fresh frame. No return address is kept without a model.
+// its edge: the callee's call check, then its invocation count (the
+// order of pushFrame), then its body — a leaf's segments as one fuel
+// charge, a call-free body on the nested driver, anything else in a
+// fresh frame. No return address is kept without a model.
 func (vm *cvm) call(cf *cfn, next cop) cop {
 	if lb := cf.leaf; lb != nil {
 		return vm.callLeaf(cf, int64(len(lb.segs)), next)
 	}
-	if vm.depth+1 >= vm.maxDepth {
-		return vm.depthFault(cf.name)
-	}
-	if vm.rec != nil {
-		vm.rec.invoke(cf.index)
-	}
 	if cf.flatEntry0 != nil {
-		return vm.runFlatInline(cf, 0, next)
+		return vm.runFrameless(cf, 0, next)
 	}
 	return vm.enter(cf, 0, next)
 }
@@ -607,7 +686,7 @@ func (vm *cvm) call(cf *cfn, next cop) cop {
 // body.
 func (vm *cvm) callLeaf(cf *cfn, n int64, next cop) cop {
 	if vm.depth+1 >= vm.maxDepth || vm.steps+n > vm.maxSteps {
-		return vm.leafFault(cf)
+		return vm.leafFault(cf, n, next)
 	}
 	if vm.rec != nil {
 		vm.rec.invoke(cf.index)
@@ -616,20 +695,23 @@ func (vm *cvm) callLeaf(cf *cfn, n int64, next cop) cop {
 	return next
 }
 
-// leafFault is callLeaf's slow path, in the interpreter's order: the
-// depth check, the invocation count, then the fuel budget running out
-// inside the body. Nothing observable happens between a leaf's segments
-// here, so the fault lands at maxSteps+1, as a segment-by-segment count
-// would.
-func (vm *cvm) leafFault(cf *cfn) cop {
-	if vm.depth+1 >= vm.maxDepth {
-		return vm.depthFault(cf.name)
+// leafFault is callLeaf's slow path, in the reference loop's order: the
+// call check, the invocation count, then one step/fuel sequence point
+// per segment. It returns next if the body runs to its return.
+func (vm *cvm) leafFault(cf *cfn, n int64, next cop) cop {
+	if vm.depthFault(cf.name, vm.depth+1) {
+		return nil
 	}
 	if vm.rec != nil {
 		vm.rec.invoke(cf.index)
 	}
-	vm.steps = vm.maxSteps + 1
-	return vm.fuelFault(cf.name)
+	for ; n > 0; n-- {
+		vm.steps++
+		if vm.fuelFault(cf.name) {
+			return nil
+		}
+	}
+	return next
 }
 
 // leave is the model-free return: the frame pop the charged return
@@ -716,7 +798,7 @@ func compileProgram(p *Program, free bool) *compiled {
 // straight-line code ending in a return — the "step,ret" shape the
 // profiler identifies as the hottest callee — and builds the inline
 // descriptor. Flatness guarantees no segment may fault, so every
-// segment charge is batched, exactly as the interpreter batches them.
+// segment charge is batched.
 func leafOf(f *cfunc) *leafBody {
 	if !f.flat || len(f.blocks) == 0 {
 		return nil
@@ -785,7 +867,7 @@ func fuse(pre *segPre, body cop) cop {
 		return func(vm *cvm) cop {
 			vm.steps++
 			if vm.steps > vm.maxSteps {
-				return vm.fuelFault(name)
+				return vm.lineSlow(name, cost, count, lb, body)
 			}
 			vm.st.Cycles += cost
 			vm.st.Stats.Instructions += count
@@ -803,7 +885,7 @@ func fuse(pre *segPre, body cop) cop {
 		}
 		vm.steps++
 		if vm.steps > vm.maxSteps {
-			return vm.fuelFault(p.name)
+			return vm.prefixSlow(p, body)
 		}
 		if p.batched {
 			vm.st.Cycles += p.cost
@@ -819,6 +901,34 @@ func fuse(pre *segPre, body cop) cop {
 		}
 		return body(vm)
 	}
+}
+
+// prefixSlow is the slow path of a prefix whose fast step/fuel check
+// failed, after any charged run before the seam: fuelFault, and if the
+// run goes on, the segment's charge and touches, then body. Like
+// callSlow it is a tail call. p comes by value so no closure keeps a
+// segPre alive.
+//
+//go:noinline
+func (vm *cvm) prefixSlow(p segPre, body cop) cop {
+	if vm.fuelFault(p.name) {
+		return nil
+	}
+	if p.batched {
+		vm.st.Cycles += p.cost
+		vm.st.Stats.Instructions += p.count
+	}
+	vm.touchN(p.lineBase, p.nLines)
+	return body
+}
+
+// lineSlow is prefixSlow for fuse's dominant single-line batched
+// prefix. Its fields come as separate arguments, which keep that
+// closure's stack frame as small as its fast path needs.
+//
+//go:noinline
+func (vm *cvm) lineSlow(name string, cost, count, lineBase int64, body cop) cop {
+	return vm.prefixSlow(segPre{name: name, batched: true, cost: cost, count: count, lineBase: lineBase, nLines: 1}, body)
 }
 
 func compileFn(cp *compiled, p *Program, fi int32, free bool) {
@@ -961,7 +1071,7 @@ func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr,
 			vm.err = trap(name, "interp: %s: no target distribution for site %d (orig %d)", name, site, orig)
 			return nil
 		}
-		tgt := d.pickFast(vm.src)
+		tgt := d.pick(vm.src)
 		vm.regs[reg] = tgt + 1
 		if vm.onResolve != nil {
 			vm.onResolve(orig, tgt)
@@ -975,6 +1085,9 @@ func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr,
 		if tgt < 0 {
 			vm.err = trap(name, "interp: %s: icall through unresolved register r%d (site %d)", name, reg, icSite)
 			return nil
+		}
+		if defNone && vm.hook != nil {
+			return vm.hookedCall(orig, tgt, icArgs, icRet, next)
 		}
 		vm.st.Stats.IndirectCalls++
 		vm.st.Cycles += icArgs * vm.callArgCost
@@ -995,10 +1108,10 @@ func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr,
 		vm.pushRSB(icRet)
 		callee := &cp.funcs[tgt]
 		if callee.leaf != nil {
-			return vm.runLeaf(callee.leaf, icRet, next)
+			return vm.runLeaf(callee, icRet, next)
 		}
 		if callee.flatEntry0 != nil {
-			return vm.runFlatInline(callee, icRet, next)
+			return vm.runFrameless(callee, icRet, next)
 		}
 		return vm.enter(callee, icRet, next)
 	})
@@ -1032,7 +1145,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 				vm.err = trap(name, "interp: %s: no target distribution for site %d (orig %d)", name, site, orig)
 				return nil
 			}
-			tgt := d.pickFast(vm.src)
+			tgt := d.pick(vm.src)
 			vm.regs[reg] = tgt + 1
 			if vm.onResolve != nil {
 				vm.onResolve(orig, tgt)
@@ -1172,7 +1285,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 				vm.st.Cycles += pc
 				vm.st.Stats.Instructions += pn
 			}
-			k := int(uint64nSrc(vm.src, nT))
+			k := int(uint64n(vm.src, nT))
 			if table {
 				vm.ijump(addr, int64(k), def)
 			} else {
@@ -1187,7 +1300,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 		retC := int64(ci.els)
 		args := int64(ci.args)
 		callee := &cp.funcs[ci.callee]
-		if lb := callee.leaf; lb != nil {
+		if callee.leaf != nil {
 			// call->leaf superinstruction: charge the call, run the body
 			// inline, resume at next — one dispatch for the whole call.
 			return fuse(pre, func(vm *cvm) cop {
@@ -1198,7 +1311,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 				vm.st.Stats.DirectCalls++
 				vm.st.Cycles += vm.directCallCost + args*vm.callArgCost
 				vm.pushRSB(retC)
-				return vm.runLeaf(lb, retC, next)
+				return vm.runLeaf(callee, retC, next)
 			})
 		}
 		if callee.flatEntries != nil {
@@ -1211,7 +1324,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 				vm.st.Stats.DirectCalls++
 				vm.st.Cycles += vm.directCallCost + args*vm.callArgCost
 				vm.pushRSB(retC)
-				return vm.runFlatInline(callee, retC, next)
+				return vm.runFrameless(callee, retC, next)
 			})
 		}
 		return fuse(pre, func(vm *cvm) cop {
@@ -1227,7 +1340,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 
 	case cICall:
 		reg := int(ci.reg)
-		site := ci.site
+		site, orig := ci.site, ci.orig
 		addr := int64(ci.addr)
 		retC := int64(ci.els)
 		args := int64(ci.args)
@@ -1242,6 +1355,9 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 			if tgt < 0 {
 				vm.err = trap(name, "interp: %s: icall through unresolved register r%d (site %d)", name, reg, site)
 				return nil
+			}
+			if defNone && vm.hook != nil {
+				return vm.hookedCall(orig, tgt, args, retC, next)
 			}
 			vm.st.Stats.IndirectCalls++
 			vm.st.Cycles += args * vm.callArgCost
@@ -1262,10 +1378,10 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 			vm.pushRSB(retC)
 			callee := &cp.funcs[tgt]
 			if callee.leaf != nil {
-				return vm.runLeaf(callee.leaf, retC, next)
+				return vm.runLeaf(callee, retC, next)
 			}
 			if callee.flatEntry0 != nil {
-				return vm.runFlatInline(callee, retC, next)
+				return vm.runFrameless(callee, retC, next)
 			}
 			return vm.enter(callee, retC, next)
 		})
@@ -1369,17 +1485,22 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 	if ci == nil {
 		return func(vm *cvm) cop {
 			if vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, next)
 			}
 			return next
 		}
+	}
+	// plain is the event without its tick, where tickSlow goes on.
+	var plain cop
+	if tick {
+		plain = genFree(cp, src, nil, ci, name, next, entries, flatRet)
 	}
 	switch ci.kind {
 	case cResolve:
 		orig, site, reg := ci.orig, ci.site, int(ci.reg)
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			var d *Dist
 			if vm.res != nil {
@@ -1389,7 +1510,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 				vm.err = trap(name, "interp: %s: no target distribution for site %d (orig %d)", name, site, orig)
 				return nil
 			}
-			tgt := d.pickFast(vm.src)
+			tgt := d.pick(vm.src)
 			vm.regs[reg] = tgt + 1
 			if vm.onResolve != nil {
 				vm.onResolve(orig, tgt)
@@ -1401,7 +1522,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		reg, want := int(ci.reg), ci.callee+1
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			vm.flag = vm.regs[reg] == want
 			return next
@@ -1414,7 +1535,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 			tripIdx, tripMax := int(ci.tripIdx), ci.trip
 			return func(vm *cvm) cop {
 				if tick && vm.tick() {
-					return vm.fuelFault(name)
+					return vm.tickSlow(name, plain)
 				}
 				if cnt := vm.trips[tripIdx]; cnt < tripMax-1 {
 					vm.trips[tripIdx] = cnt + 1
@@ -1426,7 +1547,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		case ci.useFlag:
 			return func(vm *cvm) cop {
 				if tick && vm.tick() {
-					return vm.fuelFault(name)
+					return vm.tickSlow(name, plain)
 				}
 				if vm.flag {
 					return *thenP
@@ -1437,7 +1558,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		thresh := uint32(ci.cost)
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			if uint32(vm.src.Uint64()>>40) < thresh {
 				return *thenP
@@ -1449,7 +1570,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		thenP := &entries[ci.then]
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			return *thenP
 		}
@@ -1459,9 +1580,9 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		nT := uint64(len(targets))
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
-			return entries[targets[uint64nSrc(vm.src, nT)]]
+			return entries[targets[uint64n(vm.src, nT)]]
 		}
 
 	case cCall:
@@ -1473,7 +1594,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 			n := int64(len(lb.segs))
 			return func(vm *cvm) cop {
 				if tick && vm.tick() {
-					return vm.fuelFault(name)
+					return vm.tickSlow(name, plain)
 				}
 				if vm.rec != nil {
 					vm.rec.direct(orig)
@@ -1483,7 +1604,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		}
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			if vm.rec != nil {
 				vm.rec.direct(orig)
@@ -1495,7 +1616,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		reg, site, orig := int(ci.reg), ci.site, ci.orig
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			tgt := vm.regs[reg] - 1
 			if tgt < 0 {
@@ -1513,14 +1634,14 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 			// Ends the nested driver loop of a frameless flat run.
 			return func(vm *cvm) cop {
 				if tick && vm.tick() {
-					return vm.fuelFault(name)
+					return vm.tickSlow(name, plain)
 				}
 				return nil
 			}
 		}
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
-				return vm.fuelFault(name)
+				return vm.tickSlow(name, plain)
 			}
 			return vm.leave()
 		}
@@ -1533,18 +1654,6 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 }
 
 // --- machine integration --------------------------------------------
-
-// compiledEligible reports whether this machine's configuration can run
-// on the compiled tier. Only the model-free chain counts into a
-// recorder, so a recorder is admitted exactly when the machine has no
-// cpu.Model. Hook and injector observe per-event execution the closure
-// chains do not expose; a replaced RNG breaks the concrete-source draw
-// path; ExactAccounting exists to exercise the interpreter's per-event
-// charging. OnResolve is supported.
-func (mc *Machine) compiledEligible() bool {
-	return (mc.Rec == nil || mc.CPU == nil) && mc.Hook == nil && mc.Inject == nil &&
-		!mc.ExactAccounting && mc.RNG == mc.ownRNG
-}
 
 // compiledVM returns the machine's compiled-tier state, made on first
 // use.
@@ -1562,21 +1671,27 @@ func (vm *cvm) reset(mc *Machine, cp *compiled) {
 	vm.res = mc.Res
 	vm.onResolve = mc.OnResolve
 	vm.rec = mc.Rec
-	vm.maxSteps = mc.MaxSteps
-	vm.maxDepth = mc.MaxDepth
+	vm.hook = mc.Hook
+	vm.inject = mc.Inject
+	vm.stepLimit, vm.depthLimit = mc.MaxSteps, mc.MaxDepth
+	vm.maxSteps, vm.maxDepth = mc.MaxSteps, mc.MaxDepth
+	if mc.Inject != nil {
+		// Every fast check fails against these (steps is at least 1 at a
+		// check, depth at least 0), so each block entry, seam and call
+		// takes its slow path, which draws from the injector.
+		vm.maxSteps, vm.maxDepth = 0, 0
+	}
 	vm.steps = 0
 	vm.err = nil
 }
 
 // drive runs entry fi of vm.cp from a fresh depth-0 frame to the end of
-// its chain, with pushFrame's prologue order (the depth check, then the
+// its chain, with pushFrame's prologue order (the call check, then the
 // entry's invocation count), and returns the run's fault, if any.
 func (vm *cvm) drive(fi int32, retAddr int64) error {
 	cf := &vm.cp.funcs[fi]
 	var op cop
-	if vm.maxDepth <= 0 {
-		op = vm.depthFault(cf.name)
-	} else {
+	if 0 < vm.maxDepth || !vm.depthFault(cf.name, 0) {
 		if vm.rec != nil {
 			vm.rec.invoke(fi)
 		}
@@ -1596,15 +1711,13 @@ func (vm *cvm) drive(fi int32, retAddr int64) error {
 func (mc *Machine) runFree(fi int32, entryRetAddr int64) error {
 	vm := mc.compiledVM()
 	vm.reset(mc, mc.Prog.freeProgram())
-	err := vm.drive(fi, entryRetAddr)
-	mc.steps = vm.steps
-	return err
+	return vm.drive(fi, entryRetAddr)
 }
 
 // runCompiled executes one entry on the charged chain against the
 // machine's cpu.Model. It returns errEngineUnavailable (without touching
 // any model state) when the model's geometry has no inlined form; the
-// caller falls back to the interpreter.
+// caller runs the reference loop instead.
 func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	model := mc.CPU
 	vm := mc.compiledVM()
@@ -1644,8 +1757,8 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	}
 	vm.reset(mc, mc.Prog.compiledProgram())
 
-	// Entry sequence, in the interpreter's order: RSB refill and the
-	// synthetic entry call, then the depth-0 frame check.
+	// Entry sequence, in the reference loop's order: RSB refill and the
+	// synthetic entry call, then the depth-0 call check.
 	if mc.RefillRSB {
 		vm.refillRSB()
 	}
@@ -1654,7 +1767,6 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	vm.pushRSB(entryRetAddr)
 
 	err := vm.drive(fi, entryRetAddr)
-	mc.steps = vm.steps
 	model.EngineRestore(&vm.st)
 	return err
 }

@@ -3,23 +3,23 @@ package interp
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/ir"
+	"repro/internal/jumpswitch"
 	"repro/internal/kernel"
 	"repro/internal/resilience"
 )
 
 // The compiled tier's contract is byte-identical observables against
-// the interpreter: same resolve trace, same outcome, same Cycles, same
-// Stats, same recorded profile, for any program, seed and fault mode.
-// These tests enforce it over the real synthetic kernel and over
-// fuzz-generated programs.
+// the per-event reference loop: same resolve trace, same outcome, same
+// Cycles, same Stats, same recorded profile, same injected faults, for
+// any program, seed and fault mode. These tests enforce it over the
+// real synthetic kernel and over fuzz-generated programs.
 
-// enginePair is two machines over the same program — interpreter
-// reference and compiled candidate — with identical seeds. Both carry
+// enginePair is two machines over the same program — the reference
+// loop and the compiled candidate — with identical seeds. Both carry
 // independent CPU models, or in recorder mode a Recorder each and no
 // model, so the candidate runs the model-free chain.
 type enginePair struct {
@@ -47,13 +47,20 @@ func newEnginePair(p *Program, res *Resolver, seed int64, maxDepth int, maxSteps
 	return &enginePair{ref: mk(EngineInterp), cand: mk(EngineCompiled)}
 }
 
+// inject gives each machine of the pair its own injector, both with the
+// same seed and rates, so equal draw sequences fire equal faults.
+func (pair *enginePair) inject(seed int64, rates resilience.Rates) {
+	pair.ref.Inject = resilience.NewInjector(seed, rates)
+	pair.cand.Inject = resilience.NewInjector(seed, rates)
+}
+
 // observation is what one run shows: its outcome, an FNV digest of its
-// resolve stream, and whichever cumulative state the machine carries —
-// model cycles and stats, or the hash of its recorder's lifted profile.
-// Machine.steps is not observed: the interpreter does not publish its
-// step count on every exit.
+// resolve stream, the faults its injector has fired so far, and
+// whichever cumulative state the machine carries — model cycles and
+// stats, or the hash of its recorder's lifted profile.
 type observation struct {
 	outcome, digest string
+	faults          string
 	cycles          int64
 	stats           cpu.Counters
 	profile         string
@@ -66,7 +73,7 @@ func observedRun(mc *Machine, p *Program, entry string) observation {
 	}
 	err := mc.Run(entry)
 	mc.OnResolve = nil
-	ob := observation{outcome: "ok", digest: fmt.Sprintf("%016x", h.Sum64())}
+	ob := observation{outcome: "ok", digest: fmt.Sprintf("%016x", h.Sum64()), faults: fmt.Sprint(mc.Inject.Counts())}
 	if err != nil {
 		ob.outcome = err.Error()
 	}
@@ -100,6 +107,9 @@ func checkPair(t *testing.T, pair *enginePair, p *Program, entry string, reps in
 		if ref.digest != cand.digest {
 			t.Fatalf("%s rep %d: resolve digest diverged: interp %s, compiled %s", entry, r, ref.digest, cand.digest)
 		}
+		if ref.faults != cand.faults {
+			t.Fatalf("%s rep %d: injected faults diverged: interp %s, compiled %s", entry, r, ref.faults, cand.faults)
+		}
 		if ref.cycles != cand.cycles {
 			t.Fatalf("%s rep %d: cycles diverged: interp %d, compiled %d", entry, r, ref.cycles, cand.cycles)
 		}
@@ -114,8 +124,11 @@ func checkPair(t *testing.T, pair *enginePair, p *Program, entry string, reps in
 	return obs
 }
 
-// ranCompiled reports whether mc ran on the compiled tier at least once.
-func ranCompiled(mc *Machine) bool { return mc.vm != nil }
+// ranCompiled reports whether mc ran on the compiled tier at least once:
+// on the model-free chain, or on the charged chain against its model.
+func ranCompiled(mc *Machine) bool {
+	return mc.vm != nil && (mc.CPU == nil || mc.vm.model == mc.CPU)
+}
 
 // kernelResolver installs a deterministic skewed distribution for every
 // site of a generated kernel.
@@ -160,12 +173,16 @@ func TestCompiledEquivalenceKernel(t *testing.T) {
 }
 
 // TestCompiledEquivalenceFaults drives both engines into every fault
-// class — fuel exhaustion, depth exhaustion, unresolved sites — and
-// requires identical outcomes and identical partial charges. The
-// -recorder subtests run the same faults on recorder machines without
-// a model, so the partial profiles the model-free chain leaves behind
-// must match the interpreter's byte for byte. The entry takes 11 steps,
-// so a budget of 10 runs out in its last callee.
+// class — fuel exhaustion, depth exhaustion, unresolved sites, and
+// injected traps, depth and fuel exhaustion — and requires identical
+// outcomes, identical injected faults and identical partial charges.
+// The -recorder subtests run the same faults on recorder machines
+// without a model, so the partial profiles the model-free chain leaves
+// behind must match the reference loop's byte for byte. The entry takes
+// 11 steps, so a budget of 10 runs out in its last callee. Each
+// injected case arms one fault kind at a rate that first fires in the
+// fourth rep, so the three complete runs before it check that a slow
+// path which draws and passes lets the run go on.
 func TestCompiledEquivalenceFaults(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 2})
 	if err != nil {
@@ -182,19 +199,33 @@ func TestCompiledEquivalenceFaults(t *testing.T) {
 		res      *Resolver
 		maxDepth int
 		maxSteps int64
+		rates    resilience.Rates
 	}{
-		{"fuel", res, 0, 10},
-		{"depth", res, 2, 0},
-		{"unresolved", NewResolver(), 0, 0},
+		{"fuel", res, 0, 10, resilience.Rates{}},
+		{"depth", res, 2, 0, resilience.Rates{}},
+		{"unresolved", NewResolver(), 0, 0, resilience.Rates{}},
+		{"trap-injected", res, 0, 0, resilience.Rates{Trap: 0.05}},
+		{"depth-injected", res, 0, 0, resilience.Rates{Depth: 0.05}},
+		{"fuel-injected", res, 0, 0, resilience.Rates{Fuel: 0.05}},
 	} {
 		run := func(t *testing.T, recorder bool) {
 			pair := newEnginePair(p, c.res, 3, c.maxDepth, c.maxSteps, recorder)
-			obs := checkPair(t, pair, p, entry, 3)
+			if c.rates != (resilience.Rates{}) {
+				pair.inject(17, c.rates)
+			}
+			obs := checkPair(t, pair, p, entry, 6)
 			if !ranCompiled(pair.cand) {
 				t.Fatal("the compiled tier did not run")
 			}
-			if obs[0].outcome == "ok" {
+			faulted := false
+			for _, ob := range obs {
+				faulted = faulted || ob.outcome != "ok"
+			}
+			if !faulted {
 				t.Fatal("the run did not fault")
+			}
+			if c.rates != (resilience.Rates{}) && pair.ref.Inject.Total() == 0 {
+				t.Fatal("the injector fired nothing")
 			}
 			if recorder {
 				if pr, err := pair.ref.Rec.Profile(); err != nil || len(pr.Sites) == 0 {
@@ -248,12 +279,54 @@ func TestCompiledEquivalenceGeometry(t *testing.T) {
 	}
 }
 
-// TestCompiledFallback pins the eligibility rule: machines carrying
-// interpreter-only state (a recorder beside a cpu.Model, an injector,
-// ExactAccounting, a replaced RNG) run the interpreter even with
-// Engine=EngineCompiled, and behave identically to an explicit
-// interpreter machine.
-func TestCompiledFallback(t *testing.T) {
+// TestCompiledEquivalenceHook runs every seed-1 kernel entry with a
+// JumpSwitches runtime on each machine, so the charged chain's hooked
+// icall path meets the reference loop's on learning, patching, chain
+// hits and misses. Each machine gets its own runtime, and the two
+// runtimes must end in the same state.
+func TestCompiledEquivalenceHook(t *testing.T) {
+	k, err := kernel.Generate(kernel.Config{Seed: 1})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	p, err := Compile(k.Mod)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	res := kernelResolver(t, k, p)
+	var handled int64
+	for _, spec := range k.Specs {
+		pair := newEnginePair(p, res, 1, 0, 0, false)
+		refRT, candRT := jumpswitch.New(jumpswitch.DefaultParams()), jumpswitch.New(jumpswitch.DefaultParams())
+		pair.ref.Hook, pair.cand.Hook = refRT, candRT
+		checkPair(t, pair, p, k.Entries[spec.Name], 4)
+		if !ranCompiled(pair.cand) {
+			t.Fatalf("%s: the compiled tier did not run", spec.Name)
+		}
+		type rtState struct {
+			learning, hits, misses, patches int64
+			sites                           int
+		}
+		state := func(rt *jumpswitch.Runtime) rtState {
+			return rtState{rt.LearningHits, rt.ChainHits, rt.ChainMisses, rt.Patches, rt.ManagedSites()}
+		}
+		if a, b := state(refRT), state(candRT); a != b {
+			t.Fatalf("%s: runtimes diverged: interp %+v, compiled %+v", spec.Name, a, b)
+		}
+		handled += refRT.LearningHits + refRT.ChainHits + refRT.ChainMisses
+	}
+	if handled == 0 {
+		t.Fatal("the hook handled no icall")
+	}
+}
+
+// TestMachineEdgeCases pins the two shapes that do not run the compiled
+// tier as usual. A machine with both a recorder and a cpu.Model is a
+// configuration fault under either engine, before anything runs. A
+// model whose i-cache has one way runs the reference loop, because the
+// tier's two-way probe cannot serve it, and matches an explicit
+// reference machine.
+func TestMachineEdgeCases(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 1})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -265,28 +338,30 @@ func TestCompiledFallback(t *testing.T) {
 	res := kernelResolver(t, k, p)
 	entry := k.Entries[k.Specs[0].Name]
 
-	for _, c := range []struct {
-		name  string
-		equip func(mc *Machine)
-	}{
-		{"recorder and model", func(mc *Machine) { mc.Rec = NewRecorder(p) }},
-		// Rates that fire nothing: the run completes, and still takes
-		// the interpreter.
-		{"injector", func(mc *Machine) { mc.Inject = resilience.NewInjector(4, resilience.Rates{}) }},
-		{"ExactAccounting", func(mc *Machine) { mc.ExactAccounting = true }},
-		{"replaced RNG", func(mc *Machine) { mc.RNG = rand.New(newFastSource(9)) }},
-	} {
-		pair := newEnginePair(p, res, 9, 0, 0, false)
-		c.equip(pair.ref)
-		c.equip(pair.cand)
-		if pair.cand.compiledEligible() {
-			t.Fatalf("%s: machine must not be compiled-eligible", c.name)
+	t.Run("recorder-and-model", func(t *testing.T) {
+		for _, eng := range []Engine{EngineCompiled, EngineInterp} {
+			mc := NewMachine(p, 1)
+			mc.Res, mc.Engine = res, eng
+			mc.CPU, mc.Rec = cpu.New(cpu.DefaultParams()), NewRecorder(p)
+			err := mc.Run(entry)
+			if fe, ok := resilience.AsFault(err); !ok || fe.Kind != resilience.KindConfig {
+				t.Fatalf("%s: Run = %v, want a config fault", eng, err)
+			}
+			if mc.CPU.Cycles != 0 || mc.vm != nil || len(mc.stack) != 0 {
+				t.Fatalf("%s: the rejected machine ran", eng)
+			}
 		}
-		checkPair(t, pair, p, entry, 2)
+	})
+	t.Run("one-way-icache", func(t *testing.T) {
+		par := cpu.DefaultParams()
+		par.ICacheWays = 1
+		pair := newEnginePair(p, res, 5, 0, 0, false)
+		pair.ref.CPU, pair.cand.CPU = cpu.New(par), cpu.New(par)
+		checkPair(t, pair, p, entry, 3)
 		if ranCompiled(pair.cand) {
-			t.Fatalf("%s: the compiled tier ran", c.name)
+			t.Fatal("the compiled tier ran on a one-way i-cache")
 		}
-	}
+	})
 }
 
 // --- fuzz -----------------------------------------------------------
@@ -347,7 +422,7 @@ func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 				b.ALU(1 + int(r.n(6)))
 			}
 			b.Ret()
-		case 2: // call-free counted loop (flat in the interpreter)
+		case 2: // call-free counted loop (flat on the compiled tier)
 			b.ALU(int(r.n(5)))
 			b.Jmp("loop")
 			b.NewBlock("loop")
@@ -461,19 +536,25 @@ func fuzzResolver(r *fz, p *Program, sites []ir.SiteID, nFuncs int) (*Resolver, 
 // FuzzCompiledEquivalence generates random programs and seeds and
 // asserts the compiled engine's resolve-trace digest, outcome, cycle
 // count and full predictor statistics are byte-identical to the
-// interpreter's — including under tight fuel and depth budgets that
+// reference loop's — including under tight fuel and depth budgets that
 // fault mid-run. In recorder mode both machines carry a Recorder and
-// no model, and the recorded profiles must match instead.
+// no model, and the recorded profiles must match instead. In injector
+// mode (inject nonzero, with either a model or a recorder) each machine
+// carries its own injector with equal seeds, firing traps and depth
+// exhaustion at inject/512 per call and fuel exhaustion at a quarter of
+// that per block, and the faults it fires must match too.
 func FuzzCompiledEquivalence(f *testing.F) {
-	for _, recorder := range []bool{false, true} {
-		f.Add(uint64(1), int64(1), uint8(0), uint16(0), recorder)
-		f.Add(uint64(2), int64(99), uint8(6), uint16(120), recorder)
-		f.Add(uint64(3), int64(7), uint8(0), uint16(40), recorder)
-		f.Add(uint64(12345), int64(-5), uint8(3), uint16(0), recorder)
-		f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9), recorder)
-		f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500), recorder)
+	for _, inject := range []uint8{0, 40} {
+		for _, recorder := range []bool{false, true} {
+			f.Add(uint64(1), int64(1), uint8(0), uint16(0), recorder, inject)
+			f.Add(uint64(2), int64(99), uint8(6), uint16(120), recorder, inject)
+			f.Add(uint64(3), int64(7), uint8(0), uint16(40), recorder, inject)
+			f.Add(uint64(12345), int64(-5), uint8(3), uint16(0), recorder, inject)
+			f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9), recorder, inject)
+			f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500), recorder, inject)
+		}
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16, recorder bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16, recorder bool, inject uint8) {
 		mod, sites := genModule(seed)
 		if err := ir.Verify(mod, ir.VerifyOptions{}); err != nil {
 			t.Fatalf("generated module does not verify: %v", err)
@@ -490,6 +571,10 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		// maxDepth 0 keeps the default; small values exercise depth
 		// faults. maxSteps likewise for fuel faults.
 		pair := newEnginePair(p, res, runSeed, int(maxDepth), int64(maxSteps), recorder)
+		if inject != 0 {
+			r := float64(inject) / 512
+			pair.inject(runSeed, resilience.Rates{Trap: r, Depth: r, Fuel: r / 4})
+		}
 		checkPair(t, pair, p, "f0", 3)
 		if !ranCompiled(pair.cand) {
 			t.Fatal("the compiled tier did not run")
@@ -499,7 +584,7 @@ func FuzzCompiledEquivalence(f *testing.F) {
 
 // BenchmarkMachineRunCompiled is the compiled-tier half of the
 // dispatch microbenchmark pair (BenchmarkMachineRun in engine_test.go
-// is the interpreter half): same program, same mix, Engine set.
+// is the reference-loop half): same program, same mix, Engine set.
 func BenchmarkMachineRunCompiled(b *testing.B) {
 	mc := newDispatchBenchMachine(b)
 	mc.Engine = EngineCompiled

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"repro/internal/ir"
@@ -19,7 +18,7 @@ import (
 // division), so the sampled distribution matches the weights exactly.
 // When n*total would overflow uint64 the constructor falls back to a
 // cumulative table searched with sort.Search; both paths draw from the
-// RNG through the same unbiased bounded sampler.
+// machine's stream through the same unbiased bounded sampler.
 type Dist struct {
 	targets []int32
 	total   uint64
@@ -128,20 +127,7 @@ func (d *Dist) buildAlias(weights []uint64) {
 
 // uint64n returns an unbiased uniform value in [0, n) using Lemire's
 // multiply-shift rejection method. n must be nonzero.
-func uint64n(rng *rand.Rand, n uint64) uint64 {
-	hi, lo := bits.Mul64(rng.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(rng.Uint64(), n)
-		}
-	}
-	return hi
-}
-
-// uint64nSrc is uint64n specialised to the interpreter's concrete fast
-// source, so the whole bounded draw inlines into the dispatch loop.
-func uint64nSrc(src *fastSource, n uint64) uint64 {
+func uint64n(src *fastSource, n uint64) uint64 {
 	hi, lo := bits.Mul64(src.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
@@ -152,29 +138,10 @@ func uint64nSrc(src *fastSource, n uint64) uint64 {
 	return hi
 }
 
-// pickFast is Pick specialised to the concrete fast source. It consumes
-// the identical draw sequence, so a machine produces the same resolve
-// trace whichever path it uses.
-func (d *Dist) pickFast(src *fastSource) int32 {
-	if len(d.targets) == 1 {
-		return d.targets[0]
-	}
-	if d.cut != nil {
-		col := uint64nSrc(src, uint64(len(d.targets)))
-		if uint64nSrc(src, d.total) < d.cut[col] {
-			return d.targets[col]
-		}
-		return d.aliasTgt[col]
-	}
-	x := uint64nSrc(src, d.total)
-	i := sort.Search(len(d.cum), func(i int) bool { return d.cum[i] > x })
-	return d.targets[i]
-}
-
-// Pick samples a function index. Single-target distributions draw
-// nothing from the RNG; multi-target distributions draw two Uint64s
+// pick samples a function index. Single-target distributions draw
+// nothing from the stream; multi-target distributions draw two values
 // (occasionally more, when the unbiased bounded sampler rejects).
-func (d *Dist) Pick(rng *rand.Rand) int32 {
+func (d *Dist) pick(src *fastSource) int32 {
 	if len(d.targets) == 1 {
 		return d.targets[0]
 	}
@@ -183,13 +150,13 @@ func (d *Dist) Pick(rng *rand.Rand) int32 {
 		// instead of one draw over [0, n*total): the factored form avoids
 		// a 64-bit division on the hot path and samples the identical
 		// distribution — P(column) = 1/n, P(direct | column) = cut/total.
-		col := uint64n(rng, uint64(len(d.targets)))
-		if uint64n(rng, d.total) < d.cut[col] {
+		col := uint64n(src, uint64(len(d.targets)))
+		if uint64n(src, d.total) < d.cut[col] {
 			return d.targets[col]
 		}
 		return d.aliasTgt[col]
 	}
-	x := uint64n(rng, d.total)
+	x := uint64n(src, d.total)
 	i := sort.Search(len(d.cum), func(i int) bool { return d.cum[i] > x })
 	return d.targets[i]
 }
@@ -202,7 +169,7 @@ func (d *Dist) NumTargets() int { return len(d.targets) }
 // indirectly.
 //
 // Distributions are stored in a dense table indexed by site ID (site IDs
-// are allocated densely by ir.Module), so the interpreter's per-resolve
+// are allocated densely by ir.Module), so the engines' per-resolve
 // lookup is a bounds check and a slice load instead of a map probe.
 type Resolver struct {
 	dense []*Dist

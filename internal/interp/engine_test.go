@@ -2,7 +2,6 @@ package interp
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -22,10 +21,10 @@ func TestDistPickSkewedEmpirical(t *testing.T) {
 		t.Fatalf("NewDist: %v", err)
 	}
 	const n = 111000
-	rng := rand.New(rand.NewSource(42))
+	src := &fastSource{s: 42}
 	counts := [3]int{}
 	for i := 0; i < n; i++ {
-		counts[d.Pick(rng)]++
+		counts[d.pick(src)]++
 	}
 	var total uint64
 	for _, w := range weights {
@@ -44,33 +43,10 @@ func TestDistPickSkewedEmpirical(t *testing.T) {
 	}
 }
 
-// TestPickFastMatchesPick checks the two sampling entry points consume
-// identical draw sequences: a machine produces the same resolve trace
-// whether the dispatch loop uses the concrete-source fast path or the
-// generic *rand.Rand path.
-func TestPickFastMatchesPick(t *testing.T) {
-	d, err := NewDist([]int{3, 7, 9, 12}, []uint64{1, 2, 96, 1})
-	if err != nil {
-		t.Fatalf("NewDist: %v", err)
-	}
-	a := &fastSource{s: 99}
-	b := rand.New(&fastSource{s: 99})
-	for i := 0; i < 5000; i++ {
-		fast, slow := d.pickFast(a), d.Pick(b)
-		if fast != slow {
-			t.Fatalf("draw %d: pickFast = %d, Pick = %d", i, fast, slow)
-		}
-	}
-	// The sources must also end in the same state (same number of raw
-	// draws consumed).
-	if x, y := a.Uint64(), b.Uint64(); x != y {
-		t.Fatalf("sources diverged after sampling: %#x vs %#x", x, y)
-	}
-}
-
 // TestDeepRecursionMemoryBound checks that MaxDepth is bounded by memory,
-// not by Go stack growth: the iterative dispatcher must carry a
-// million-deep call chain and still report the depth fault cleanly.
+// not by Go stack growth: both engines keep their frames on the heap,
+// so each must carry a million-deep call chain and still report the
+// depth fault cleanly.
 func TestDeepRecursionMemoryBound(t *testing.T) {
 	m := ir.NewModule()
 	b := ir.NewFunction(m, "rec", 0)
@@ -80,11 +56,16 @@ func TestDeepRecursionMemoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	mc := NewMachine(p, 1)
-	mc.MaxDepth = 1 << 20
-	err = mc.Run("rec")
-	if err == nil || !strings.Contains(err.Error(), "depth") {
-		t.Fatalf("Run = %v, want depth error after %d frames", err, mc.MaxDepth)
+	for _, eng := range []Engine{EngineCompiled, EngineInterp} {
+		t.Run(eng.String(), func(t *testing.T) {
+			mc := NewMachine(p, 1)
+			mc.Engine = eng
+			mc.MaxDepth = 1 << 20
+			err := mc.Run("rec")
+			if err == nil || !strings.Contains(err.Error(), "depth") {
+				t.Fatalf("Run = %v, want depth error after %d frames", err, mc.MaxDepth)
+			}
+		})
 	}
 }
 
@@ -133,10 +114,11 @@ func newDispatchBenchMachine(b *testing.B) *Machine {
 	return mc
 }
 
-// BenchmarkMachineRun times raw interpreter dispatch; see
+// BenchmarkMachineRun times the reference loop's dispatch; see
 // BenchmarkMachineRunCompiled for the threaded-code half of the pair.
 func BenchmarkMachineRun(b *testing.B) {
 	mc := newDispatchBenchMachine(b)
+	mc.Engine = EngineInterp
 	idx := mc.Prog.FuncIndex("entry")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,20 +9,20 @@
 //   - functional validation: transforms must preserve behaviour, which
 //     tests check by comparing execution traces before and after.
 //
-// The interpreter works on a compiled form of the module (Program) where
-// straight-line instruction runs are pre-aggregated, so measurement cost
+// Compile lowers a module to a packed event stream (Program) in which
+// straight-line instruction runs are pre-aggregated, so execution cost
 // is proportional to control-flow events rather than instruction count.
-//
-// Execution is iterative: calls push an explicit frame onto a pooled
-// frame stack instead of recursing through Go stack frames, so MaxDepth
-// is bounded by memory, not by goroutine stack growth, and deep call
-// chains cost one frame copy rather than a Go call.
+// Two engines run it. The threaded-code tier (compiled.go) is the one
+// every machine runs by default. The reference loop in this file (exec,
+// selected by EngineInterp) runs the same stream one event at a time on
+// an explicit frame stack, with none of that tier's batching, frameless
+// calls or fused closures; the equivalence tests and
+// diffcheck.ValidateEngines check the tier against it.
 package interp
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cpu"
@@ -33,7 +33,7 @@ import (
 // ckind discriminates compiled instructions. Straight-line runs are not
 // instructions at this level at all: compilation folds each run's
 // aggregated cost into the preCost/preCount of the control-flow event
-// that follows it, so the dispatch loop only ever visits events.
+// that follows it, so the engines only ever visit events.
 type ckind uint8
 
 const (
@@ -49,9 +49,9 @@ const (
 )
 
 // cinstr is one compiled control-flow event. The layout is deliberately
-// compact — 56 bytes, under one cache line — because the dispatch
-// loop's cost is dominated by event-record fetches: the compiled image
-// must fit in L2 for the interpreter to stream it. Three narrowings
+// compact — 56 bytes, under one cache line — so the kernel's event
+// stream fits in L2 while the threaded-code tier is compiled from it and
+// the reference loop streams it. Three narrowings
 // make that possible: addresses are int32 (the image starts at
 // LayoutBase and is far smaller than 2 GiB; Compile rejects overflow),
 // kinds that never use a field reuse it (see the per-kind comments),
@@ -88,12 +88,11 @@ type cinstr struct {
 	kind    ckind
 	useFlag bool // cBr: branch on flag; cStep: merged segment may fault
 	table   bool // cSwitch: lowered as a jump table
-	// charged marks events whose segment takes the per-event accounting
-	// path (the segment may fault mid-block, so its straight-line runs
-	// cannot be batched at segment entry). Per-instruction rather than
-	// per-block so superblock merging can join segments with different
-	// accounting modes, and so a frame resumed mid-segment after a call
-	// recovers the right mode.
+	// charged marks events whose segment the threaded-code tier charges
+	// per event (the segment may fault mid-block, so its straight-line
+	// runs cannot be batched at segment entry). Per-instruction rather
+	// than per-block so superblock merging can join segments with
+	// different accounting modes. The reference loop never reads it.
 	charged bool
 	def     ir.Defense
 }
@@ -115,12 +114,13 @@ type cblock struct {
 	tailCount int32
 
 	// Batched accounting, precomputed at compile time: the sum of every
-	// pre/tail charge in the block. Blocks that cannot fault or suspend
-	// mid-block (no resolve, no calls) charge this in a single
-	// cpu.Model call at block entry instead of per event; the charges
-	// are order-independent additions, so the batch is cycle-exact, not
-	// approximate. Blocks with mayFault set take the per-event path so
-	// a mid-block trap never over-charges.
+	// pre/tail charge in the block. The threaded-code tier charges
+	// blocks that cannot fault or suspend mid-block (no resolve, no
+	// calls) with this sum at block entry instead of per event; the
+	// charges are order-independent additions, so the batch is
+	// cycle-exact, not approximate. Blocks with mayFault set are charged
+	// per event so a mid-block trap never over-charges. The reference
+	// loop reads none of these three fields.
 	segCost  int32
 	segCount int32
 	mayFault bool
@@ -139,9 +139,9 @@ type cfunc struct {
 	switchTargets [][]int32
 	// flat marks call-free functions (no direct or indirect calls in
 	// any block). Such a body can never suspend — it runs to its return
-	// the moment it is entered — so the dispatch loop executes it
-	// frameless (runFlat) with scratch register/trip files instead of
-	// pushing an activation record.
+	// the moment it is entered — so the threaded-code tier runs it
+	// frameless (runFrameless, or inline as a leaf) instead of pushing
+	// an activation record.
 	flat bool
 }
 
@@ -385,9 +385,9 @@ func isTerminator(k ckind) bool {
 // mergeSuperblocks splices the event list of every unconditional-jump
 // target into the jumping block, replacing the cJmp with a cStep event
 // that performs exactly the target's block-entry accounting (step/fuel
-// check, then its batched Straightline or per-event TouchLines). The
-// dispatch loop then runs the whole chain without returning to the
-// block-transition path.
+// check, then the segment's line touches, and on the threaded-code tier
+// its batched charge). Execution then runs the whole chain without
+// returning to the block-transition path.
 //
 // The transform is observationally exact: the cStep fires at the same
 // sequence point the target's block entry would (so fuel accounting,
@@ -461,27 +461,30 @@ func mergeSuperblocks(cf *cfunc) {
 
 // ICallHook lets a runtime mechanism (the JumpSwitches baseline)
 // intercept indirect calls that carry no static defense. Handle returns
-// true if it charged the timing for the dispatch itself.
+// the cycles its dispatch costs; the engine adds them and charges the
+// call itself as a direct call (its base and argument cost, and the
+// return-address push).
 type ICallHook interface {
-	Handle(m *cpu.Model, site ir.SiteID, siteAddr, targetAddr, retAddr int64, target int32) bool
+	Handle(site ir.SiteID, target int32) (cycles int64)
 }
 
-// frame is one pooled activation record on the machine's explicit call
-// stack. regs and trips keep their capacity across calls at the same
-// depth, so only the live prefix is re-initialised per call.
+// frame is one pooled activation record on the reference loop's
+// explicit call stack. regs and trips keep their capacity across calls
+// at the same depth, so only the live prefix is re-initialised per call.
 type frame struct {
-	fi       int32
-	bi       int32
-	ii       int32 // instruction index to resume at within the block
-	retAddr  int64
-	flag     bool
-	entering bool // block-entry accounting (fuel, icache, batch) pending
-	regs     []int32
-	trips    []int32
+	fi      int32
+	bi      int32
+	ii      int32 // next event within the block; 0 means block entry is due
+	retAddr int64
+	flag    bool
+	regs    []int32
+	trips   []int32
 }
 
 // Machine executes a Program. CPU, Rec and Hook are all optional; a
-// Machine with none of them just validates control flow.
+// Machine with none of them just validates control flow. A machine
+// records a profile (Rec) or charges a model (CPU), not both: RunIndex
+// rejects one with both as a configuration fault.
 //
 // Execution failures — traps, fuel (step-budget) exhaustion, depth
 // exhaustion — are reported as *resilience.FaultError values carrying
@@ -493,17 +496,18 @@ type Machine struct {
 	Rec  *Recorder
 	Res  *Resolver
 	Hook ICallHook
-	RNG  *rand.Rand
 
-	// Inject, when non-nil, is consulted for chaos faults: injected traps
-	// at function entry, depth exhaustion at each call, fuel exhaustion
-	// at each executed block. Injection is deterministic per seed.
+	// Inject, when non-nil, is consulted for chaos faults: at each call,
+	// injected depth exhaustion, then an injected trap; at each executed
+	// block entry and superblock seam, injected fuel exhaustion. Both
+	// engines draw in that order, so injection is deterministic per seed
+	// whichever runs.
 	Inject *resilience.Injector
 
 	// MaxDepth bounds call nesting; MaxSteps bounds total executed
 	// blocks per Run, so broken control flow fails instead of hanging.
-	// Dispatch is iterative, so MaxDepth is limited by memory (one
-	// pooled frame per depth), not by Go stack growth.
+	// Both engines keep their frames on the heap, so MaxDepth is limited
+	// by memory (one pooled frame per depth), not by Go stack growth.
 	MaxDepth int
 	MaxSteps int64
 
@@ -521,52 +525,29 @@ type Machine struct {
 	// observable to compare a candidate image against its reference.
 	OnResolve func(orig ir.SiteID, target int32)
 
-	// ExactAccounting forces the per-event cpu.Model charging path even
-	// for blocks eligible for batched block-entry charging. The batched
-	// path is cycle-exact by construction; this knob exists so tests can
-	// prove it (same seed, batched vs exact, identical Cycles/Stats).
-	ExactAccounting bool
-
-	// Engine selects the execution tier. EngineCompiled runs a
-	// threaded-code chain (compiled.go) when the machine's configuration
-	// permits — no hook, injector, replaced RNG or ExactAccounting, and
-	// a recorder only on a machine without a CPU — and falls back to the
-	// interpreter silently otherwise, so callers can set it
-	// unconditionally.
+	// Engine selects the execution tier. The zero value, EngineCompiled,
+	// runs the threaded-code tier (compiled.go); EngineInterp runs the
+	// per-event reference loop.
 	Engine Engine
 
-	steps int64
+	// src is the machine's random stream: branch outcomes, switch arms
+	// and resolver picks all draw from it, in the same order on both
+	// engines.
+	src *fastSource
+	// stack is the reference loop's frame stack.
 	stack []frame
-	// src is the concrete view of RNG's source and ownRNG the *rand.Rand
-	// NewMachine built around it; the dispatch loop uses src only while
-	// RNG == ownRNG, so replacing RNG disables the fast path instead of
-	// desynchronising the streams.
-	src    *fastSource
-	ownRNG *rand.Rand
-	// leafRegs/leafTrips are the scratch register and trip-counter files
-	// shared by all frameless (runFlat) executions. Call-free bodies
-	// cannot nest, so one scratch file of each suffices at any depth;
-	// both are cleared per invocation, matching a fresh frame.
-	leafRegs  []int32
-	leafTrips []int32
 	// vm is the compiled tier's per-machine state, shared by both of
 	// its chains.
 	vm *cvm
 }
 
-// fastSource is a splitmix64 rand.Source64. Compared with the standard
+// fastSource is a splitmix64 stream. Compared with the standard
 // library's lagged-Fibonacci source it has 8 bytes of state instead of
 // ~5KB, seeds in O(1) instead of ~600 feedback steps (machines are
 // created per measurement rep, so seeding is on the hot path), and each
 // draw is three xorshift-multiply rounds with no memory traffic.
-// Deterministic per seed, like any Source.
+// Deterministic per seed.
 type fastSource struct{ s uint64 }
-
-func newFastSource(seed int64) rand.Source64 { return &fastSource{s: uint64(seed)} }
-
-func (f *fastSource) Seed(seed int64) { f.s = uint64(seed) }
-
-func (f *fastSource) Int63() int64 { return int64(f.Uint64() >> 1) }
 
 func (f *fastSource) Uint64() uint64 {
 	f.s += 0x9e3779b97f4a7c15
@@ -576,24 +557,12 @@ func (f *fastSource) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// NewMachine returns a Machine with sensible limits and a deterministic
-// RNG.
-//
-// The machine keeps a concrete reference to the source alongside the
-// *rand.Rand wrapper: the dispatch loop draws through the concrete
-// source (inlinable, no interface dispatch) while RNG remains the
-// public handle. Both views share the same state, so draws through
-// either produce the same stream — rand.Rand.Uint64 forwards straight
-// to the Source64. A caller that replaces RNG simply loses the fast
-// path; execution falls back to drawing through RNG.
+// NewMachine returns a Machine with sensible limits and a random stream
+// seeded with seed.
 func NewMachine(p *Program, seed int64) *Machine {
-	src := &fastSource{s: uint64(seed)}
-	rng := rand.New(src)
 	return &Machine{
 		Prog:     p,
-		RNG:      rng,
-		src:      src,
-		ownRNG:   rng,
+		src:      &fastSource{s: uint64(seed)},
 		MaxDepth: 256,
 		MaxSteps: 32 << 20,
 	}
@@ -611,23 +580,29 @@ func (mc *Machine) Run(entry string) error {
 // RunIndex executes the function at the given dense index (FuncIndex)
 // to completion. Callers that run the same entry repeatedly (benchmark
 // loops, measurement reps) use it to hoist the name lookup.
+//
+// It runs the threaded-code tier unless Engine is EngineInterp. The one
+// exception is a cpu.Model whose i-cache has fewer than two ways, which
+// the tier's two-way probe cannot serve; that machine runs the
+// reference loop.
 func (mc *Machine) RunIndex(idx int) error {
 	if idx < 0 || idx >= len(mc.Prog.funcs) {
 		return trap("entry", "interp: no function at index %d", idx)
 	}
-	mc.steps = 0
+	if mc.Rec != nil && mc.CPU != nil {
+		return resilience.Faultf(resilience.PhaseExecute, resilience.KindConfig, mc.Prog.funcs[idx].name,
+			"interp: a machine records a profile or charges a cpu model, not both")
+	}
 	// The entry is "called" from a synthetic address so its final return
 	// has a matching RSB entry after warm-up.
 	const entryRetAddr = 0x7fff0000
-	if mc.Engine == EngineCompiled && mc.compiledEligible() {
+	if mc.Engine != EngineInterp {
 		if mc.CPU == nil {
 			return mc.runFree(int32(idx), entryRetAddr)
 		}
-		err := mc.runCompiled(int32(idx), entryRetAddr)
-		if err != errEngineUnavailable {
+		if err := mc.runCompiled(int32(idx), entryRetAddr); err != errEngineUnavailable {
 			return err
 		}
-		// Exotic model geometry: fall through to the interpreter.
 	}
 	if mc.CPU != nil {
 		if mc.RefillRSB {
@@ -643,19 +618,35 @@ func trap(site, format string, args ...any) error {
 	return resilience.Faultf(resilience.PhaseExecute, resilience.KindTrap, site, format, args...)
 }
 
-// pushFrame runs the call prologue — depth and chaos checks, recorder
-// invoke, register/trip-counter initialisation — and installs the frame
-// at the given depth of the pooled stack.
+// callCheck is the fault check at every function entry, in the order
+// both engines keep: the depth limit, an injected depth exhaustion, then
+// an injected trap. depth is the callee's; the entry's is 0.
+func callCheck(inject *resilience.Injector, name string, depth, maxDepth int) error {
+	if depth >= maxDepth || inject.ExhaustDepth() {
+		return resilience.Faultf(resilience.PhaseExecute, resilience.KindDepthExhausted, name,
+			"interp: call depth exceeds %d at %s", maxDepth, name)
+	}
+	return inject.Trap(name)
+}
+
+// fuelCheck is the fault check at every block entry and superblock
+// seam, once steps counts it: the step budget, then an injected fuel
+// exhaustion.
+func fuelCheck(inject *resilience.Injector, name string, steps, maxSteps int64) error {
+	if steps > maxSteps || inject.ExhaustFuel() {
+		return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, name,
+			"interp: step budget exhausted in %s", name)
+	}
+	return nil
+}
+
+// pushFrame runs the call prologue — the call check, the recorder's
+// invocation count, register/trip-counter initialisation — and installs
+// the frame at the given depth of the pooled stack.
 func (mc *Machine) pushFrame(fi int32, depth int, retAddr int64) error {
 	f := &mc.Prog.funcs[fi]
-	if depth >= mc.MaxDepth || (mc.Inject != nil && mc.Inject.ExhaustDepth()) {
-		return resilience.Faultf(resilience.PhaseExecute, resilience.KindDepthExhausted, f.name,
-			"interp: call depth exceeds %d at %s", mc.MaxDepth, f.name)
-	}
-	if mc.Inject != nil {
-		if err := mc.Inject.Trap(f.name); err != nil {
-			return err
-		}
+	if err := callCheck(mc.Inject, f.name, depth, mc.MaxDepth); err != nil {
+		return err
 	}
 	if mc.Rec != nil {
 		mc.Rec.invoke(fi)
@@ -664,12 +655,9 @@ func (mc *Machine) pushFrame(fi int32, depth int, retAddr int64) error {
 		mc.stack = append(mc.stack, frame{})
 	}
 	fr := &mc.stack[depth]
-	fr.fi = fi
-	fr.bi = 0
-	fr.ii = 0
+	fr.fi, fr.bi, fr.ii = fi, 0, 0
 	fr.retAddr = retAddr
 	fr.flag = false
-	fr.entering = true
 	// Registers hold target indices biased by +1 so that the cleared
 	// value 0 means "unresolved" and initialisation is a memclr rather
 	// than a sentinel-fill loop.
@@ -686,462 +674,150 @@ func (mc *Machine) pushFrame(fi int32, depth int, retAddr int64) error {
 	return nil
 }
 
-// runFlat executes a call-free callee frameless: the exact observable
-// sequence of pushFrame plus a framed execution — depth and chaos
-// checks, recorder invoke, step/fuel at each block entry, segment
-// charges, predictor events, the final Return — without installing an
-// activation record or round-tripping through the dispatch loop's
-// frame switch. Registers and trip counters live in per-machine
-// scratch files, cleared per invocation exactly as a fresh frame's
-// would be; call-free bodies cannot nest, so one scratch file of each
-// is enough. The caller has already charged the call itself.
-func (mc *Machine) runFlat(lf *cfunc, model *cpu.Model, rng *rand.Rand, src *fastSource, retAddr int64, depth int, exact bool) error {
-	inject := mc.Inject
-	if depth >= mc.MaxDepth || (inject != nil && inject.ExhaustDepth()) {
-		return resilience.Faultf(resilience.PhaseExecute, resilience.KindDepthExhausted, lf.name,
-			"interp: call depth exceeds %d at %s", mc.MaxDepth, lf.name)
-	}
-	if inject != nil {
-		if err := inject.Trap(lf.name); err != nil {
-			return err
-		}
-	}
-	if mc.Rec != nil {
-		mc.Rec.invoke(lf.index)
-	}
-	if len(mc.leafRegs) < lf.numRegs {
-		mc.leafRegs = make([]int32, lf.numRegs+8)
-	}
-	regs := mc.leafRegs[:lf.numRegs]
-	clear(regs)
-	if len(mc.leafTrips) < lf.numTrips {
-		mc.leafTrips = make([]int32, lf.numTrips+8)
-	}
-	trips := mc.leafTrips[:lf.numTrips]
-	clear(trips)
-	res := mc.Res
-	onResolve := mc.OnResolve
-	flag := false
-	bi := int32(0)
-	// The step counter lives in a register for the duration of the body
-	// and is published back to the machine at every exit, so the fuel
-	// check is not a heap read-modify-write per block.
-	steps := mc.steps
-	maxSteps := mc.MaxSteps
-	for {
-		b := &lf.blocks[bi]
-		steps++
-		if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-			mc.steps = steps
-			return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, lf.name,
-				"interp: step budget exhausted in %s", lf.name)
-		}
-		if model != nil {
-			if !b.mayFault && !exact {
-				if b.nLines == 1 {
-					model.Cycles += int64(b.segCost)
-					model.Stats.Instructions += int64(b.segCount)
-					model.TouchLine(int64(b.lineBase))
-				} else {
-					model.Straightline(int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines))
-				}
-			} else {
-				model.TouchLines(int64(b.lineBase), int(b.nLines))
-			}
-		}
-		next := int32(-1)
-		instrs := b.instrs
-		for ii := 0; ii < len(instrs); ii++ {
-			ci := &instrs[ii]
-			if (ci.charged || exact) && model != nil && ci.preCount != 0 {
-				model.AddStraightline(int64(ci.preCost), int64(ci.preCount))
-			}
-			switch ci.kind {
-			case cResolve:
-				var d *Dist
-				if res != nil {
-					d = res.Get(ci.orig)
-				}
-				if d == nil {
-					mc.steps = steps
-					return trap(lf.name, "interp: %s: no target distribution for site %d (orig %d)", lf.name, ci.site, ci.orig)
-				}
-				var tgt int32
-				if src != nil {
-					tgt = d.pickFast(src)
-				} else {
-					tgt = d.Pick(rng)
-				}
-				regs[ci.reg] = tgt + 1
-				if onResolve != nil {
-					onResolve(ci.orig, tgt)
-				}
-				if model != nil {
-					model.AddStraightline(int64(ci.cost), 1)
-				}
-			case cCmpFn:
-				flag = regs[ci.reg] == ci.callee+1
-			case cBr:
-				var taken bool
-				switch {
-				case ci.trip > 0:
-					cnt := trips[ci.tripIdx]
-					if cnt < ci.trip-1 {
-						trips[ci.tripIdx] = cnt + 1
-						taken = true
-					} else {
-						trips[ci.tripIdx] = 0
-						taken = false
-					}
-				case ci.useFlag:
-					taken = flag
-				default:
-					var u uint64
-					if src != nil {
-						u = src.Uint64()
-					} else {
-						u = rng.Uint64()
-					}
-					taken = uint32(u>>40) < uint32(ci.cost)
-				}
-				if model != nil {
-					model.CondBranch(int64(ci.addr), taken)
-				}
-				if taken {
-					next = ci.then
-				} else {
-					next = ci.els
-				}
-			case cJmp:
-				next = ci.then
-			case cSwitch:
-				targets := lf.switchTargets[ci.callee]
-				var k int
-				if src != nil {
-					k = int(uint64nSrc(src, uint64(len(targets))))
-				} else {
-					k = int(uint64n(rng, uint64(len(targets))))
-				}
-				if model != nil {
-					if ci.table {
-						model.IndirectJump(int64(ci.addr), int64(k), ci.def)
-					} else {
-						for j := 0; j <= k && j < len(targets)-1; j++ {
-							model.CondBranch(int64(ci.addr)+int64(j), j == k)
-						}
-					}
-				}
-				next = targets[k]
-			case cRet:
-				if model != nil {
-					model.Return(retAddr, ci.def)
-				}
-				mc.steps = steps
-				return nil
-			case cStep:
-				steps++
-				if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-					mc.steps = steps
-					return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, lf.name,
-						"interp: step budget exhausted in %s", lf.name)
-				}
-				if model != nil {
-					if !ci.useFlag && !exact {
-						if ci.then == 1 {
-							model.Cycles += int64(ci.cost)
-							model.Stats.Instructions += int64(ci.els)
-							model.TouchLine(int64(ci.addr))
-						} else {
-							model.Straightline(int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then))
-						}
-					} else {
-						model.TouchLines(int64(ci.addr), int(ci.then))
-					}
-				}
-			}
-			if next >= 0 {
-				break
-			}
-		}
-		if next < 0 {
-			if model != nil && (b.mayFault || exact) && b.tailCount != 0 {
-				model.AddStraightline(int64(b.tailCost), int64(b.tailCount))
-			}
-			mc.steps = steps
-			return trap(lf.name, "interp: %s: block %d fell through without terminator", lf.name, bi)
-		}
-		bi = next
-	}
-}
-
-// exec drives the iterative dispatch loop. Each iteration of the outer
-// loop resumes the top-of-stack frame: calls suspend the caller (saving
-// its resume index) and push the callee; returns pop.
-//
-// Per-frame state (block index, resume index, flag, register/trip
-// slices) is held in locals across the inner block loop — the compiler
-// cannot keep fields of a heap frame in registers across the model's
-// method calls, so the loop spills them back only at suspension points
-// (calls) rather than on every access.
+// exec is the reference loop. It runs one event per iteration on the
+// top frame of an explicit stack and pushes a frame for every callee.
+// Each block entry and superblock seam is a step/fuel check followed by
+// the segment's i-cache touches, and each event charges the
+// straight-line run before it as it is reached. It never reads the
+// compiled tier's batching data (segCost, segCount, mayFault, charged),
+// so the equivalence tests check that tier's batched charges against
+// an independent per-event account.
 func (mc *Machine) exec(entry int32, retAddr int64) error {
 	if err := mc.pushFrame(entry, 0, retAddr); err != nil {
 		return err
 	}
 	model := mc.CPU
-	rng := mc.RNG
-	src := mc.src
-	if rng != mc.ownRNG {
-		src = nil // RNG was replaced; draw through the interface
-	}
 	funcs := mc.Prog.funcs
-	res := mc.Res
-	rec := mc.Rec
-	hook := mc.Hook
-	onResolve := mc.OnResolve
-	inject := mc.Inject
-	exact := mc.ExactAccounting
-	// As in runFlat, the step counter stays in a register; it is synced
-	// through mc.steps around runFlat calls (the only other reader) and
-	// reset by Run, so exit paths need no write-back.
-	steps := mc.steps
-	maxSteps := mc.MaxSteps
-	sp := 0
-frames:
-	for sp >= 0 {
+	var steps int64
+	for sp := 0; sp >= 0; {
 		fr := &mc.stack[sp]
 		f := &funcs[fr.fi]
-		bi := fr.bi
-		flag := fr.flag
-		entering := fr.entering
-		resume := int(fr.ii)
-		regs := fr.regs
-		trips := fr.trips
-		frRetAddr := fr.retAddr
-		for {
-			b := &f.blocks[bi]
-			// Blocks without a fault or suspension point charge all
-			// their straight-line cost in one model call at entry;
-			// the charges are unconditional once the block is entered
-			// and commute with the terminator's predictor events, so
-			// the batch is cycle-exact. mayFault blocks (and the
-			// ExactAccounting test knob) take the per-event path.
-			if entering {
-				resume = 0
-				steps++
-				if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-					return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, f.name,
-						"interp: step budget exhausted in %s", f.name)
+		b := &f.blocks[fr.bi]
+		if fr.ii == 0 {
+			steps++
+			if err := fuelCheck(mc.Inject, f.name, steps, mc.MaxSteps); err != nil {
+				return err
+			}
+			if model != nil {
+				model.TouchLines(int64(b.lineBase), int(b.nLines))
+			}
+		}
+		if int(fr.ii) == len(b.instrs) {
+			if model != nil {
+				model.AddStraightline(int64(b.tailCost), int64(b.tailCount))
+			}
+			return trap(f.name, "interp: %s: block %d fell through without terminator", f.name, fr.bi)
+		}
+		ci := &b.instrs[fr.ii]
+		fr.ii++
+		if model != nil {
+			model.AddStraightline(int64(ci.preCost), int64(ci.preCount))
+		}
+		switch ci.kind {
+		case cResolve:
+			var d *Dist
+			if mc.Res != nil {
+				d = mc.Res.Get(ci.orig)
+			}
+			if d == nil {
+				return trap(f.name, "interp: %s: no target distribution for site %d (orig %d)", f.name, ci.site, ci.orig)
+			}
+			tgt := d.pick(mc.src)
+			fr.regs[ci.reg] = tgt + 1
+			if mc.OnResolve != nil {
+				mc.OnResolve(ci.orig, tgt)
+			}
+			if model != nil {
+				model.AddStraightline(int64(ci.cost), 1)
+			}
+		case cCmpFn:
+			fr.flag = fr.regs[ci.reg] == ci.callee+1
+		case cBr:
+			var taken bool
+			switch {
+			case ci.trip > 0:
+				if cnt := fr.trips[ci.tripIdx]; cnt < ci.trip-1 {
+					fr.trips[ci.tripIdx] = cnt + 1
+					taken = true
+				} else {
+					fr.trips[ci.tripIdx] = 0
 				}
-				if model != nil {
-					if !b.mayFault && !exact {
-						if b.nLines == 1 {
-							model.Cycles += int64(b.segCost)
-							model.Stats.Instructions += int64(b.segCount)
-							model.TouchLine(int64(b.lineBase))
-						} else {
-							model.Straightline(int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines))
-						}
-					} else {
-						model.TouchLines(int64(b.lineBase), int(b.nLines))
+			case ci.useFlag:
+				taken = fr.flag
+			default:
+				// The top 24 bits of one draw against the precompiled
+				// threshold.
+				taken = uint32(mc.src.Uint64()>>40) < uint32(ci.cost)
+			}
+			if model != nil {
+				model.CondBranch(int64(ci.addr), taken)
+			}
+			fr.bi, fr.ii = ci.els, 0
+			if taken {
+				fr.bi = ci.then
+			}
+		case cJmp:
+			fr.bi, fr.ii = ci.then, 0
+		case cSwitch:
+			targets := f.switchTargets[ci.callee]
+			k := int(uint64n(mc.src, uint64(len(targets))))
+			if model != nil {
+				if ci.table {
+					model.IndirectJump(int64(ci.addr), int64(k), ci.def)
+				} else {
+					// Compare chain: one predicted compare+branch per
+					// skipped case.
+					for j := 0; j <= k && j < len(targets)-1; j++ {
+						model.CondBranch(int64(ci.addr)+int64(j), j == k)
 					}
 				}
 			}
-			next := int32(-1)
-			instrs := b.instrs
-			for ii := resume; ii < len(instrs); ii++ {
-				ci := &instrs[ii]
-				if (ci.charged || exact) && model != nil && ci.preCount != 0 {
-					model.AddStraightline(int64(ci.preCost), int64(ci.preCount))
-				}
-				switch ci.kind {
-				case cResolve:
-					var d *Dist
-					if res != nil {
-						d = res.Get(ci.orig)
-					}
-					if d == nil {
-						return trap(f.name, "interp: %s: no target distribution for site %d (orig %d)", f.name, ci.site, ci.orig)
-					}
-					var tgt int32
-					if src != nil {
-						tgt = d.pickFast(src)
-					} else {
-						tgt = d.Pick(rng)
-					}
-					regs[ci.reg] = tgt + 1
-					if onResolve != nil {
-						onResolve(ci.orig, tgt)
-					}
-					if model != nil {
-						model.AddStraightline(int64(ci.cost), 1)
-					}
-				case cCmpFn:
-					flag = regs[ci.reg] == ci.callee+1
-				case cBr:
-					var taken bool
-					switch {
-					case ci.trip > 0:
-						cnt := trips[ci.tripIdx]
-						if cnt < ci.trip-1 {
-							trips[ci.tripIdx] = cnt + 1
-							taken = true
-						} else {
-							trips[ci.tripIdx] = 0
-							taken = false
-						}
-					case ci.useFlag:
-						taken = flag
-					default:
-						// Integer comparison against the precompiled
-						// 24-bit threshold: one Uint64 draw, no float
-						// conversion on the hot path.
-						var u uint64
-						if src != nil {
-							u = src.Uint64()
-						} else {
-							u = rng.Uint64()
-						}
-						taken = uint32(u>>40) < uint32(ci.cost)
-					}
-					if model != nil {
-						model.CondBranch(int64(ci.addr), taken)
-					}
-					if taken {
-						next = ci.then
-					} else {
-						next = ci.els
-					}
-				case cJmp:
-					next = ci.then
-				case cSwitch:
-					targets := f.switchTargets[ci.callee]
-					var k int
-					if src != nil {
-						k = int(uint64nSrc(src, uint64(len(targets))))
-					} else {
-						k = int(uint64n(rng, uint64(len(targets))))
-					}
-					if model != nil {
-						if ci.table {
-							model.IndirectJump(int64(ci.addr), int64(k), ci.def)
-						} else {
-							// Compare chain: one predicted compare+branch
-							// per skipped case.
-							for j := 0; j <= k && j < len(targets)-1; j++ {
-								model.CondBranch(int64(ci.addr)+int64(j), j == k)
-							}
-						}
-					}
-					next = targets[k]
-				case cCall:
-					retAddr := int64(ci.els)
-					if rec != nil {
-						rec.direct(ci.orig)
-					}
-					if model != nil {
-						model.DirectCall(retAddr, int32(ci.args))
-					}
-					if lf := &funcs[ci.callee]; lf.flat {
-						mc.steps = steps
-						if err := mc.runFlat(lf, model, rng, src, retAddr, sp+1, exact); err != nil {
-							return err
-						}
-						steps = mc.steps
-						continue
-					}
-					fr.bi = bi
-					fr.ii = int32(ii + 1)
-					fr.flag = flag
-					fr.entering = false
-					if err := mc.pushFrame(ci.callee, sp+1, retAddr); err != nil {
-						return err
-					}
-					sp++
-					continue frames
-				case cICall:
-					tgt := regs[ci.reg] - 1
-					if tgt < 0 {
-						return trap(f.name, "interp: %s: icall through unresolved register r%d (site %d)", f.name, ci.reg, ci.site)
-					}
-					retAddr := int64(ci.els)
-					if rec != nil {
-						rec.indirect(ci.orig, tgt)
-					}
-					if model != nil {
-						handled := false
-						if hook != nil && ci.def == ir.DefNone {
-							handled = hook.Handle(model, ci.orig, int64(ci.addr), funcs[tgt].addr, retAddr, tgt)
-						}
-						if !handled {
-							model.IndirectCall(int64(ci.addr), funcs[tgt].addr, retAddr, int32(ci.args), ci.def)
-						} else {
-							// The hook charged dispatch; still push the
-							// return address for backward-edge fidelity.
-							model.DirectCall(retAddr, int32(ci.args))
-						}
-					}
-					if lf := &funcs[tgt]; lf.flat {
-						mc.steps = steps
-						if err := mc.runFlat(lf, model, rng, src, retAddr, sp+1, exact); err != nil {
-							return err
-						}
-						steps = mc.steps
-						continue
-					}
-					fr.bi = bi
-					fr.ii = int32(ii + 1)
-					fr.flag = flag
-					fr.entering = false
-					if err := mc.pushFrame(tgt, sp+1, retAddr); err != nil {
-						return err
-					}
-					sp++
-					continue frames
-				case cRet:
-					if model != nil {
-						model.Return(frRetAddr, ci.def)
-					}
-					sp--
-					continue frames
-				case cStep:
-					// Superblock seam: the merged jump target's block
-					// entry — same step/fuel sequence point and the
-					// target segment's own batched-or-per-event charge.
-					steps++
-					if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-						return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, f.name,
-							"interp: step budget exhausted in %s", f.name)
-					}
-					if model != nil {
-						if !ci.useFlag && !exact {
-							if ci.then == 1 {
-								// Single-line segment: charge the fields
-								// directly and skip the Straightline call
-								// layer (a hit in the set's newest way
-								// is the dominant outcome).
-								model.Cycles += int64(ci.cost)
-								model.Stats.Instructions += int64(ci.els)
-								model.TouchLine(int64(ci.addr))
-							} else {
-								model.Straightline(int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then))
-							}
-						} else {
-							model.TouchLines(int64(ci.addr), int(ci.then))
-						}
-					}
-				}
-				if next >= 0 {
-					break
+			fr.bi, fr.ii = targets[k], 0
+		case cCall:
+			if mc.Rec != nil {
+				mc.Rec.direct(ci.orig)
+			}
+			if model != nil {
+				model.DirectCall(int64(ci.els), int32(ci.args))
+			}
+			if err := mc.pushFrame(ci.callee, sp+1, int64(ci.els)); err != nil {
+				return err
+			}
+			sp++
+		case cICall:
+			tgt := fr.regs[ci.reg] - 1
+			if tgt < 0 {
+				return trap(f.name, "interp: %s: icall through unresolved register r%d (site %d)", f.name, ci.reg, ci.site)
+			}
+			if mc.Rec != nil {
+				mc.Rec.indirect(ci.orig, tgt)
+			}
+			if model != nil {
+				if mc.Hook != nil && ci.def == ir.DefNone {
+					model.Cycles += mc.Hook.Handle(ci.orig, tgt)
+					model.DirectCall(int64(ci.els), int32(ci.args))
+				} else {
+					model.IndirectCall(int64(ci.addr), funcs[tgt].addr, int64(ci.els), int32(ci.args), ci.def)
 				}
 			}
-			if next < 0 {
-				if model != nil && (b.mayFault || exact) && b.tailCount != 0 {
-					model.AddStraightline(int64(b.tailCost), int64(b.tailCount))
-				}
-				return trap(f.name, "interp: %s: block %d fell through without terminator", f.name, bi)
+			if err := mc.pushFrame(tgt, sp+1, int64(ci.els)); err != nil {
+				return err
 			}
-			bi = next
-			entering = true
+			sp++
+		case cRet:
+			if model != nil {
+				model.Return(fr.retAddr, ci.def)
+			}
+			sp--
+		case cStep:
+			// Superblock seam: the merged jump target's block entry.
+			steps++
+			if err := fuelCheck(mc.Inject, f.name, steps, mc.MaxSteps); err != nil {
+				return err
+			}
+			if model != nil {
+				model.TouchLines(int64(ci.addr), int(ci.then))
+			}
 		}
 	}
 	return nil

@@ -313,7 +313,7 @@ func TestDistPickRespectsWeights(t *testing.T) {
 	mc := NewMachine(&Program{}, 3)
 	counts := map[int32]int{}
 	for i := 0; i < 1000; i++ {
-		counts[d.Pick(mc.RNG)]++
+		counts[d.pick(mc.src)]++
 	}
 	if counts[0] != 0 {
 		t.Error("zero-weight target picked")
@@ -470,10 +470,9 @@ func TestRefillRSBFlagChargesEntryCost(t *testing.T) {
 
 type countingHook struct{ calls int }
 
-func (h *countingHook) Handle(m *cpu.Model, site ir.SiteID, siteAddr, targetAddr, retAddr int64, target int32) bool {
+func (h *countingHook) Handle(site ir.SiteID, target int32) int64 {
 	h.calls++
-	m.Cycles += 5
-	return true
+	return 5
 }
 
 func TestICallHookInterceptsUnhardenedSitesOnly(t *testing.T) {
@@ -529,6 +528,7 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 	}
 	mc := NewMachine(p, 1)
 	mc.CPU = cpu.New(cpu.DefaultParams())
+	mc.Engine = EngineInterp
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := mc.Run("f"); err != nil {

@@ -74,8 +74,8 @@ entry:
 // TestConcurrentLiftsShareProgram: recorders on one shared Program
 // record on the compiled tier's model-free chain at the same time, then
 // lift at the same time, racing to build the program's chain and its
-// lift table, and each profile equals the one a serial interpreter run
-// on its own Program yields. Each round takes a fresh Program, so every
+// lift table, and each profile equals the one a serial reference-loop
+// run on its own Program yields. Each round takes a fresh Program, so every
 // round races both builds again. Run it under -race.
 func TestConcurrentLiftsShareProgram(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 1})
@@ -157,7 +157,7 @@ func TestConcurrentLiftsShareProgram(t *testing.T) {
 				t.Fatalf("round %d: concurrent lift %d: %v", round, i, errs[i])
 			}
 			if got[i] != want[i] {
-				t.Errorf("round %d: concurrent profile %d hashes %s, serial interpreter %s", round, i, got[i], want[i])
+				t.Errorf("round %d: concurrent profile %d hashes %s, serial reference %s", round, i, got[i], want[i])
 			}
 		}
 	}

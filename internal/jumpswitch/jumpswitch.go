@@ -18,7 +18,6 @@ package jumpswitch
 import (
 	"sort"
 
-	"repro/internal/cpu"
 	"repro/internal/ir"
 )
 
@@ -85,10 +84,10 @@ func New(p Params) *Runtime {
 	return &Runtime{P: p, sites: make(map[ir.SiteID]*siteState)}
 }
 
-// Handle implements the interpreter's indirect-call hook. It charges the
-// dispatch cost for the call at site landing on target and returns true;
-// the interpreter then charges the call itself.
-func (r *Runtime) Handle(m *cpu.Model, site ir.SiteID, siteAddr, targetAddr, retAddr int64, target int32) bool {
+// Handle implements the engines' indirect-call hook. It returns the
+// dispatch cost of the call at site landing on target; the engine then
+// charges the call itself.
+func (r *Runtime) Handle(site ir.SiteID, target int32) (cycles int64) {
 	s := r.sites[site]
 	if s == nil {
 		s = &siteState{learning: true, observed: make(map[int32]int64)}
@@ -97,36 +96,35 @@ func (r *Runtime) Handle(m *cpu.Model, site ir.SiteID, siteAddr, targetAddr, ret
 	s.execs++
 	if s.learning {
 		r.LearningHits++
-		m.Cycles += r.P.RetpolineCost
+		cycles = r.P.RetpolineCost
 		s.observed[target]++
 		if len(s.observed) > 1 {
 			s.multi = true
 		}
 		if s.execs >= r.P.LearnLength {
-			r.install(m, s)
+			cycles += r.install(s)
 		}
-		return true
+		return cycles
 	}
 	// Switch mode: walk the chain.
-	m.Cycles += r.P.DispatchJumpCost
-	for k, t := range s.installed {
-		m.Cycles += r.P.CompareCost
+	cycles = r.P.DispatchJumpCost
+	for _, t := range s.installed {
+		cycles += r.P.CompareCost
 		if t == target {
 			r.ChainHits++
 			r.maybeRelearn(s)
-			_ = k
-			return true
+			return cycles
 		}
 	}
 	// Miss: fall back to the retpoline and remember the new target.
 	r.ChainMisses++
-	m.Cycles += r.P.RetpolineCost
+	cycles += r.P.RetpolineCost
 	s.observed[target]++
 	if len(s.observed) > 1 || len(s.installed) > 0 {
 		s.multi = true
 	}
 	r.maybeRelearn(s)
-	return true
+	return cycles
 }
 
 func (r *Runtime) maybeRelearn(s *siteState) {
@@ -141,7 +139,9 @@ func (r *Runtime) maybeRelearn(s *siteState) {
 	}
 }
 
-func (r *Runtime) install(m *cpu.Model, s *siteState) {
+// install patches the site's chain with its hottest observed targets
+// and returns the patching cost.
+func (r *Runtime) install(s *siteState) int64 {
 	type tc struct {
 		t int32
 		n int64
@@ -165,8 +165,8 @@ func (r *Runtime) install(m *cpu.Model, s *siteState) {
 	}
 	s.learning = false
 	s.execs = 0
-	m.Cycles += r.P.PatchCost
 	r.Patches++
+	return r.P.PatchCost
 }
 
 // ManagedSites returns how many indirect call sites the runtime has seen.

@@ -3,21 +3,21 @@ package jumpswitch
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/ir"
 )
 
-func newRT() (*Runtime, *cpu.Model) {
-	return New(DefaultParams()), cpu.New(cpu.DefaultParams())
-}
-
 func TestLearningThenChainHit(t *testing.T) {
-	rt, m := newRT()
+	rt := New(DefaultParams())
 	site := ir.SiteID(1)
-	// Learning phase: every dispatch costs a retpoline.
+	// Learning phase: every dispatch costs a retpoline, and the last one
+	// also pays for patching the chain in.
 	for i := 0; i < rt.P.LearnLength; i++ {
-		if !rt.Handle(m, site, 0x1000, 0x2000, 0x1005, 7) {
-			t.Fatal("Handle returned false")
+		want := rt.P.RetpolineCost
+		if i == rt.P.LearnLength-1 {
+			want += rt.P.PatchCost
+		}
+		if got := rt.Handle(site, 7); got != want {
+			t.Fatalf("learning dispatch %d cost %d, want %d", i, got, want)
 		}
 	}
 	if rt.LearningHits != int64(rt.P.LearnLength) {
@@ -28,9 +28,7 @@ func TestLearningThenChainHit(t *testing.T) {
 	}
 	// Now in switch mode: a known target is a chain hit and much
 	// cheaper than the retpoline.
-	before := m.Cycles
-	rt.Handle(m, site, 0x1000, 0x2000, 0x1005, 7)
-	cost := m.Cycles - before
+	cost := rt.Handle(site, 7)
 	if rt.ChainHits != 1 {
 		t.Fatalf("ChainHits = %d, want 1", rt.ChainHits)
 	}
@@ -40,14 +38,12 @@ func TestLearningThenChainHit(t *testing.T) {
 }
 
 func TestUnknownTargetFallsBackToRetpoline(t *testing.T) {
-	rt, m := newRT()
+	rt := New(DefaultParams())
 	site := ir.SiteID(2)
 	for i := 0; i < rt.P.LearnLength; i++ {
-		rt.Handle(m, site, 0, 0, 0, 7)
+		rt.Handle(site, 7)
 	}
-	before := m.Cycles
-	rt.Handle(m, site, 0, 0, 0, 99) // never-seen target
-	cost := m.Cycles - before
+	cost := rt.Handle(site, 99) // never-seen target
 	if rt.ChainMisses != 1 {
 		t.Fatalf("ChainMisses = %d, want 1", rt.ChainMisses)
 	}
@@ -61,12 +57,11 @@ func TestMultiTargetSitePeriodicallyRelearns(t *testing.T) {
 	p.RelearnPeriod = 64
 	p.LearnLength = 8
 	rt := New(p)
-	m := cpu.New(cpu.DefaultParams())
 	site := ir.SiteID(3)
 	// Alternate two targets long enough to cross several relearn
 	// periods.
 	for i := 0; i < 1000; i++ {
-		rt.Handle(m, site, 0, 0, 0, int32(7+i%2))
+		rt.Handle(site, int32(7+i%2))
 	}
 	if rt.Patches < 2 {
 		t.Errorf("Patches = %d, want >= 2 (periodic relearning)", rt.Patches)
@@ -81,10 +76,9 @@ func TestSingleTargetSiteStaysInSwitchMode(t *testing.T) {
 	p.RelearnPeriod = 64
 	p.LearnLength = 8
 	rt := New(p)
-	m := cpu.New(cpu.DefaultParams())
 	site := ir.SiteID(4)
 	for i := 0; i < 1000; i++ {
-		rt.Handle(m, site, 0, 0, 0, 7)
+		rt.Handle(site, 7)
 	}
 	if rt.Patches != 1 {
 		t.Errorf("Patches = %d, want 1 (single-target sites never relearn)", rt.Patches)
@@ -95,11 +89,10 @@ func TestMaxTargetsCapped(t *testing.T) {
 	p := DefaultParams()
 	p.LearnLength = 100
 	rt := New(p)
-	m := cpu.New(cpu.DefaultParams())
 	site := ir.SiteID(5)
 	// Learn 10 distinct targets; only MaxTargets survive in the chain.
 	for i := 0; i < p.LearnLength; i++ {
-		rt.Handle(m, site, 0, 0, 0, int32(i%10))
+		rt.Handle(site, int32(i%10))
 	}
 	s := rt.sites[site]
 	if len(s.installed) != p.MaxTargets {
@@ -108,10 +101,10 @@ func TestMaxTargetsCapped(t *testing.T) {
 }
 
 func TestManagedSites(t *testing.T) {
-	rt, m := newRT()
-	rt.Handle(m, 1, 0, 0, 0, 1)
-	rt.Handle(m, 2, 0, 0, 0, 1)
-	rt.Handle(m, 1, 0, 0, 0, 1)
+	rt := New(DefaultParams())
+	rt.Handle(1, 1)
+	rt.Handle(2, 1)
+	rt.Handle(1, 1)
 	if rt.ManagedSites() != 2 {
 		t.Errorf("ManagedSites = %d, want 2", rt.ManagedSites())
 	}

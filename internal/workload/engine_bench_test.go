@@ -63,9 +63,9 @@ func BenchmarkMeasureAllSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileCollection profiles the Apache mix on the
-// interpreter; BenchmarkProfileCollectionCompiled is the other half of
-// the pair.
+// BenchmarkProfileCollection profiles the Apache mix on the reference
+// loop; BenchmarkProfileCollectionCompiled is the other half of the
+// pair.
 func BenchmarkProfileCollection(b *testing.B) {
 	benchProfile(b, interp.EngineInterp)
 }

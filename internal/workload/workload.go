@@ -165,7 +165,7 @@ type Runner struct {
 	RefillRSB bool
 
 	// Inject, when non-nil, threads chaos faults through the runner:
-	// profiling machines draw interpreter faults from it (an abort
+	// profiling machines draw execution faults from it (an abort
 	// degrades to a partial profile), and each measurement repetition
 	// draws one transient failure before any cell runs (absorbed by
 	// Retry). Measurement machines themselves run injector-free, so a
@@ -193,11 +193,9 @@ type Runner struct {
 	NewHook func() interp.ICallHook
 
 	// Engine selects the execution tier for every machine this runner
-	// builds. The compiled tier is cycle-exact, and profiling machines
-	// (a recorder, no CPU model) run on its model-free chain; it falls
-	// back to the interpreter when a machine's configuration rules it
-	// out (e.g. an injector or a hook). Results are identical for
-	// either setting; only wall-clock changes.
+	// builds: the zero value is the threaded-code tier, EngineInterp the
+	// per-event reference loop. The tier is cycle-exact, so results are
+	// identical for either setting; only wall-clock changes.
 	Engine interp.Engine
 }
 
@@ -274,11 +272,11 @@ func (r *Runner) measureBenches(benches []string) ([]Measurement, error) {
 // Profile executes the flavor's operation mix with recording enabled and
 // returns the aggregated profile. opsScale multiplies the mix weights
 // (an opsScale of 20 runs 20 operations per unit of mix weight). The
-// machine carries a recorder and no CPU model, so under EngineCompiled
-// it records on the compiled tier's model-free chain (an injector sends
-// it to the interpreter); both engines yield the same profile bytes.
+// machine carries a recorder and no CPU model, so by default it records
+// on the compiled tier's model-free chain, injector or not; both
+// engines yield the same profile bytes.
 //
-// If a run aborts — an interpreter trap or fuel/depth exhaustion,
+// If a run aborts — an execution trap or fuel/depth exhaustion,
 // organic or injected — Profile degrades gracefully: it returns the
 // partial profile collected up to the abort alongside the abort error,
 // so callers can still merge and use what was gathered. Only when even

@@ -228,7 +228,7 @@ type FaultRates = resilience.Rates
 func UniformFaultRates(r float64) FaultRates { return resilience.UniformRates(r) }
 
 // IsFault extracts the structured fault in err's chain, if any. All
-// pipeline failures — interpreter aborts, injected chaos, invalid
+// pipeline failures — execution aborts, injected chaos, invalid
 // configuration, recovered panics — carry a *resilience.FaultError.
 func IsFault(err error) (*resilience.FaultError, bool) { return resilience.AsFault(err) }
 
@@ -250,7 +250,8 @@ type System struct {
 	// repetitions on.
 	measureWorkers int
 	// engine selects the execution tier for every machine this system's
-	// profiling and measurement runs build.
+	// profiling and measurement runs build; the zero value is the
+	// threaded-code tier.
 	engine interp.Engine
 }
 
@@ -258,14 +259,13 @@ type System struct {
 // measurement runs. See SetEngine.
 type Engine = interp.Engine
 
-// Execution tiers: the packed-event interpreter (the default) and the
-// threaded-code compiled engine. The compiled tier is cycle-exact, so
-// every profile, measurement, sweep surface and census is identical
-// under either; only wall-clock changes. Profiling runs (a recorder and
-// no CPU model) take its model-free chain. Machines whose configuration
-// the compiled tier does not support (hook, injector, exact-accounting
-// mode, or a recorder beside a CPU model) fall back to the interpreter
-// silently.
+// Execution tiers: the threaded-code compiled engine (the default),
+// which runs every machine, JumpSwitches hooks and chaos injectors
+// included, and the per-event reference loop it is checked against.
+// The compiled tier is cycle-exact, so every profile, measurement,
+// sweep surface and census is identical under either; only wall-clock
+// changes. Profiling runs (a recorder and no CPU model) take its
+// model-free chain.
 const (
 	EngineInterp   = interp.EngineInterp
 	EngineCompiled = interp.EngineCompiled
@@ -275,7 +275,8 @@ const (
 // measurement runs and those of images it builds.
 func (s *System) SetEngine(e Engine) { s.engine = e }
 
-// ParseEngine parses an engine name ("interp" or "compiled").
+// ParseEngine parses an engine name: "compiled" (or "", the default)
+// or "interp".
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 
 // SetMeasureWorkers sets how many goroutines this system's images run
@@ -300,7 +301,7 @@ func NewSyntheticKernel(cfg KernelConfig) (sys *System, err error) {
 }
 
 // InjectFaults arms a deterministic, seeded chaos injector on this
-// system: profiling runs draw interpreter faults from it (aborting runs
+// system: profiling runs draw execution faults from it (aborting runs
 // degrade to partial profiles) and measurement runs draw transient
 // failures (absorbed by retry with backoff). maxFaults caps the total
 // faults fired (0 = unlimited). It returns the injector so callers can
@@ -319,7 +320,7 @@ func (s *System) InjectFaults(seed int64, rates FaultRates, maxFaults int) *resi
 // the collected edge/value profile. opsScale multiplies the workload's
 // mix weights.
 //
-// If the profiling run aborts (an interpreter trap or resource
+// If the profiling run aborts (an execution trap or resource
 // exhaustion, organic or injected), Profile returns the partial profile
 // collected so far along with the abort error — check
 // IsPartialProfileErr(err); the partial profile merges and builds like

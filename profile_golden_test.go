@@ -9,11 +9,11 @@ import (
 // TestProfileGoldenDigests pins the bytes of the profiles the default
 // kernel yields. BENCH_sweep.json, the paper tables and the ingest
 // snapshot are all built from profiles like these, so a change to the
-// recorder, the interpreter's draw order or the profile serializer that
+// recorder, the engines' draw order or the profile serializer that
 // alters a single count shows up here first, with the workload named.
 // Both engines must yield the same bytes: the compiled system profiles
-// on the model-free chain, and its chaos run takes the interpreter,
-// because a machine with an injector falls back to it.
+// on the model-free chain, its chaos run included, and the reference
+// loop replays each profile one event at a time.
 func TestProfileGoldenDigests(t *testing.T) {
 	for _, eng := range []pibe.Engine{pibe.EngineInterp, pibe.EngineCompiled} {
 		t.Run(eng.String(), func(t *testing.T) { checkProfileGoldens(t, eng) })
