@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	pibe "repro"
 	"repro/internal/bench"
@@ -20,9 +19,10 @@ import (
 // The chaos suite runs the full profile→optimize→harden→measure pipeline
 // under a matrix of injected faults and asserts the graceful-degradation
 // contract: zero panics, every built image passes ir.Verify, transient
-// measurement faults are absorbed by retry/backoff, aborted profiling
-// runs yield usable partial profiles, and measured latencies stay within
-// a per-scenario tolerance of the fault-free control run.
+// measurement faults are absorbed by the workload runner's redraws,
+// aborted profiling runs yield usable partial profiles, and measured
+// latencies stay within a per-scenario tolerance of the fault-free
+// control run.
 
 // chaosBenches is the benchmark subset each scenario measures.
 var chaosBenches = []string{"read", "open"}
@@ -55,7 +55,7 @@ func chaosMatrix() []chaosScenario {
 		{name: "depth-exhaustion", rates: pibe.FaultRates{Depth: 2e-4}, wantAbort: true, tol: 4},
 		{name: "profile-truncation", mangle: pibe.FaultRates{Truncate: 1}, tol: 4},
 		{name: "corrupt-profile-record", mangle: pibe.FaultRates{Corrupt: 1}, tol: 1.5},
-		// Fault caps stay below DefaultRetry's 4 attempts so the final
+		// Fault caps stay below the runner's 4 draw attempts so the final
 		// attempt is guaranteed fault-free, and a retried measurement
 		// equals the control exactly (tol 1).
 		{name: "transient-measure-failure", rates: pibe.FaultRates{Measure: 0.4}, maxFaults: 3, tol: 1},
@@ -402,9 +402,7 @@ func TestSweepUnderFaults(t *testing.T) {
 		ICPGrid:    []float64{0, 0.999},
 		InlineGrid: []float64{0, 0.999},
 		Combos:     combos,
-		// Keep the chaos run fast: exhaust retries without real backoff.
-		Retry: resilience.RetryPolicy{Sleep: func(time.Duration) {}},
-		Warnf: t.Logf,
+		Warnf:      t.Logf,
 	}
 	// The clean run also caches the baseline, so the injected faults
 	// below land on grid cells (which degrade per-cell) rather than on
@@ -421,10 +419,12 @@ func TestSweepUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep aborted under measurement blackout instead of degrading: %v", err)
 	}
-	if inj.Total() == 0 {
-		t.Fatal("no faults fired; the scenario tested nothing")
-	}
 	total := len(combos) * 2 * 2
+	// Each cell is built and measured once; only the workload runner
+	// redraws, 4 times, before the cell degrades.
+	if got := inj.Total(); got != 4*total {
+		t.Fatalf("blackout fired %d faults, want 4 per cell (%d)", got, 4*total)
+	}
 	if rep.FailedCells != total || len(rep.Cells) != total {
 		t.Fatalf("FailedCells = %d of %d cells, want all %d failed", rep.FailedCells, len(rep.Cells), total)
 	}

@@ -82,9 +82,10 @@
 // completed cell is appended to a fingerprint-gated, torn-write-tolerant
 // state file; rerunning with the same flags resumes past completed cells
 // and emits a BENCH_sweep.json byte-identical to an uninterrupted run's
-// (a state file from different flags is rejected). A cell that keeps
-// failing after retries is reported as FAIL with its structured fault and
-// excluded from knee detection instead of aborting the sweep.
+// (a state file from different flags is rejected). Each cell is built
+// and measured once; a cell that fails is reported as FAIL with its
+// structured fault and excluded from knee detection instead of aborting
+// the sweep.
 // -sweep-shards N -sweep-shard I restricts one process to every Nth grid
 // cell; `pibe sweep-merge` combines the shard state files into the
 // canonical report, and `pibe sweep-diff A.json B.json` compares two
@@ -94,8 +95,8 @@
 // the measurement driver runs repetitions, each with its own derived
 // seed, machine and CPU model, on up to N goroutines (below 2, on the
 // calling one). Results are identical for every N, and under -chaos too:
-// injected measurement faults are drawn and retried before any
-// repetition runs.
+// injected measurement faults are drawn, and a failing draw redrawn up
+// to 4 times in all, before any repetition runs.
 //
 // Every command accepts -engine compiled|interp to select the execution
 // tier for profiling and measurement machines. The default, compiled,
@@ -133,9 +134,10 @@
 // fuel/depth exhaustion and transient measurement failures at the given
 // rate. The pipeline degrades gracefully — aborted profiling runs emit
 // the partial profile collected so far, and transient measurement
-// failures are retried with backoff; fired faults are summarized on
-// stderr. -lenient salvages corrupt or truncated -profile inputs,
-// skipping bad records and reporting what was kept.
+// failures are drawn up to 4 times, with no wall-clock delay, before a
+// measurement fails; fired faults are summarized on stderr. -lenient
+// salvages corrupt or truncated -profile inputs, skipping bad records
+// and reporting what was kept.
 //
 // The kernel is regenerated deterministically from the seed on every
 // invocation, so a profile collected by one run maps onto the kernel

@@ -10,10 +10,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	pibe "repro"
-	"repro/internal/resilience"
+	"repro/internal/workload"
 )
 
 // Suite owns the kernel, the profiles and a cache of built images and
@@ -74,56 +73,16 @@ func (s *Suite) claim(key flightKey) (*flight, bool) {
 	return f, true
 }
 
-// ForEach runs fn(0) .. fn(n-1) across a bounded pool of workers and
-// waits for all of them. Every index runs even if an earlier one fails;
-// the returned error is the one with the lowest index, so the outcome
-// is deterministic regardless of scheduling.
+// ForEach runs fn(0) .. fn(n-1) on at most s.Workers goroutines through
+// workload.RunCells: every index runs even if an earlier one fails (so
+// cache warm-up is identical for every worker count), and the
+// lowest-index error is returned.
 func (s *Suite) ForEach(n int, fn func(i int) error) error {
 	w := s.Workers
 	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 4 {
-			w = 4
-		}
+		w = min(runtime.GOMAXPROCS(0), 4)
 	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		// Same contract as the parallel path below: every index runs
-		// even if an earlier one fails (so cache warm-up is identical
-		// for every worker count), and the lowest-index error wins.
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, n)
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return workload.RunCells(n, w, fn)
 }
 
 // NewSuite generates the kernel and collects the LMBench and Apache
@@ -179,10 +138,9 @@ func (s *Suite) Image(cfg pibe.BuildConfig) (*pibe.Image, error) {
 }
 
 // Latencies measures (or returns the cached) LMBench latencies for a
-// configuration. Transient measurement failures that survive the
-// per-benchmark retry are absorbed here with a second capped-backoff
-// pass over the whole suite, so one flaky round cannot sink a long
-// table-reproduction run.
+// configuration. Transient measurement faults are retried only inside
+// workload.Runner, where they are drawn; one that survives it is
+// returned, wrapped with the configuration's label.
 func (s *Suite) Latencies(cfg pibe.BuildConfig) ([]pibe.Latency, error) {
 	f, leader := s.claim(flightKey{cfg: cfg, lat: true})
 	if !leader {
@@ -195,11 +153,7 @@ func (s *Suite) Latencies(cfg pibe.BuildConfig) ([]pibe.Latency, error) {
 		f.err = err
 		return nil, err
 	}
-	f.err = resilience.Retry(nil, resilience.DefaultRetry(), func() error {
-		var merr error
-		f.lat, merr = img.MeasureLMBench(pibe.LMBench)
-		return merr
-	})
+	f.lat, f.err = img.MeasureLMBench(pibe.LMBench)
 	if f.err != nil {
 		f.lat = nil
 		f.err = fmt.Errorf("bench: measure %s: %w", cfgLabel(cfg), f.err)

@@ -48,12 +48,15 @@ type PromoteConfig struct {
 	// versus the incumbent before the candidate is rejected (0 means the
 	// default 0.05; negative means no tolerance at all).
 	RegressionBudget float64
-	// Backoff shapes the rebuild cool-down after a rejected candidate or
-	// failed rebuild: the k-th consecutive strike suppresses rebuilds
-	// for Backoff.Steps(k) steps. The zero value means
-	// resilience.DefaultRetry().
-	Backoff resilience.RetryPolicy
 }
+
+// After the k-th consecutive rejected candidate or failed rebuild the
+// promoter suppresses rebuilds for resilience.StepBackoff(k,
+// cooldownBase, cooldownMax) steps: 1, 2, 4, 8, 16, 16, ...
+const (
+	cooldownBase = 1
+	cooldownMax  = 16
+)
 
 func (c PromoteConfig) withDefaults() PromoteConfig {
 	if c.CanarySteps <= 0 {
@@ -338,11 +341,10 @@ func (p *Promoter) reject(out *StepOutcome, reason string) {
 }
 
 // strike arms the capped-backoff cool-down after a rejection or failed
-// rebuild: the k-th consecutive strike suppresses rebuild attempts for
-// Backoff.Steps(k) steps.
+// rebuild (see cooldownBase).
 func (p *Promoter) strike() {
 	p.strikes++
-	p.cooldown = p.cfg.Backoff.Steps(p.strikes)
+	p.cooldown = resilience.StepBackoff(p.strikes, cooldownBase, cooldownMax)
 }
 
 // sortedKeys returns a set's members in sorted order (nil when empty).

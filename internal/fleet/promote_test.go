@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/prof"
-	"repro/internal/resilience"
 )
 
 // stepSnap is a distinguishable snapshot for step i: its Ops field is
@@ -61,34 +60,36 @@ func TestDriftRebuild(t *testing.T) {
 }
 
 // TestRejectionAndCooldown: a candidate that fails validation is rolled
-// back with its reason recorded, the baseline stays, and repeated
-// rejections trip the capped-backoff cool-down.
+// back with its reason recorded, the baseline stays, and each repeated
+// rejection arms the default cool-down, which doubles from one step and
+// caps at 16.
 func TestRejectionAndCooldown(t *testing.T) {
 	base := stepSnap(0)
-	p := NewPromoter(PromoteConfig{
-		DriftThreshold: 0.9,
-		Backoff:        resilience.RetryPolicy{Jitter: -1}, // deterministic Steps: 1, 2, ...
-	}, &Controller{Rebuild: func(*prof.Profile) (*Candidate, error) {
+	p := NewPromoter(PromoteConfig{DriftThreshold: 0.9}, &Controller{Rebuild: func(*prof.Profile) (*Candidate, error) {
 		return &Candidate{Validate: func() error { return errors.New("trace diverged at site 7") }}, nil
 	}}, base)
-	var outs []StepOutcome
-	for i := 0; i < 5; i++ {
-		outs = append(outs, p.Step(0.3, stepSnap(i+1), nil))
+	step := 0
+	next := func() StepOutcome {
+		step++
+		return p.Step(0.3, stepSnap(step), nil)
 	}
-	// Step 0 rejects (strike 1, cool-down Steps(1)=1), step 1 cools
-	// down, step 2 rejects again (strike 2, cool-down Steps(2)=2), and
-	// steps 3-4 count that doubled cool-down back down.
-	if o := outs[0]; !o.Rebuilt || o.Promoted || o.Rejected != "validation: trace diverged at site 7" {
-		t.Errorf("step 0 = %+v, want rebuilt and rejected by validation", o)
+	var cooldowns []int
+	for len(cooldowns) < 6 {
+		if o := next(); !o.Rebuilt || o.Promoted || o.Rejected != "validation: trace diverged at site 7" {
+			t.Fatalf("step %d = %+v, want rebuilt and rejected by validation", step, o)
+		}
+		// The strike's cool-down suppresses that many steps, each
+		// reporting the steps left, before the rebuild is retried.
+		armed := p.State().Cooldown
+		for left := armed; left > 0; left-- {
+			if o := next(); o.Rebuilt || o.CoolingDown != left {
+				t.Fatalf("step %d = %+v, want a suppressed rebuild with CoolingDown %d", step, o, left)
+			}
+		}
+		cooldowns = append(cooldowns, armed)
 	}
-	if outs[1].CoolingDown != 1 || outs[1].Rebuilt {
-		t.Errorf("first strike cool-down step = %+v, want CoolingDown 1", outs[1])
-	}
-	if !outs[2].Rebuilt || outs[2].Rejected == "" {
-		t.Errorf("step 2 did not retry the rebuild after cool-down: %+v", outs[2])
-	}
-	if got := []int{outs[3].CoolingDown, outs[4].CoolingDown}; got[0] != 2 || got[1] != 1 {
-		t.Errorf("second strike cool-down countdown = %v, want [2 1] (doubled)", got)
+	if want := []int{1, 2, 4, 8, 16, 16}; !reflect.DeepEqual(cooldowns, want) {
+		t.Errorf("cool-downs after six strikes = %v, want %v", cooldowns, want)
 	}
 	if p.Baseline() != base {
 		t.Error("baseline advanced despite rejections")
@@ -231,7 +232,7 @@ func TestRestoreCanaryInFlight(t *testing.T) {
 // cool-down, a two-step canary whose recurring fault kind predates the
 // build, a promotion, and a canary rejected for a new kind.
 func TestResumeMatchesUninterrupted(t *testing.T) {
-	cfg := PromoteConfig{DriftThreshold: 0.9, CanarySteps: 2, Backoff: resilience.RetryPolicy{Jitter: -1}}
+	cfg := PromoteConfig{DriftThreshold: 0.9, CanarySteps: 2}
 	// Candidates built from step 1's snapshot fail validation; the
 	// others measure 10× their snapshot's step against an incumbent of
 	// 100.

@@ -114,7 +114,7 @@ type Config struct {
 	// DriftFloor, when in (0, 1), marks a tenant Degraded when its
 	// round drift (HotOverlap against baseline) falls below it. It
 	// never trips the breaker — drift is an anomaly signal, not a
-	// fault (0 disables).
+	// fault (0 disables; a value outside [0, 1) is rejected).
 	DriftFloor float64
 	// MaxDeltaCount bounds every count a delta may carry (site counts,
 	// invocation counts, ops); larger is poison (default 1<<40).
@@ -205,8 +205,9 @@ func (c *Config) fill() error {
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = c.TenantRate
 	}
-	if c.DriftFloor < 0 || c.DriftFloor >= 1 {
-		c.DriftFloor = 0
+	if !(c.DriftFloor >= 0 && c.DriftFloor < 1) {
+		return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
+			"drift-floor", "drift floor %g outside [0, 1)", c.DriftFloor)
 	}
 	if c.MaxDeltaCount == 0 {
 		c.MaxDeltaCount = 1 << 40

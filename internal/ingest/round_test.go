@@ -27,15 +27,23 @@ func sitesDelta(count uint64, ids ...int) *prof.Profile {
 }
 
 // TestIngestRejectsOutOfRangeKnobs: a decay or hot budget outside
-// (0, 1] is a PhaseIngest/KindConfig fault instead of a silently
-// substituted value; 0 selects the default.
+// (0, 1], or a drift floor outside [0, 1), is a PhaseIngest/KindConfig
+// fault instead of a silently substituted value; 0 selects the default
+// (for the drift floor: disabled).
 func TestIngestRejectsOutOfRangeKnobs(t *testing.T) {
-	for _, cfg := range []Config{{Decay: 1.5}, {Decay: -0.5}, {HotBudget: 2}, {HotBudget: -1}} {
+	for _, cfg := range []Config{{Decay: 1.5}, {Decay: -0.5}, {HotBudget: 2}, {HotBudget: -1},
+		{DriftFloor: 1.5}, {DriftFloor: 1}, {DriftFloor: -0.3}} {
 		_, err := Open(cfg)
 		if fe, ok := resilience.AsFault(err); !ok || fe.Phase != resilience.PhaseIngest || fe.Kind != resilience.KindConfig {
-			t.Errorf("decay %g, hot budget %g: Open = %v, want an ingest/config fault", cfg.Decay, cfg.HotBudget, err)
+			t.Errorf("decay %g, hot budget %g, drift floor %g: Open = %v, want an ingest/config fault",
+				cfg.Decay, cfg.HotBudget, cfg.DriftFloor, err)
 		}
 	}
+	strict, err := Open(Config{Workers: 1, DriftFloor: 0.99})
+	if err != nil {
+		t.Fatalf("drift floor 0.99 rejected: %v", err)
+	}
+	strict.Close()
 	svc, err := Open(Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("zero decay and hot budget (the defaults) rejected: %v", err)

@@ -1,14 +1,12 @@
 package ir
 
-import "fmt"
-
 // Builder constructs a Function incrementally. It is the convenience
 // layer used by the synthetic kernel generator and by tests; transforms
 // edit IR directly.
 //
 // A Builder always has a current block; instruction-emitting methods
 // append to it. Emitting a terminator does not switch blocks — call
-// SetBlock (or NewBlock) to continue elsewhere.
+// NewBlock to continue elsewhere.
 type Builder struct {
 	mod *Module
 	fn  *Function
@@ -54,20 +52,6 @@ func (b *Builder) NewBlock(name string) *Builder {
 	b.cur = blk
 	return b
 }
-
-// SetBlock makes the named existing block current. It panics if the block
-// does not exist; builders are producer code where that is always a bug.
-func (b *Builder) SetBlock(name string) *Builder {
-	blk := b.fn.Block(name)
-	if blk == nil {
-		panic(fmt.Sprintf("ir: builder: no block %q in %q", name, b.fn.Name))
-	}
-	b.cur = blk
-	return b
-}
-
-// CurrentBlock returns the name of the block being appended to.
-func (b *Builder) CurrentBlock() string { return b.cur.Name }
 
 func (b *Builder) emit(in Instr) *Builder {
 	b.cur.Instrs = append(b.cur.Instrs, in)

@@ -11,10 +11,7 @@
 // cache behaviour are measurable.
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Opcode identifies the operation an Instr performs.
 type Opcode uint8
@@ -685,15 +682,4 @@ func CollectStats(m *Module) Stats {
 		}
 	}
 	return s
-}
-
-// SortedFuncNames returns the module's function names in lexical order.
-// Reporting code uses it for deterministic output.
-func (m *Module) SortedFuncNames() []string {
-	names := make([]string, 0, len(m.Funcs))
-	for _, f := range m.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -127,16 +127,6 @@ type Kernel struct {
 	Specs []PathSpec
 }
 
-// SiteByID returns the hot-site record for the given ID, or nil.
-func (k *Kernel) SiteByID(id ir.SiteID) *Site {
-	for i := range k.Sites {
-		if k.Sites[i].ID == id {
-			return &k.Sites[i]
-		}
-	}
-	return nil
-}
-
 type gen struct {
 	cfg    Config
 	rng    *rand.Rand

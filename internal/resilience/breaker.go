@@ -191,14 +191,19 @@ func (b *Breaker) trip() {
 	b.state = BreakerOpen
 	b.strikes++
 	b.trips++
-	open := b.cfg.OpenSteps
-	for i := 1; i < b.strikes && open < b.cfg.MaxOpenSteps; i++ {
-		open *= 2
+	b.openLeft = StepBackoff(b.strikes, b.cfg.OpenSteps, b.cfg.MaxOpenSteps) + b.jitter()
+}
+
+// StepBackoff is the step-driven backoff rule: the k-th consecutive
+// strike (1-based) waits base·2^(k-1) steps, capped at limit. Breaker
+// open windows and the promotion pipeline's rebuild cool-down both use
+// it.
+func StepBackoff(k, base, limit int) int {
+	n := base
+	for i := 1; i < k && n < limit; i++ {
+		n *= 2
 	}
-	if open > b.cfg.MaxOpenSteps {
-		open = b.cfg.MaxOpenSteps
-	}
-	b.openLeft = open + b.jitter()
+	return min(n, limit)
 }
 
 // jitter draws the deterministic extra open delay for the current trip

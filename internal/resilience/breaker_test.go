@@ -89,6 +89,25 @@ func TestBreakerRetripEscalatesCapped(t *testing.T) {
 	}
 }
 
+// TestStepBackoffShape: the shared step-backoff rule doubles from the
+// base per consecutive strike and holds at the cap.
+func TestStepBackoffShape(t *testing.T) {
+	for _, c := range []struct {
+		base, limit int
+		want        []int
+	}{
+		{1, 8, []int{1, 2, 4, 8, 8}},
+		{2, 6, []int{2, 4, 6, 6}},
+		{3, 3, []int{3, 3}},
+	} {
+		for i, w := range c.want {
+			if got := StepBackoff(i+1, c.base, c.limit); got != w {
+				t.Errorf("StepBackoff(%d, %d, %d) = %d, want %d", i+1, c.base, c.limit, got, w)
+			}
+		}
+	}
+}
+
 // TestBreakerJitterDeterministic: the jittered open window is a pure
 // function of (seed, trip ordinal) — two breakers with the same seed
 // schedule identically, a different seed may not, and every draw stays

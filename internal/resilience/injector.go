@@ -3,7 +3,6 @@ package resilience
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -76,22 +75,8 @@ func (in *Injector) SetMaxFaults(n int) {
 	in.mu.Unlock()
 }
 
-// SetRates swaps the injector's fault probabilities mid-run, keeping the
-// same deterministic draw stream. Chaos scenarios use it to arm a fault
-// kind only after a chosen point (e.g. to fire first inside a canary
-// window).
-func (in *Injector) SetRates(r Rates) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.rates = r
-	in.mu.Unlock()
-}
-
-// trip draws one event against the current rate for kind, recording the
-// fault when it fires. The rate is read under the lock so SetRates can
-// re-arm a live injector without racing the event streams.
+// trip draws one event against the rate for kind, recording the fault
+// when it fires.
 func (in *Injector) trip(kind Kind) bool {
 	if in == nil {
 		return false
@@ -277,38 +262,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// TruncatingWriter models a torn profile write: bytes past Limit are
-// silently discarded (the producer believes the write succeeded, as a
-// crashed profiling host would). Dropped reports how many bytes were
-// lost.
-type TruncatingWriter struct {
-	W       io.Writer
-	Limit   int64
-	Dropped int64
-	n       int64
-}
-
-// NewTruncatingWriter wraps w to discard everything after limit bytes.
-func NewTruncatingWriter(w io.Writer, limit int64) *TruncatingWriter {
-	return &TruncatingWriter{W: w, Limit: limit}
-}
-
-func (t *TruncatingWriter) Write(p []byte) (int, error) {
-	keep := int64(len(p))
-	if t.n+keep > t.Limit {
-		keep = t.Limit - t.n
-		if keep < 0 {
-			keep = 0
-		}
-	}
-	if keep > 0 {
-		if _, err := t.W.Write(p[:keep]); err != nil {
-			return 0, err
-		}
-	}
-	t.n += int64(len(p))
-	t.Dropped += int64(len(p)) - keep
-	return len(p), nil
 }

@@ -1,8 +1,9 @@
 // Package resilience is the fault model of the reproduction: structured
 // fault errors shared by the interpreter, workload runner, profiler and
 // build surface; a deterministic seeded fault injector for chaos testing
-// the profile→build→measure pipeline; and retry-with-backoff for
-// transient measurement failures.
+// the profile→build→measure pipeline; and a step-driven circuit breaker
+// whose capped doubling (StepBackoff) also sizes the promotion
+// pipeline's rebuild cool-down.
 //
 // The paper's pipeline feeds profiling runs of a live kernel into the
 // production build. Real profiling runs crash, get truncated, and emit
@@ -148,9 +149,6 @@ func IsKind(err error, k Kind) bool {
 	fe, ok := AsFault(err)
 	return ok && fe.Kind == k
 }
-
-// IsTransient reports whether err is a retryable transient fault.
-func IsTransient(err error) bool { return IsKind(err, KindTransient) }
 
 // IsAbort reports whether err is an execution abort (trap or resource
 // exhaustion) after which a partially collected result is still usable.

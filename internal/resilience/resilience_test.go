@@ -2,12 +2,10 @@ package resilience
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFaultErrorChain(t *testing.T) {
@@ -146,155 +144,5 @@ func TestMangleProfileCorrupts(t *testing.T) {
 	}
 	if !bytes.HasPrefix(out, []byte("magic header\n")) {
 		t.Fatal("corruption touched the header line")
-	}
-}
-
-func TestTruncatingWriter(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTruncatingWriter(&buf, 10)
-	for i := 0; i < 4; i++ {
-		n, err := tw.Write([]byte("abcdef"))
-		if n != 6 || err != nil {
-			t.Fatalf("Write = %d, %v", n, err)
-		}
-	}
-	if buf.Len() != 10 || tw.Dropped != 14 {
-		t.Fatalf("kept %d dropped %d, want 10/14", buf.Len(), tw.Dropped)
-	}
-	if got := buf.String(); got != "abcdefabcd" {
-		t.Fatalf("kept prefix %q", got)
-	}
-}
-
-func TestRetryAbsorbsTransients(t *testing.T) {
-	var slept []time.Duration
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond,
-		Jitter: -1, // exact doubling, no perturbation
-		Sleep:  func(d time.Duration) { slept = append(slept, d) }}
-	calls := 0
-	err := Retry(nil, p, func() error {
-		calls++
-		if calls < 4 {
-			return Fault(PhaseMeasure, KindTransient, "read", errors.New("flake"))
-		}
-		return nil
-	})
-	if err != nil || calls != 4 {
-		t.Fatalf("Retry = %v after %d calls", err, calls)
-	}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
-	if fmt.Sprint(slept) != fmt.Sprint(want) {
-		t.Fatalf("backoff %v, want %v (doubling capped at MaxDelay)", slept, want)
-	}
-}
-
-func TestRetryJitterBoundsAndDeterminism(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, BaseDelay: 4 * time.Millisecond, MaxDelay: 64 * time.Millisecond, Seed: 11}
-	spread := false
-	for attempt := 1; attempt <= 7; attempt++ {
-		nominal := 4 * time.Millisecond << (attempt - 1)
-		if nominal > p.MaxDelay {
-			nominal = p.MaxDelay
-		}
-		d := p.DelayAt(attempt)
-		lo, hi := nominal/2, nominal+nominal/2
-		if d < lo || d > hi {
-			t.Fatalf("DelayAt(%d) = %v outside jitter band [%v, %v]", attempt, d, lo, hi)
-		}
-		if d != nominal {
-			spread = true
-		}
-		if again := p.DelayAt(attempt); again != d {
-			t.Fatalf("DelayAt(%d) nondeterministic: %v then %v", attempt, d, again)
-		}
-	}
-	if !spread {
-		t.Fatal("jitter never perturbed any delay")
-	}
-	// Distinct seeds must desynchronize: that is the whole point.
-	q := p
-	q.Seed = 12
-	same := true
-	for attempt := 1; attempt <= 7; attempt++ {
-		if p.DelayAt(attempt) != q.DelayAt(attempt) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jitter streams")
-	}
-}
-
-func TestRetryStepsShape(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 9, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: -1}
-	want := []int{1, 2, 4, 8, 8}
-	for i, w := range want {
-		if got := p.Steps(i + 1); got != w {
-			t.Fatalf("Steps(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-	if p.Steps(0) < 1 || DefaultRetry().Steps(1) < 1 {
-		t.Fatal("Steps must be at least 1")
-	}
-}
-
-// TestRetryContextCancel: cancellation aborts the backoff sleep promptly
-// (well before the 10s capped delay would elapse) and surfaces the last
-// attempt's structured fault rather than swallowing it into ctx.Err().
-func TestRetryContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second, Jitter: -1}
-	calls := 0
-	start := time.Now()
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	err := Retry(ctx, p, func() error {
-		calls++
-		return Fault(PhaseMeasure, KindTransient, "b", errors.New("flaky"))
-	})
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancelled Retry slept %v, want a prompt abort", elapsed)
-	}
-	if calls != 1 {
-		t.Fatalf("cancelled mid-backoff but f ran %d times", calls)
-	}
-	if !IsTransient(err) {
-		t.Fatalf("cancellation swallowed the fault: %v", err)
-	}
-
-	// An already-cancelled context still runs f once (the attempt is free;
-	// only the backoff is abortable) but never sleeps.
-	calls = 0
-	err = Retry(ctx, RetryPolicy{MaxAttempts: 4, Sleep: func(time.Duration) { t.Fatal("slept under a dead context") }}, func() error {
-		calls++
-		return Fault(PhaseMeasure, KindTransient, "b", errors.New("flaky"))
-	})
-	if calls != 1 || !IsTransient(err) {
-		t.Fatalf("dead-context Retry: %d calls, err %v", calls, err)
-	}
-}
-
-func TestRetryStopsOnNonTransient(t *testing.T) {
-	calls := 0
-	hard := Fault(PhaseExecute, KindTrap, "f", errors.New("hard"))
-	err := Retry(nil, RetryPolicy{Sleep: func(time.Duration) {}}, func() error {
-		calls++
-		return hard
-	})
-	if calls != 1 || !errors.Is(err, hard) {
-		t.Fatalf("non-transient retried: %d calls, err %v", calls, err)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	err := Retry(nil, RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}, func() error {
-		calls++
-		return Fault(PhaseMeasure, KindTransient, "b", errors.New("always"))
-	})
-	if calls != 3 || !IsTransient(err) {
-		t.Fatalf("exhaustion: %d calls, err %v", calls, err)
 	}
 }

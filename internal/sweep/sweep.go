@@ -34,12 +34,13 @@
 //     BENCH_sweep.json is byte-identical to an uninterrupted run's.
 //     Resume is gated on a fingerprint of the sweep configuration; a
 //     state file from a different configuration is rejected.
-//   - A cell whose build or measurement fails is retried under
-//     Config.Retry (capped exponential backoff for transient faults),
-//     and if it keeps failing it degrades instead of aborting the sweep:
-//     the cell is marked failed in the report with its structured fault,
-//     excluded from knee detection, and rendered as a FAIL entry plus a
-//     per-combo warning note in the text matrices.
+//   - A cell is built and measured once. Transient measurement faults
+//     are retried only inside workload.Runner, where they are drawn; a
+//     cell whose build or measurement still fails degrades instead of
+//     aborting the sweep: the cell is marked failed in the report with
+//     its structured fault, excluded from knee detection, and rendered
+//     as a FAIL entry plus a per-combo warning note in the text
+//     matrices.
 //   - Config.Shards/Shard partition the grid deterministically across
 //     cooperating processes (cell index modulo shard count); Merge
 //     combines the shard state files back into the canonical report,
@@ -219,14 +220,9 @@ type Config struct {
 	// grid); Shard must be in [0, Shards). Merge recombines the shard
 	// state files into the canonical report.
 	Shards, Shard int
-	// Retry bounds the per-cell retry loop: a cell whose build or
-	// measurement fails with a transient fault is retried with capped
-	// exponential backoff before it degrades to a failed cell. The
-	// zero value selects resilience.DefaultRetry.
-	Retry resilience.RetryPolicy
 	// Warnf receives degradation warnings (a cell's geomean skipped
-	// non-finite overheads or clamped factors, a cell that failed after
-	// retries, a salvaged state file). Nil logs to stderr.
+	// non-finite overheads or clamped factors, a failed cell, a salvaged
+	// state file). Nil logs to stderr.
 	Warnf func(format string, args ...any)
 }
 
@@ -277,8 +273,8 @@ type Cell struct {
 	// BuildMS is the wall-clock image build time; recorded only under
 	// Config.Timings (0 otherwise, keeping the report deterministic).
 	BuildMS float64 `json:"build_ms"`
-	// Failed marks a cell whose build or measurement kept failing after
-	// the retry policy was exhausted. Its overhead fields are zero, it
+	// Failed marks a cell whose build or measurement failed (after
+	// workload.Runner's own retries). Its overhead fields are zero, it
 	// is excluded from knee detection, and the FailureXxx fields carry
 	// the structured fault that sank it.
 	Failed          bool   `json:"failed,omitempty"`
@@ -340,8 +336,7 @@ func cellName(combo Combo, icp, inl float64) string {
 	return fmt.Sprintf("sweep-%s-icp%g-inl%g", combo.Name, icp, inl)
 }
 
-// measureCell builds and measures one grid point. It is the one attempt
-// inside the retry loop.
+// measureCell builds and measures one grid point.
 func measureCell(s *bench.Suite, base []pibe.Latency, combo Combo, icp, inl float64, timings bool) (Cell, error) {
 	start := time.Now()
 	img, err := s.Sys.Build(pibe.BuildConfig{
@@ -382,25 +377,15 @@ func measureCell(s *bench.Suite, base []pibe.Latency, combo Combo, icp, inl floa
 	return c, nil
 }
 
-// evalCell runs one cell to completion: transient faults are retried
-// under the config's policy, and a cell that exhausts its retries
-// degrades to a failed Cell carrying the structured fault instead of an
-// error — one poisoned grid point must not sink an hours-long sweep.
+// evalCell runs one cell to completion: a cell whose build or
+// measurement fails degrades to a failed Cell carrying the structured
+// fault instead of an error — one poisoned grid point must not sink an
+// hours-long sweep.
 func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell {
 	combo := cfg.Combos[k.combo]
 	icp, inl := cfg.ICPGrid[k.icp], cfg.InlineGrid[k.inl]
 	name := cellName(combo, icp, inl)
-	var c Cell
-	attempt := 0
-	err := resilience.Retry(nil, cfg.Retry, func() error {
-		attempt++
-		cc, err := measureCell(s, base, combo, icp, inl, cfg.Timings)
-		if err != nil {
-			return err
-		}
-		c = cc
-		return nil
-	})
+	c, err := measureCell(s, base, combo, icp, inl, cfg.Timings)
 	if err != nil {
 		c = Cell{Combo: combo.Name, ICPBudget: icp, InlineBudget: inl,
 			Failed: true, Failure: err.Error()}
@@ -409,7 +394,7 @@ func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell 
 			c.FailureKind = string(fe.Kind)
 			c.FailureInjected = fe.Injected
 		}
-		cfg.Warnf("sweep: warning: cell %s failed after %d attempt(s), degrading: %v", name, attempt, err)
+		cfg.Warnf("sweep: warning: cell %s failed, degrading: %v", name, err)
 		return c
 	}
 	if c.GeomeanSkipped > 0 || c.GeomeanClamped > 0 {

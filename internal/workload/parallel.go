@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/interp"
-	"repro/internal/resilience"
 )
 
 // This file implements the measurement driver. A measurement is a plan
@@ -127,24 +126,27 @@ func (r *Runner) benchPlan(bench string) (plan, error) {
 	return plan{seed: r.Seed, key: bench, script: []string{entry}, warm: max(ops/4, 2), timed: ops, reps: reps}, nil
 }
 
+// measureAttempts is how many times run draws a plan's injected faults
+// before the plan's transient fault fails the measurement.
+const measureAttempts = 4
+
 // run measures plans and returns their medians in plan order. First, on
 // the calling goroutine and in plan and repetition order, it draws one
 // injected measurement fault per repetition; a plan whose draws fail is
-// redrawn from its first repetition under r.Retry. Only once every draw
-// has passed do the cells run, each exactly once, on up to r.Workers
-// goroutines.
+// redrawn from its first repetition, up to measureAttempts times in all,
+// with no delay: the machines are simulated, so waiting changes nothing.
+// Only once every draw has passed do the cells run, each exactly once,
+// on up to r.Workers goroutines.
 func (r *Runner) run(plans []plan) ([]float64, error) {
 	type ref struct{ plan, rep int }
 	var cells []ref
 	for i, p := range plans {
-		err := resilience.Retry(nil, r.Retry, func() error {
-			for rep := 0; rep < p.reps; rep++ {
-				if err := r.Inject.MeasureFault(p.key); err != nil {
-					return err
-				}
+		var err error
+		for attempt := 0; attempt < measureAttempts; attempt++ {
+			if err = r.drawFaults(&p); err == nil {
+				break
 			}
-			return nil
-		})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s: %w", p.key, err)
 		}
@@ -169,6 +171,17 @@ func (r *Runner) run(plans []plan) ([]float64, error) {
 		vals = vals[p.reps:]
 	}
 	return meds, nil
+}
+
+// drawFaults draws one injected measurement fault per repetition of p
+// and returns the first that fires.
+func (r *Runner) drawFaults(p *plan) error {
+	for rep := 0; rep < p.reps; rep++ {
+		if err := r.Inject.MeasureFault(p.key); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cell runs one repetition of p and returns its cycles per timed pass.

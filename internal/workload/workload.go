@@ -167,13 +167,11 @@ type Runner struct {
 	// Inject, when non-nil, threads chaos faults through the runner:
 	// profiling machines draw execution faults from it (an abort
 	// degrades to a partial profile), and each measurement repetition
-	// draws one transient failure before any cell runs (absorbed by
-	// Retry). Measurement machines themselves run injector-free, so a
-	// retried measurement is deterministic.
+	// draws one transient failure before any cell runs; a plan is
+	// redrawn up to measureAttempts times before its fault fails the
+	// measurement. Measurement machines themselves run injector-free, so
+	// a redrawn measurement is deterministic.
 	Inject *resilience.Injector
-	// Retry bounds the backoff loop that absorbs transient measurement
-	// faults; the zero value means resilience.DefaultRetry().
-	Retry resilience.RetryPolicy
 
 	// Reps is the number of measurement rounds (the artifact uses 5,
 	// reporting medians).
@@ -207,15 +205,12 @@ func NewRunner(k *kernel.Kernel, prog *interp.Program, flavor Flavor, seed int64
 		return nil, err
 	}
 	return &Runner{
-		Kernel: k,
-		Prog:   prog,
-		Res:    res,
-		CPU:    cpu.New(cpu.DefaultParams()),
-		Flavor: flavor,
-		Seed:   seed,
-		// Seed the backoff jitter per runner so concurrent collectors
-		// hitting the same transient fault desynchronize their retries.
-		Retry:     resilience.RetryPolicy{Seed: seed},
+		Kernel:    k,
+		Prog:      prog,
+		Res:       res,
+		CPU:       cpu.New(cpu.DefaultParams()),
+		Flavor:    flavor,
+		Seed:      seed,
 		Reps:      5,
 		RepCycles: 3_000_000,
 	}, nil

@@ -283,7 +283,7 @@ func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 // measurement repetitions on; below 2 they run on the calling goroutine.
 // Every repetition has its own derived seed, machine and CPU model, so
 // results are identical for every n, and an armed chaos injector whose
-// measurement faults retry absorbs changes none of them.
+// measurement faults the runner's redraws absorb changes none of them.
 func (s *System) SetMeasureWorkers(n int) { s.measureWorkers = n }
 
 // NewSyntheticKernel generates the kernel substrate.
@@ -303,7 +303,8 @@ func NewSyntheticKernel(cfg KernelConfig) (sys *System, err error) {
 // InjectFaults arms a deterministic, seeded chaos injector on this
 // system: profiling runs draw execution faults from it (aborting runs
 // degrade to partial profiles) and measurement runs draw transient
-// failures (absorbed by retry with backoff). maxFaults caps the total
+// failures (a failing plan is drawn up to 4 times in all, with no
+// delay, before the measurement fails). maxFaults caps the total
 // faults fired (0 = unlimited). It returns the injector so callers can
 // inspect fired-fault counts; passing all-zero rates disarms injection.
 func (s *System) InjectFaults(seed int64, rates FaultRates, maxFaults int) *resilience.Injector {
@@ -470,8 +471,8 @@ type Latency struct {
 
 // runner builds a workload runner against this image, attaching the
 // JumpSwitches hook if configured and the system's chaos injector if
-// armed (transient measurement faults are absorbed by the runner's
-// retry/backoff loop).
+// armed (the runner redraws transient measurement faults; nothing above
+// it retries).
 func (img *Image) runner(w Workload, seed int64) (*workload.Runner, error) {
 	r, err := workload.NewRunner(img.sys.Kernel, img.prog, w, seed)
 	if err != nil {
@@ -1055,12 +1056,6 @@ func (f *Fleet) collect(epoch, i int) (d fleetDelta) {
 		return fleetDelta{kind: kind(err)}
 	}
 	return fleetDelta{p: p}
-}
-
-// HotSetOverlap exposes the fleet drift statistic: the fraction of a's
-// budget-selected hot weight whose items are also hot in b.
-func HotSetOverlap(a, b *Profile, budget float64) float64 {
-	return prof.HotOverlap(a.p, b.p, budget)
 }
 
 // CPUFrequencyGHz is the clock the simulator converts cycles with.
