@@ -245,7 +245,6 @@ func TestFleetUnderFaults(t *testing.T) {
 
 	fl, err := sys.NewFleet(baseline, pibe.FleetConfig{
 		Runners:        4,
-		Shards:         4,
 		Epochs:         2,
 		Seed:           77,
 		Mix:            []pibe.Workload{pibe.Apache, pibe.Nginx},
@@ -302,7 +301,6 @@ func TestFleetCrashMidEpochResume(t *testing.T) {
 	mkCfg := func(dir string) pibe.FleetConfig {
 		return pibe.FleetConfig{
 			Runners:        4,
-			Shards:         4,
 			Epochs:         2,
 			Seed:           42,
 			Mix:            []pibe.Workload{pibe.Apache, pibe.Nginx},

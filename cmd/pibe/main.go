@@ -12,15 +12,13 @@
 //	pibe measure  [-seed N] [-profile profile.txt] ... (build + LMBench latencies)
 //	pibe top      [-seed N] [-workload lmbench|apache|nginx|dbench] [-n 30]   (hottest call sites)
 //	pibe dump     [-seed N] -func NAME [...build flags]          (one function's IR)
-//	pibe fleet    [-seed N] [-fleet 4] [-fleet-shards 8] [-fleet-epochs 3]
+//	pibe fleet    [-seed N] [-fleet 4] [-fleet-epochs 3]
 //	              [-drift-threshold 0.75] [-fleet-mix apache,nginx] [-fleet-decay 0.5]
 //	              [-canary 1] [-regression-budget 0.05] [-state DIR]
 //	              [-profile baseline.txt] [...build flags] [-measure] [-snapshot-out final.txt]
 //	pibe sweep    [-seed N] [-sweep-grid 0,50,90,99,99.9,99.99,99.9999] [-sweep-combos retpoline,all]
 //	              [-sweep-knee 1.1] [-sweep-kernel-scale 1] [-sweep-timings]
-//	              [-state sweep.state] [-sweep-shards N -sweep-shard I]
-//	              [-chaos RATE] [-measure-workers N] [-o BENCH_sweep.json]
-//	pibe sweep-merge [-o BENCH_sweep.json] state-file...
+//	              [-state sweep.state] [-chaos RATE] [-measure-workers N] [-o BENCH_sweep.json]
 //	pibe sweep-diff  A.json B.json
 //	pibe ingest   [-seed N] [-tenants 64] [-kernels 16384] [-ingest-rounds 3]
 //	              [-ingest-workers N] [-ingest-batch 64] [-ingest-queue 64] [-ingest-shed]
@@ -79,17 +77,14 @@
 // layers, stressing the census tables at realistic kernel scale.
 //
 // Sweeps are crash-safe and degrade gracefully. With -state FILE every
-// completed cell is appended to a fingerprint-gated, torn-write-tolerant
-// state file; rerunning with the same flags resumes past completed cells
-// and emits a BENCH_sweep.json byte-identical to an uninterrupted run's
-// (a state file from different flags is rejected). Each cell is built
-// and measured once; a cell that fails is reported as FAIL with its
+// completed cell rewrites a fingerprint-gated state file atomically;
+// rerunning with the same flags resumes past completed cells and emits
+// a BENCH_sweep.json byte-identical to an uninterrupted run's (a state
+// file from different flags is rejected). Each cell is built and
+// measured once; a cell that fails is reported as FAIL with its
 // structured fault and excluded from knee detection instead of aborting
-// the sweep.
-// -sweep-shards N -sweep-shard I restricts one process to every Nth grid
-// cell; `pibe sweep-merge` combines the shard state files into the
-// canonical report, and `pibe sweep-diff A.json B.json` compares two
-// sweep surfaces cell by cell and reports knee migration.
+// the sweep. `pibe sweep-diff A.json B.json` compares two sweep
+// surfaces cell by cell and reports knee migration.
 //
 // Measurement commands accept -measure-workers N (default GOMAXPROCS):
 // the measurement driver runs repetitions, each with its own derived
@@ -177,7 +172,6 @@ func main() {
 	topN := fs.Int("n", 30, "rows for 'pibe top'")
 	funcName := fs.String("func", "", "function name for 'pibe dump'")
 	fleetRunners := fs.Int("fleet", 4, "fleet mode: concurrent profile collectors per epoch")
-	fleetShards := fs.Int("fleet-shards", 8, "fleet aggregator shard (lock stripe) count")
 	fleetEpochs := fs.Int("fleet-epochs", 3, "fleet profiling epochs")
 	driftThreshold := fs.Float64("drift-threshold", 0.75, "rebuild when hot-set overlap falls below this (0 disables)")
 	fleetMix := fs.String("fleet-mix", "apache,nginx", "comma-separated fleet workload mix")
@@ -203,10 +197,6 @@ func main() {
 		"synthesize an S×-scaled kernel (S×2200 cold functions, S-1 helper layers)")
 	sweepTimings := fs.Bool("sweep-timings", false,
 		"record wall-clock build times in BENCH_sweep.json (makes it non-reproducible)")
-	sweepShards := fs.Int("sweep-shards", 1,
-		"partition the sweep grid across this many cooperating processes")
-	sweepShard := fs.Int("sweep-shard", 0,
-		"this process's shard index in [0, -sweep-shards)")
 	ingestTenants := fs.Int("tenants", 64, "ingest mode: tenant (fleet) count")
 	ingestKernels := fs.Int("kernels", 16384, "ingest mode: reporting kernels per tenant")
 	ingestRounds := fs.Int("ingest-rounds", 3, "ingest mode: reporting rounds")
@@ -278,37 +268,33 @@ func main() {
 		return
 	}
 
-	if cmd == "sweep" || cmd == "sweep-merge" || cmd == "sweep-diff" {
-		// The sweep family builds its own (possibly scaled) suite or
-		// reads prior state; skip the default system construction below.
+	// The sweep builds its own (possibly scaled) suite and sweep-diff
+	// reads finished reports; both skip the default system
+	// construction below.
+	if cmd == "sweep" {
 		path := *out
 		if path == "" {
 			path = "BENCH_sweep.json"
 		}
-		switch cmd {
-		case "sweep":
-			check(runSweep(sweepOpts{
-				engine:         engine,
-				seed:           *seed,
-				grid:           *sweepGrid,
-				combos:         *sweepCombos,
-				kneeFactor:     *sweepKnee,
-				kernelScale:    *sweepKernelScale,
-				timings:        *sweepTimings,
-				measureWorkers: *measureWorkers,
-				jsonPath:       path,
-				statePath:      *stateDir,
-				shards:         *sweepShards,
-				shard:          *sweepShard,
-				chaosRate:      *chaosRate,
-				chaosSeed:      *chaosSeed,
-				chaosMax:       *chaosMax,
-			}))
-		case "sweep-merge":
-			check(runSweepMerge(fs.Args(), path))
-		case "sweep-diff":
-			check(runSweepDiff(fs.Args()))
-		}
+		check(runSweep(sweepOpts{
+			engine:         engine,
+			seed:           *seed,
+			grid:           *sweepGrid,
+			combos:         *sweepCombos,
+			kneeFactor:     *sweepKnee,
+			kernelScale:    *sweepKernelScale,
+			timings:        *sweepTimings,
+			measureWorkers: *measureWorkers,
+			jsonPath:       path,
+			statePath:      *stateDir,
+			chaosRate:      *chaosRate,
+			chaosSeed:      *chaosSeed,
+			chaosMax:       *chaosMax,
+		}))
+		return
+	}
+	if cmd == "sweep-diff" {
+		check(runSweepDiff(fs.Args()))
 		return
 	}
 
@@ -433,7 +419,6 @@ func main() {
 		}
 		cfg := pibe.FleetConfig{
 			Runners:          *fleetRunners,
-			Shards:           *fleetShards,
 			Epochs:           *fleetEpochs,
 			Seed:             *seed,
 			Decay:            *fleetDecay,
@@ -586,7 +571,7 @@ func parseDefenses(s string) pibe.Defenses {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pibe <profile|build|measure|fleet|top|dump|sweep|sweep-merge|sweep-diff|ingest> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pibe <profile|build|measure|fleet|top|dump|sweep|sweep-diff|ingest> [flags]")
 	os.Exit(2)
 }
 

@@ -22,7 +22,6 @@ type sweepOpts struct {
 	measureWorkers int
 	jsonPath       string
 	statePath      string
-	shards, shard  int
 	chaosRate      float64
 	chaosSeed      int64
 	chaosMax       int
@@ -30,10 +29,7 @@ type sweepOpts struct {
 
 // runSweep evaluates the budget grid and writes the text matrices to
 // stdout and the machine-readable report to opts.jsonPath. With -state
-// it checkpoints each completed cell and resumes an interrupted sweep;
-// with -sweep-shards/-sweep-shard it evaluates only this process's
-// share of the grid (combine the shard state files with `pibe
-// sweep-merge`).
+// it checkpoints each completed cell and resumes an interrupted sweep.
 func runSweep(opts sweepOpts) error {
 	grid, err := sweep.ParseGrid(opts.grid)
 	if err != nil {
@@ -79,8 +75,6 @@ func runSweep(opts sweepOpts) error {
 		ColdFuncs:    kcfg.ColdFuncs,
 		HelperLayers: kcfg.HelperLayers,
 		StatePath:    opts.statePath,
-		Shards:       opts.shards,
-		Shard:        opts.shard,
 	})
 	if err != nil {
 		return err
@@ -100,44 +94,8 @@ func runSweep(opts sweepOpts) error {
 	if rep.FailedCells > 0 {
 		status = fmt.Sprintf(", %d FAILED", rep.FailedCells)
 	}
-	if opts.shards > 1 {
-		status += fmt.Sprintf(" [shard %d/%d — merge the shard state files with 'pibe sweep-merge']",
-			opts.shard, opts.shards)
-	}
 	fmt.Printf("wrote %s (%d cells%s, %d knees) in %v\n",
 		opts.jsonPath, len(rep.Cells), status, len(rep.Knees), time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runSweepMerge combines the state files of a sharded or interrupted
-// sweep into the canonical report (`pibe sweep-merge A.state B.state`).
-func runSweepMerge(paths []string, jsonPath string) error {
-	if len(paths) == 0 {
-		return fmt.Errorf("sweep-merge: usage: pibe sweep-merge [-o BENCH_sweep.json] state-file...")
-	}
-	rep, info, err := sweep.Merge(paths)
-	if err != nil {
-		return err
-	}
-	for _, w := range info.Warnings {
-		fmt.Fprintf(os.Stderr, "pibe sweep-merge: warning: %s\n", w)
-	}
-	if len(info.Missing) > 0 {
-		fmt.Fprintf(os.Stderr, "pibe sweep-merge: warning: %d cells missing (no shard completed them): %v\n",
-			len(info.Missing), info.Missing)
-	}
-	for _, t := range rep.Tables() {
-		fmt.Println(t.Render())
-	}
-	data, err := rep.WriteJSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("merged %d state files -> %s (%d cells, %d failed, %d missing, %d knees)\n",
-		info.Files, jsonPath, len(rep.Cells), info.Failed, len(info.Missing), len(rep.Knees))
 	return nil
 }
 

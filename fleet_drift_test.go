@@ -33,7 +33,6 @@ func TestFleetDriftRebuildEndToEnd(t *testing.T) {
 
 	fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
 		Runners:        4,
-		Shards:         4,
 		Epochs:         2,
 		OpsScale:       2,
 		Seed:           42,
@@ -96,7 +95,6 @@ func TestFleetDeterministicAggregate(t *testing.T) {
 	run := func() []byte {
 		fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
 			Runners: 3,
-			Shards:  4,
 			Epochs:  2,
 			Seed:    7,
 			Mix:     []pibe.Workload{pibe.Apache, pibe.Nginx, pibe.DBench},
@@ -130,7 +128,6 @@ func TestFleetTrajectory(t *testing.T) {
 	profLM := testProfile(t, sys)
 	fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
 		Runners:        4,
-		Shards:         4,
 		Epochs:         3,
 		Seed:           11,
 		Mix:            []pibe.Workload{pibe.Apache, pibe.Nginx},
@@ -220,7 +217,6 @@ func TestFleetTamperedCandidateRejected(t *testing.T) {
 			profLM := testProfile(t, sys)
 			fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
 				Runners:        4,
-				Shards:         4,
 				Epochs:         2,
 				Seed:           42,
 				Mix:            []pibe.Workload{pibe.Apache, pibe.Nginx},
@@ -267,7 +263,6 @@ func TestFleetStateResumeContinues(t *testing.T) {
 	mkCfg := func(dir string, epochs int) pibe.FleetConfig {
 		return pibe.FleetConfig{
 			Runners:        4,
-			Shards:         4,
 			Epochs:         epochs,
 			Seed:           42,
 			Mix:            []pibe.Workload{pibe.Apache, pibe.Nginx},
@@ -335,7 +330,6 @@ func TestFleetStateDirCreated(t *testing.T) {
 	run := func(epochs int) *pibe.FleetResult {
 		fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
 			Runners:  2,
-			Shards:   2,
 			Epochs:   epochs,
 			Seed:     42,
 			Mix:      []pibe.Workload{pibe.Apache, pibe.Nginx},
@@ -391,7 +385,6 @@ func TestFleetEmptyAggregateFault(t *testing.T) {
 	defer sys.InjectFaults(0, pibe.FaultRates{}, 0)
 	fl, err := sys.NewFleet(profLM, pibe.FleetConfig{
 		Runners: 2,
-		Shards:  2,
 		Epochs:  2,
 		Seed:    42,
 		Mix:     []pibe.Workload{pibe.Apache, pibe.Nginx},

@@ -1,9 +1,9 @@
 // Package ckpt is the shared crash-safe checkpoint container of the
 // reproduction: named, CRC-framed byte sections in a line-oriented,
-// versioned file, written either atomically (temp file + sync + rename,
-// for whole-state checkpoints like the fleet service's) or incrementally
-// (an Appender that syncs after every record, for per-unit checkpoints
-// like the sweep's per-cell state file).
+// versioned file. Every checkpoint is written whole and atomically
+// (SaveAtomic: temp file + sync + rename), the ingest service's after
+// every round and the sweep's after every completed cell, so the file
+// on disk is always a complete container.
 //
 // The format:
 //
@@ -295,104 +295,4 @@ func Load(path string) ([]Section, *Salvage, error) {
 		return nil, sal, fmt.Errorf("ckpt: read checkpoint: %w", err)
 	}
 	return secs, sal, nil
-}
-
-// An Appender grows a checkpoint one section at a time, fsyncing after
-// every Append so a completed unit of work survives any later crash. The
-// end record is rewritten in place on each append, so a quiescent file is
-// a strictly valid checkpoint; a crash mid-append leaves an intact prefix
-// that ReadSectionsLenient salvages (the torn tail loses at most the
-// section being written).
-type Appender struct {
-	f   *os.File
-	off int64 // where the next section frame starts (over the end record)
-	n   int   // sections on disk
-}
-
-// CreateAppender starts a fresh incremental checkpoint at path,
-// truncating whatever was there, and writes the prelude sections (the
-// caller's config/fingerprint gate) before returning.
-func CreateAppender(path string, prelude ...Section) (*Appender, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: create appender: %w", err)
-	}
-	header := checkpointMagic + "\nend 0\n"
-	if _, err := f.WriteAt([]byte(header), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ckpt: appender header: %w", err)
-	}
-	a := &Appender{f: f, off: int64(len(checkpointMagic) + 1)}
-	if err := a.Append(prelude...); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return a, nil
-}
-
-// ResumeAppender compacts a (possibly torn) incremental checkpoint back
-// to the given salvaged sections — rewritten atomically, so a crash
-// during compaction cannot lose previously durable sections — and
-// reopens it for appending.
-func ResumeAppender(path string, secs []Section) (*Appender, error) {
-	if err := SaveAtomic(path, secs); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: reopen appender: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ckpt: appender stat: %w", err)
-	}
-	end := fmt.Sprintf("end %d\n", len(secs))
-	a := &Appender{f: f, off: st.Size() - int64(len(end)), n: len(secs)}
-	return a, nil
-}
-
-// Append frames and durably writes the given sections: payloads first,
-// then the refreshed end record, then one fsync. Safe only from one
-// goroutine at a time; callers appending from a worker pool must
-// serialize (the sweep holds a mutex around it).
-func (a *Appender) Append(secs ...Section) error {
-	if len(secs) == 0 {
-		return nil
-	}
-	var block strings.Builder
-	for _, s := range secs {
-		if err := writeSection(&block, s); err != nil {
-			return err
-		}
-	}
-	block.WriteString(fmt.Sprintf("end %d\n", a.n+len(secs)))
-	data := []byte(block.String())
-	if _, err := a.f.WriteAt(data, a.off); err != nil {
-		return fmt.Errorf("ckpt: append: %w", err)
-	}
-	newLen := a.off + int64(len(data))
-	// The old end record is overwritten by the new sections; trim any
-	// leftover tail in the (theoretical) case the file shrank.
-	if err := a.f.Truncate(newLen); err != nil {
-		return fmt.Errorf("ckpt: append truncate: %w", err)
-	}
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("ckpt: append sync: %w", err)
-	}
-	a.n += len(secs)
-	a.off = newLen - int64(len(fmt.Sprintf("end %d\n", a.n)))
-	return nil
-}
-
-// Sections reports how many sections are durably on disk.
-func (a *Appender) Sections() int { return a.n }
-
-// Close syncs and closes the underlying file.
-func (a *Appender) Close() error {
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
-		return err
-	}
-	return a.f.Close()
 }

@@ -161,120 +161,6 @@ func TestLoadMissing(t *testing.T) {
 	}
 }
 
-// TestAppenderIncremental: a quiescent append-mode checkpoint is a
-// strictly valid container after every Append, and resuming compacts a
-// salvaged prefix back into one.
-func TestAppenderIncremental(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state")
-	a, err := CreateAppender(path, Section{Name: "config", Data: []byte("hash abc\n")})
-	if err != nil {
-		t.Fatalf("CreateAppender: %v", err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := a.Append(Section{Name: fmt.Sprintf("cell-%d", i), Data: []byte(strings.Repeat("x", i+1))}); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-		// Strict read must accept the file at every quiescent point.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs, err := ReadSections(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("after append %d: %v", i, err)
-		}
-		if len(secs) != i+2 || a.Sections() != i+2 {
-			t.Fatalf("after append %d: %d sections on disk, appender says %d", i, len(secs), a.Sections())
-		}
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume compacts and continues.
-	secs, sal, err := Load(path)
-	if err != nil || !sal.Clean() || len(secs) != 6 {
-		t.Fatalf("Load = %d sections, %v, %v", len(secs), sal, err)
-	}
-	b, err := ResumeAppender(path, secs)
-	if err != nil {
-		t.Fatalf("ResumeAppender: %v", err)
-	}
-	if err := b.Append(Section{Name: "cell-5", Data: []byte("y")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	secs, sal, err = Load(path)
-	if err != nil || !sal.Clean() || len(secs) != 7 || secs[6].Name != "cell-5" {
-		t.Fatalf("after resume+append: %d sections, %v, %v", len(secs), sal, err)
-	}
-}
-
-// TestAppenderTornTail: truncating an append-mode checkpoint at any byte
-// salvages a clean prefix of the appended sections, and ResumeAppender
-// restores a strictly valid file from it.
-func TestAppenderTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state")
-	a, err := CreateAppender(path, Section{Name: "config", Data: []byte("hash abc\n")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]byte{[]byte("hash abc\n")}
-	for i := 0; i < 3; i++ {
-		data := []byte(fmt.Sprintf("cell %d payload", i))
-		want = append(want, data)
-		if err := a.Append(Section{Name: fmt.Sprintf("cell-%d", i), Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(dir, "torn")
-	for cut := 0; cut <= len(full); cut++ {
-		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		secs, _, err := Load(torn)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		for i, s := range secs {
-			if !bytes.Equal(s.Data, want[i]) {
-				t.Fatalf("cut %d: section %d not a clean prefix", cut, i)
-			}
-		}
-		r, err := ResumeAppender(torn, secs)
-		if err != nil {
-			t.Fatalf("cut %d: ResumeAppender: %v", cut, err)
-		}
-		if err := r.Append(Section{Name: "tail", Data: []byte("t")}); err != nil {
-			t.Fatalf("cut %d: Append after resume: %v", cut, err)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(torn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSections(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("cut %d: compacted file not strictly valid: %v", cut, err)
-		}
-		if len(got) != len(secs)+1 {
-			t.Fatalf("cut %d: %d sections after resume, want %d", cut, len(got), len(secs)+1)
-		}
-	}
-}
-
 func names(secs []Section) string {
 	var parts []string
 	for _, s := range secs {

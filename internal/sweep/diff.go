@@ -25,8 +25,7 @@ type CellDelta struct {
 	// overhead fraction, so 0.01 is one percentage point).
 	A, B, Delta float64
 	// OnlyIn is "a" or "b" when the cell exists on one side only
-	// (different grids, a sharded report with missing cells); empty when
-	// both sides have it.
+	// (different grids or combos); empty when both sides have it.
 	OnlyIn string
 	// AFailed/BFailed mark failure records; a failed side has no
 	// meaningful overhead and the delta is not computed.

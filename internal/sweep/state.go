@@ -3,30 +3,27 @@ package sweep
 // Crash-safe sweep state. The state file is an internal/ckpt container:
 // one "sweep-config" section holding the canonical sweep configuration
 // plus its FNV-64a fingerprint, followed by one "cell-<i>" section per
-// completed grid cell (i is the global grid index), appended and
-// fsynced as cells finish. Because ckpt's appender keeps the container
-// strictly valid between appends and a torn tail salvages to the intact
-// prefix, a SIGKILL at any point loses at most the cells in flight.
+// completed grid cell (i is the grid index), in grid order. After every
+// completed cell the whole file is rewritten with ckpt.SaveAtomic, so
+// the file on disk is always a complete container that holds each cell
+// once, and a SIGKILL at any point loses at most the cells in flight.
 //
 // Resume is fingerprint-gated: the stored hash must match the hash the
 // resuming run computes from its own flags, otherwise the file is
 // rejected — silently mixing cells from two different sweeps would
-// produce a report that looks valid and is wrong. Shards are
-// deliberately excluded from the fingerprint so the state files of a
-// sharded sweep (same grid, different -sweep-shard) agree on the hash
-// and Merge can verify they belong together.
+// produce a report that looks valid and is wrong. Resume reads only the
+// config section's hash and cell count; the rest of the section is the
+// fingerprinted text, kept readable for whoever inspects the file.
 //
 // Cells are stored as their canonical JSON. Go's float64 JSON encoding
 // round-trips exactly (shortest representation that re-parses to the
-// same bits), which is what makes a resumed or merged report
-// byte-identical to an uninterrupted single-process run's.
+// same bits), which is what makes a resumed report byte-identical to an
+// uninterrupted run's.
 
 import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,57 +33,25 @@ import (
 
 const stateConfigSection = "sweep-config"
 
-// stateMeta is the parsed "sweep-config" section.
+// stateMeta is what resume reads of the "sweep-config" section.
 type stateMeta struct {
-	Hash         string
-	Seed         int64
-	ColdFuncs    int
-	HelperLayers int
-	KneeFactor   float64
-	Timings      bool
-	ICPGrid      []float64
-	InlineGrid   []float64
-	Combos       []string
-	Cells        int
-	// Shard and Shards record which shard of a sharded sweep wrote the
-	// file. They sit outside the fingerprint (shard files of one sweep
-	// must agree on the hash) but inside the config section, so Merge
-	// can reject the same shard supplied twice and resume can reject a
-	// state file written by a different shard. -1 marks a file from
-	// before the fields existed.
-	Shard, Shards int
+	Hash  string
+	Cells int
 }
 
 func formatGrid(g []float64) string {
 	parts := make([]string, len(g))
 	for i, v := range g {
 		// 'g'/-1 is the shortest representation that parses back to the
-		// same float64, so the grid survives the state file exactly.
+		// same float64, so distinct grids never share a fingerprint.
 		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
 	}
 	return strings.Join(parts, ",")
 }
 
-func parseGridLine(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	g := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, err
-		}
-		g[i] = v
-	}
-	return g, nil
-}
-
 // statePayload renders the canonical configuration text the fingerprint
 // covers: everything that determines the meaning of a cell index and
-// the bytes of the final report — except the shard assignment, which
-// must differ between the state files Merge later combines.
+// the bytes of the final report.
 func statePayload(seed int64, cfg *Config, totalCells int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d\n", seed)
@@ -114,11 +79,7 @@ func stateHash(seed int64, cfg *Config, totalCells int) string {
 }
 
 func stateConfigData(seed int64, cfg *Config, totalCells int) []byte {
-	payload := statePayload(seed, cfg, totalCells)
-	// The shard assignment is recorded after the fingerprinted payload:
-	// it identifies the file without contributing to the hash.
-	shard := fmt.Sprintf("shard %d\nshards %d\n", cfg.Shard, cfg.Shards)
-	return []byte("hash " + stateHash(seed, cfg, totalCells) + "\n" + payload + shard)
+	return []byte("hash " + stateHash(seed, cfg, totalCells) + "\n" + statePayload(seed, cfg, totalCells))
 }
 
 func cellSectionName(i int) string { return fmt.Sprintf("cell-%d", i) }
@@ -127,8 +88,7 @@ func cellSectionName(i int) string { return fmt.Sprintf("cell-%d", i) }
 // lenient the way resume wants: a missing or garbled config section
 // returns a nil meta (the caller decides that is fatal), an
 // unparseable or out-of-range cell section is dropped with a warning,
-// and duplicate cell sections resolve last-writer-wins — a resumed run
-// re-appends a failed cell's fresh result after the stale one.
+// and a cell index that appears twice keeps its last section.
 func parseState(secs []ckpt.Section) (*stateMeta, map[int]Cell, []string) {
 	var meta *stateMeta
 	var warns []string
@@ -140,43 +100,17 @@ func parseState(secs []ckpt.Section) (*stateMeta, map[int]Cell, []string) {
 	for _, sec := range secs {
 		switch {
 		case sec.Name == stateConfigSection:
-			m := &stateMeta{Shard: -1, Shards: -1}
-			ok := true
-			for _, line := range strings.Split(strings.TrimRight(string(sec.Data), "\n"), "\n") {
+			m := &stateMeta{}
+			for _, line := range strings.Split(string(sec.Data), "\n") {
 				key, val, _ := strings.Cut(line, " ")
-				var err error
 				switch key {
 				case "hash":
 					m.Hash = val
-				case "seed":
-					m.Seed, err = strconv.ParseInt(val, 10, 64)
-				case "cold-funcs":
-					m.ColdFuncs, err = strconv.Atoi(val)
-				case "helper-layers":
-					m.HelperLayers, err = strconv.Atoi(val)
-				case "knee-factor":
-					m.KneeFactor, err = strconv.ParseFloat(val, 64)
-				case "timings":
-					m.Timings, err = strconv.ParseBool(val)
-				case "icp-grid":
-					m.ICPGrid, err = parseGridLine(val)
-				case "inline-grid":
-					m.InlineGrid, err = parseGridLine(val)
-				case "combos":
-					m.Combos = strings.Split(val, ",")
 				case "cells":
-					m.Cells, err = strconv.Atoi(val)
-				case "shard":
-					m.Shard, err = strconv.Atoi(val)
-				case "shards":
-					m.Shards, err = strconv.Atoi(val)
-				}
-				if err != nil {
-					warns = append(warns, fmt.Sprintf("state config line %q: %v", line, err))
-					ok = false
+					m.Cells, _ = strconv.Atoi(val)
 				}
 			}
-			if !ok || m.Hash == "" || m.Cells <= 0 {
+			if m.Hash == "" || m.Cells <= 0 {
 				warns = append(warns, "state config section unusable")
 				continue
 			}
@@ -203,16 +137,20 @@ func parseState(secs []ckpt.Section) (*stateMeta, map[int]Cell, []string) {
 			warns = append(warns, fmt.Sprintf("dropping state cell %d: index outside grid of %d cells", p.idx, meta.Cells))
 			continue
 		}
-		out[p.idx] = p.cell // last writer wins
+		out[p.idx] = p.cell
 	}
 	return meta, out, warns
 }
 
-// stateWriter serializes concurrent cell appends from the sweep's
-// worker pool onto the single-goroutine ckpt.Appender.
+// stateWriter checkpoints the cells the sweep's worker pool completes:
+// each put rewrites the whole state file under one mutex.
 type stateWriter struct {
-	mu  sync.Mutex
-	app *ckpt.Appender
+	mu     sync.Mutex
+	path   string
+	config ckpt.Section
+	// cells holds each completed cell's canonical JSON by grid index;
+	// nil marks a cell not yet complete.
+	cells [][]byte
 }
 
 func (w *stateWriter) put(i int, c Cell) error {
@@ -222,189 +160,62 @@ func (w *stateWriter) put(i int, c Cell) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.app.Append(ckpt.Section{Name: cellSectionName(i), Data: data})
+	w.cells[i] = data
+	return w.save()
 }
 
-func (w *stateWriter) Close() error {
-	if w == nil || w.app == nil {
-		return nil
+// save writes the config section, then the completed cells in grid
+// order, atomically over the previous state file.
+func (w *stateWriter) save() error {
+	secs := []ckpt.Section{w.config}
+	for i, data := range w.cells {
+		if data != nil {
+			secs = append(secs, ckpt.Section{Name: cellSectionName(i), Data: data})
+		}
 	}
-	return w.app.Close()
+	return ckpt.SaveAtomic(w.path, secs)
 }
 
-// openState opens cfg.StatePath for this run: a fresh file gets the
-// config section and an empty cell log; an existing file is
-// fingerprint-checked, its completed cells returned for skipping, and
-// the file compacted (dropping any torn tail) before appending resumes.
+// openState opens cfg.StatePath for this run. An existing file is
+// fingerprint-checked and its completed cells returned for skipping.
+// Either way the state is written once before any cell runs: a fresh
+// file holds its config section from the start, and a damaged one is
+// replaced by what was salvaged from it.
 func openState(seed int64, cfg *Config, totalCells int) (map[int]Cell, *stateWriter, error) {
-	cfgSec := ckpt.Section{Name: stateConfigSection, Data: stateConfigData(seed, cfg, totalCells)}
+	w := &stateWriter{
+		path:   cfg.StatePath,
+		config: ckpt.Section{Name: stateConfigSection, Data: stateConfigData(seed, cfg, totalCells)},
+		cells:  make([][]byte, totalCells),
+	}
 	secs, sal, err := ckpt.Load(cfg.StatePath)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: load state %s: %w", cfg.StatePath, err)
 	}
-	if secs == nil && sal == nil {
-		app, err := ckpt.CreateAppender(cfg.StatePath, cfgSec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sweep: create state %s: %w", cfg.StatePath, err)
+	var cells map[int]Cell
+	if sal != nil { // the file exists
+		if !sal.Clean() {
+			cfg.Warnf("sweep: warning: state file %s was torn; salvaged intact prefix (%s)", cfg.StatePath, sal)
 		}
-		return nil, &stateWriter{app: app}, nil
-	}
-	if sal != nil && !sal.Clean() {
-		cfg.Warnf("sweep: warning: state file %s was torn; salvaged intact prefix (%s)", cfg.StatePath, sal)
-	}
-	meta, cells, warns := parseState(secs)
-	for _, w := range warns {
-		cfg.Warnf("sweep: warning: %s", w)
-	}
-	if meta == nil {
-		return nil, nil, fmt.Errorf("sweep: state file %s has no usable config section; delete it to start over", cfg.StatePath)
-	}
-	if want := stateHash(seed, cfg, totalCells); meta.Hash != want {
-		return nil, nil, fmt.Errorf("sweep: state file %s was written by a different sweep configuration (its hash %s, this run's %s); delete it or rerun with the original flags", cfg.StatePath, meta.Hash, want)
-	}
-	if meta.Shard >= 0 && (meta.Shard != cfg.Shard || meta.Shards != cfg.Shards) {
-		return nil, nil, fmt.Errorf("sweep: state file %s was written by shard %d/%d, this run is shard %d/%d; resuming would mix shards' cells into one file", cfg.StatePath, meta.Shard, meta.Shards, cfg.Shard, cfg.Shards)
-	}
-	// Compact before resuming: rewrite config plus the surviving cells
-	// atomically, so appends land on a strictly valid container even if
-	// the crash left a torn tail behind.
-	keep := []ckpt.Section{cfgSec}
-	idxs := make([]int, 0, len(cells))
-	for i := range cells {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		data, err := json.Marshal(cells[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		keep = append(keep, ckpt.Section{Name: cellSectionName(i), Data: data})
-	}
-	app, err := ckpt.ResumeAppender(cfg.StatePath, keep)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sweep: resume state %s: %w", cfg.StatePath, err)
-	}
-	cfg.Warnf("sweep: resuming from %s: %d of %d cells already complete", cfg.StatePath, len(cells), totalCells)
-	return cells, &stateWriter{app: app}, nil
-}
-
-// MergeInfo summarizes what Merge combined.
-type MergeInfo struct {
-	// Files is the number of state files read; Cells the number of
-	// distinct grid cells recovered across them.
-	Files, Cells int
-	// Failed counts merged cells that are failure records.
-	Failed int
-	// Missing lists global grid indices present in no state file —
-	// cells a crashed or unfinished shard never completed.
-	Missing []int
-	// Warnings carries per-file salvage notes (dropped sections, torn
-	// tails) for the caller to surface.
-	Warnings []string
-}
-
-// Merge combines the state files of a sharded (or merely interrupted)
-// sweep into the canonical report. Every file must carry the same
-// configuration fingerprint; the grids, combos, and knee factor are
-// reconstructed from the first file's config section, cells are
-// reassembled in global grid order, and knees recomputed — the result
-// is byte-identical to the report a single uninterrupted process would
-// have emitted, provided no cells are missing. When the same cell
-// appears in several files, a successful record beats a failed one and
-// two conflicting successful records are an error.
-func Merge(paths []string) (*Report, *MergeInfo, error) {
-	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("sweep: merge: no state files given")
-	}
-	var meta *stateMeta
-	cells := make(map[int]Cell)
-	var warns []string
-	// A duplicated input — the same file twice, or two files written by
-	// the same shard — is rejected rather than silently deduplicated:
-	// last-writer-wins would hide that the user meant to pass a
-	// *different* shard's file, leaving its cells quietly missing.
-	seenPath := make(map[string]string, len(paths))
-	seenShard := make(map[string]string, len(paths))
-	for _, path := range paths {
-		clean := filepath.Clean(path)
-		if prev, dup := seenPath[clean]; dup {
-			return nil, nil, fmt.Errorf("sweep: merge: state file %s supplied twice (as %s and %s); pass each shard's file exactly once", clean, prev, path)
-		}
-		seenPath[clean] = path
-		secs, sal, err := ckpt.Load(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sweep: merge: load %s: %w", path, err)
-		}
-		if secs == nil && sal == nil {
-			return nil, nil, fmt.Errorf("sweep: merge: state file %s does not exist", path)
-		}
-		if sal != nil && !sal.Clean() {
-			warns = append(warns, fmt.Sprintf("state file %s was torn; salvaged intact prefix (%s)", path, sal))
-		}
-		m, cs, w := parseState(secs)
-		warns = append(warns, w...)
-		if m == nil {
-			return nil, nil, fmt.Errorf("sweep: merge: state file %s has no usable config section", path)
+		meta, restored, warns := parseState(secs)
+		for _, msg := range warns {
+			cfg.Warnf("sweep: warning: %s", msg)
 		}
 		if meta == nil {
-			meta = m
-		} else if m.Hash != meta.Hash {
-			return nil, nil, fmt.Errorf("sweep: merge: state file %s belongs to a different sweep configuration (hash %s, want %s)", path, m.Hash, meta.Hash)
+			return nil, nil, fmt.Errorf("sweep: state file %s has no usable config section; delete it to start over", cfg.StatePath)
 		}
-		if m.Shard >= 0 {
-			key := fmt.Sprintf("%d/%d", m.Shard, m.Shards)
-			if prev, dup := seenShard[key]; dup {
-				return nil, nil, fmt.Errorf("sweep: merge: state files %s and %s were both written by shard %d/%d; the same shard supplied twice means another shard's file is missing", prev, path, m.Shard, m.Shards)
-			}
-			seenShard[key] = path
+		if want := stateHash(seed, cfg, totalCells); meta.Hash != want || meta.Cells != totalCells {
+			return nil, nil, fmt.Errorf("sweep: state file %s was written by a different sweep configuration (its hash %s, this run's %s); delete it or rerun with the original flags", cfg.StatePath, meta.Hash, want)
 		}
-		for i, c := range cs {
-			prev, ok := cells[i]
-			switch {
-			case !ok:
-				cells[i] = c
-			case prev.Failed && !c.Failed:
-				cells[i] = c
-			case !prev.Failed && !c.Failed:
-				a, _ := json.Marshal(prev)
-				b, _ := json.Marshal(c)
-				if string(a) != string(b) {
-					return nil, nil, fmt.Errorf("sweep: merge: cell %d has conflicting successful results across state files", i)
-				}
+		for i, c := range restored {
+			if w.cells[i], err = json.Marshal(c); err != nil {
+				return nil, nil, err
 			}
 		}
+		cells = restored
+		cfg.Warnf("sweep: resuming from %s: %d of %d cells already complete", cfg.StatePath, len(cells), totalCells)
 	}
-	rep := &Report{
-		Seed:         meta.Seed,
-		ColdFuncs:    meta.ColdFuncs,
-		HelperLayers: meta.HelperLayers,
-		ICPGrid:      meta.ICPGrid,
-		InlineGrid:   meta.InlineGrid,
-		KneeFactor:   meta.KneeFactor,
-		Combos:       meta.Combos,
+	if err := w.save(); err != nil {
+		return nil, nil, fmt.Errorf("sweep: write state %s: %w", cfg.StatePath, err)
 	}
-	info := &MergeInfo{Files: len(paths), Cells: len(cells), Warnings: warns}
-	for i := 0; i < meta.Cells; i++ {
-		c, ok := cells[i]
-		if !ok {
-			info.Missing = append(info.Missing, i)
-			continue
-		}
-		rep.Cells = append(rep.Cells, c)
-		if c.Failed {
-			rep.FailedCells++
-			info.Failed++
-		}
-	}
-	kcfg := Config{
-		ICPGrid:    meta.ICPGrid,
-		InlineGrid: meta.InlineGrid,
-		KneeFactor: meta.KneeFactor,
-	}
-	for _, n := range meta.Combos {
-		kcfg.Combos = append(kcfg.Combos, Combo{Name: n})
-	}
-	rep.Knees = knees(kcfg, rep.Cells)
-	return rep, info, nil
+	return cells, w, nil
 }

@@ -183,8 +183,9 @@ func TestSweepStateResumeByteIdentical(t *testing.T) {
 			t.Fatalf("%s: state file not strictly valid after resume: %v", name, rerr)
 		}
 		meta, cells, _ := parseState(parsed)
-		if meta == nil || len(cells) != 4 {
-			t.Errorf("%s: resumed state holds %d cells, want 4", name, len(cells))
+		if meta == nil || len(cells) != 4 || len(parsed) != 5 {
+			t.Errorf("%s: resumed state holds %d sections for %d cells, want the config and 4 cells once each",
+				name, len(parsed), len(cells))
 		}
 	}
 }
@@ -247,9 +248,7 @@ func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
 	cfg := sweepStateConfig(state)
 
 	// Hand-build a state file whose cell 0 is a failure record.
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
+	cfg.fill()
 	restored, w, err := openState(s.Seed, &cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -260,9 +259,6 @@ func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
 	fail := Cell{Combo: "retpoline", ICPBudget: 0, InlineBudget: 0,
 		Failed: true, FailureKind: "transient", Failure: "injected for test"}
 	if err := w.put(0, fail); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,182 +273,17 @@ func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
 	if !bytes.Equal(got, refJSON) {
 		t.Errorf("report after failed-cell rerun differs from reference:\n%s", got)
 	}
-}
-
-// TestSweepShardMerge: a 2-way sharded sweep — two runs over disjoint
-// halves of the grid, each with its own state file — merges back into a
-// report byte-identical to the single-process run's. Mismatched
-// fingerprints and absent files are refused.
-func TestSweepShardMerge(t *testing.T) {
-	r := sharedStateRun(t)
-	s, refJSON := r.s, r.refJSON
-	dir := t.TempDir()
-
-	var paths []string
-	for shard := 0; shard < 2; shard++ {
-		cfg := sweepStateConfig(filepath.Join(dir, "shard"+string(rune('0'+shard))+".state"))
-		cfg.Shards, cfg.Shard = 2, shard
-		rep, err := Run(s, cfg)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-		if len(rep.Cells) != 2 {
-			t.Fatalf("shard %d evaluated %d cells, want 2 of the 4", shard, len(rep.Cells))
-		}
-		paths = append(paths, cfg.StatePath)
-	}
-
-	merged, info, err := Merge(paths)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if len(info.Missing) != 0 || info.Cells != 4 {
-		t.Fatalf("MergeInfo = %+v, want 4 cells and none missing", info)
-	}
-	got, err := merged.WriteJSON()
+	// The rerun replaces the failure record: the state file holds cell 0
+	// once, and it is the healthy result.
+	data, err := os.ReadFile(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, refJSON) {
-		t.Errorf("merged report differs from single-process run:\n%s\n-- want --\n%s", got, refJSON)
+	if n := bytes.Count(data, []byte("sec cell-0 ")); n != 1 {
+		t.Errorf("resumed state file holds cell 0 %d times, want once", n)
 	}
-
-	// Merging only one shard reports the other's cells as missing.
-	_, info, err = Merge(paths[:1])
-	if err != nil {
-		t.Fatalf("Merge(one shard): %v", err)
-	}
-	if len(info.Missing) != 2 {
-		t.Errorf("one-shard merge Missing = %v, want 2 indices", info.Missing)
-	}
-
-	// A state file from a different configuration cannot be merged in.
-	other := filepath.Join(dir, "other.state")
-	cfg := sweepStateConfig(other)
-	cfg.KneeFactor = 1.3
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	_, w, err := openState(s.Seed, &cfg, len(r.ref.Cells))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range r.ref.Cells {
-		if err := w.put(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Merge(append(paths, other)); err == nil {
-		t.Error("Merge accepted a state file with a different fingerprint")
-	}
-	if _, _, err := Merge([]string{filepath.Join(dir, "nope.state")}); err == nil {
-		t.Error("Merge accepted a missing state file")
-	}
-}
-
-// TestSweepMergeRejectsDuplicateShard is the regression test for the
-// duplicated-input hazard: passing the same shard's state file twice
-// (the same path, or a copy at a different path) used to be silently
-// deduplicated by last-writer-wins, which hid that the user meant to
-// pass a *different* shard's file and quietly reported its cells as
-// missing. Merge now refuses both shapes, and resume refuses a state
-// file written by a different shard assignment. State files are
-// hand-assembled (no sweep runs), so the test is fast.
-func TestSweepMergeRejectsDuplicateShard(t *testing.T) {
-	dir := t.TempDir()
-
-	// writeState assembles a well-formed state file for one shard of a
-	// 2-way sharded 4-cell sweep, holding the given cell indices.
-	writeState := func(name string, shard int, cellIdx ...int) string {
-		cfg := sweepStateConfig("")
-		if err := cfg.fill(); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Shards, cfg.Shard = 2, shard
-		secs := []ckpt.Section{
-			{Name: stateConfigSection, Data: stateConfigData(5, &cfg, 4)},
-		}
-		for _, i := range cellIdx {
-			data, _ := json.Marshal(Cell{Combo: "retpoline", Geomean: 0.1 * float64(i+1)})
-			secs = append(secs, ckpt.Section{Name: cellSectionName(i), Data: data})
-		}
-		path := filepath.Join(dir, name)
-		if err := ckpt.SaveAtomic(path, secs); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	shard0 := writeState("shard0.state", 0, 0, 2)
-	shard1 := writeState("shard1.state", 1, 1, 3)
-
-	// Sanity: the intended pairing merges cleanly.
-	if _, info, err := Merge([]string{shard0, shard1}); err != nil {
-		t.Fatalf("Merge(shard0, shard1): %v", err)
-	} else if info.Cells != 4 || len(info.Missing) != 0 {
-		t.Fatalf("Merge(shard0, shard1) info = %+v, want 4 cells, none missing", info)
-	}
-
-	// The same path twice is refused outright.
-	if _, _, err := Merge([]string{shard0, shard0}); err == nil {
-		t.Error("Merge accepted the same state file path twice")
-	}
-	// So is a lexically different spelling of the same path.
-	if _, _, err := Merge([]string{shard0, filepath.Join(dir, ".", "shard0.state")}); err == nil {
-		t.Error("Merge accepted the same state file under a different spelling")
-	}
-
-	// A copy of shard 0's file at another path is caught by the recorded
-	// shard assignment, not the path.
-	copy0 := writeState("copy0.state", 0, 0, 2)
-	if _, _, err := Merge([]string{shard0, copy0}); err == nil {
-		t.Error("Merge accepted two state files written by the same shard")
-	}
-
-	// Resume refuses a state file written by a different shard: the
-	// fingerprint matches (shards are outside the hash), so only the
-	// recorded assignment stands between shard 1 and shard 0's file.
-	cfg := sweepStateConfig(shard0)
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards, cfg.Shard = 2, 1
-	if _, _, err := openState(5, &cfg, 4); err == nil {
-		t.Error("openState accepted a state file written by a different shard")
-	}
-	// The matching assignment still resumes.
-	cfg.Shard = 0
-	cells, w, err := openState(5, &cfg, 4)
-	if err != nil {
-		t.Fatalf("openState with matching shard: %v", err)
-	}
-	w.Close()
-	if len(cells) != 2 {
-		t.Errorf("resume restored %d cells, want 2", len(cells))
-	}
-
-	// A pre-shard-field legacy file (no shard/shards lines) still merges:
-	// its assignment is unknown, so it is exempt from the shard check.
-	legacySecs := []ckpt.Section{{
-		Name: stateConfigSection,
-		Data: func() []byte {
-			lcfg := sweepStateConfig("")
-			if err := lcfg.fill(); err != nil {
-				t.Fatal(err)
-			}
-			payload := statePayload(5, &lcfg, 4)
-			return []byte("hash " + stateHash(5, &lcfg, 4) + "\n" + payload)
-		}(),
-	}}
-	legacy := filepath.Join(dir, "legacy.state")
-	if err := ckpt.SaveAtomic(legacy, legacySecs); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Merge([]string{legacy, shard1}); err != nil {
-		t.Errorf("Merge refused a legacy state file without shard fields: %v", err)
+	if bytes.Contains(data, []byte("injected for test")) {
+		t.Error("resumed state file still holds the failure record")
 	}
 }
 
@@ -463,9 +294,7 @@ func FuzzSweepStateRead(f *testing.F) {
 	// Seed with a real (hand-assembled, no suite needed) state file:
 	// a config section plus two cells, one of them a failure record.
 	cfg := sweepStateConfig("")
-	if err := cfg.fill(); err != nil {
-		f.Fatal(err)
-	}
+	cfg.fill()
 	cell0, _ := json.Marshal(Cell{Combo: "retpoline", Geomean: 0.42})
 	cell1, _ := json.Marshal(Cell{Combo: "retpoline", ICPBudget: 0.999,
 		Failed: true, FailureKind: "transient", Failure: "boom"})

@@ -24,16 +24,18 @@
 // Config.Timings is set (and are zero otherwise), which is why the
 // default emission stays byte-reproducible.
 //
-// A sweep at -sweep-kernel-scale is hours of compute, so the engine is
-// crash-safe and degrades gracefully rather than being all-or-nothing:
+// The default 343-cell grid runs in one process, about 75 s on two
+// vCPUs, and the engine is crash-safe and degrades gracefully rather
+// than being all-or-nothing:
 //
-//   - With Config.StatePath set, every completed cell is appended to a
-//     CRC-framed state file (internal/ckpt) and fsynced, so a SIGKILL at
-//     any point loses at most the cells in flight. A rerun with the same
-//     path resumes by skipping completed cells — the resumed
-//     BENCH_sweep.json is byte-identical to an uninterrupted run's.
-//     Resume is gated on a fingerprint of the sweep configuration; a
-//     state file from a different configuration is rejected.
+//   - With Config.StatePath set, every completed cell is checkpointed:
+//     the whole state file (internal/ckpt) is rewritten atomically, so
+//     a SIGKILL at any point loses at most the cells in flight. A rerun
+//     with the same path resumes by skipping completed cells — the
+//     resumed BENCH_sweep.json is byte-identical to an uninterrupted
+//     run's. Resume is gated on a fingerprint of the sweep
+//     configuration; a state file from a different configuration is
+//     rejected.
 //   - A cell is built and measured once. Transient measurement faults
 //     are retried only inside workload.Runner, where they are drawn; a
 //     cell whose build or measurement still fails degrades instead of
@@ -41,10 +43,6 @@
 //     its structured fault, excluded from knee detection, and rendered
 //     as a FAIL entry plus a per-combo warning note in the text
 //     matrices.
-//   - Config.Shards/Shard partition the grid deterministically across
-//     cooperating processes (cell index modulo shard count); Merge
-//     combines the shard state files back into the canonical report,
-//     byte-identical to what a single process would have emitted.
 package sweep
 
 import (
@@ -214,19 +212,13 @@ type Config struct {
 	// uninterrupted run's. A state file whose config fingerprint does
 	// not match this configuration is rejected.
 	StatePath string
-	// Shards and Shard partition the grid across cooperating processes:
-	// this run evaluates only the cells whose global grid index is
-	// congruent to Shard modulo Shards. Zero Shards means 1 (the whole
-	// grid); Shard must be in [0, Shards). Merge recombines the shard
-	// state files into the canonical report.
-	Shards, Shard int
 	// Warnf receives degradation warnings (a cell's geomean skipped
 	// non-finite overheads or clamped factors, a failed cell, a salvaged
 	// state file). Nil logs to stderr.
 	Warnf func(format string, args ...any)
 }
 
-func (c *Config) fill() error {
+func (c *Config) fill() {
 	if len(c.ICPGrid) == 0 {
 		c.ICPGrid = DefaultGrid
 	}
@@ -239,18 +231,11 @@ func (c *Config) fill() error {
 	if c.KneeFactor <= 0 {
 		c.KneeFactor = 1.1
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Shard < 0 || c.Shard >= c.Shards {
-		return fmt.Errorf("sweep: shard %d outside [0, %d)", c.Shard, c.Shards)
-	}
 	if c.Warnf == nil {
 		c.Warnf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	return nil
 }
 
 // Cell is one evaluated (combo, icp, inline) grid point.
@@ -313,7 +298,7 @@ type Report struct {
 
 // cellKey addresses one grid point; the global cell index (grid order:
 // combo, then ICP budget, then inline budget) is its position in the
-// keys slice and the unit of sharding and checkpointing.
+// keys slice and the unit of checkpointing.
 type cellKey struct {
 	combo    int
 	icp, inl int
@@ -379,8 +364,8 @@ func measureCell(s *bench.Suite, base []pibe.Latency, combo Combo, icp, inl floa
 
 // evalCell runs one cell to completion: a cell whose build or
 // measurement fails degrades to a failed Cell carrying the structured
-// fault instead of an error — one poisoned grid point must not sink an
-// hours-long sweep.
+// fault instead of an error — one poisoned grid point must not sink the
+// whole sweep.
 func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell {
 	combo := cfg.Combos[k.combo]
 	icp, inl := cfg.ICPGrid[k.icp], cfg.InlineGrid[k.inl]
@@ -409,42 +394,29 @@ func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell 
 // aborting (see evalCell), and the report is assembled in deterministic
 // grid order: combos in config order, then ICP budget, then inline
 // budget. With Config.StatePath the run checkpoints each completed cell
-// and resumes past completed ones; with Config.Shards > 1 it evaluates
-// only this process's share of the grid.
+// and resumes past completed ones.
 func Run(s *bench.Suite, cfg Config) (*Report, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
+	cfg.fill()
 	base, err := s.Baseline()
 	if err != nil {
 		return nil, err
 	}
 	keys := gridKeys(&cfg)
-	cells := make([]Cell, len(keys))
-	have := make([]bool, len(keys))
-
+	var restored map[int]Cell
 	var st *stateWriter
 	if cfg.StatePath != "" {
-		restored, w, err := openState(s.Seed, &cfg, len(keys))
-		if err != nil {
+		if restored, st, err = openState(s.Seed, &cfg, len(keys)); err != nil {
 			return nil, err
-		}
-		st = w
-		defer st.Close()
-		for i, c := range restored {
-			cells[i], have[i] = c, true
 		}
 	}
 
-	// This process's work: its shard of the grid, minus cells already
-	// restored from the state file — except failed ones, which get a
-	// fresh chance on resume.
+	// Every cell runs except those restored from the state file; a
+	// restored failed cell gets a fresh chance.
+	cells := make([]Cell, len(keys))
 	var work []int
 	for i := range keys {
-		if i%cfg.Shards != cfg.Shard {
-			continue
-		}
-		if have[i] && !cells[i].Failed {
+		if c, ok := restored[i]; ok && !c.Failed {
+			cells[i] = c
 			continue
 		}
 		work = append(work, i)
@@ -452,10 +424,9 @@ func Run(s *bench.Suite, cfg Config) (*Report, error) {
 
 	if err := s.ForEach(len(work), func(wi int) error {
 		i := work[wi]
-		c := evalCell(s, &cfg, base, keys[i])
-		cells[i], have[i] = c, true
+		cells[i] = evalCell(s, &cfg, base, keys[i])
 		if st != nil {
-			if err := st.put(i, c); err != nil {
+			if err := st.put(i, cells[i]); err != nil {
 				return fmt.Errorf("sweep: checkpoint cell %d: %w", i, err)
 			}
 		}
@@ -471,18 +442,13 @@ func Run(s *bench.Suite, cfg Config) (*Report, error) {
 		ICPGrid:      cfg.ICPGrid,
 		InlineGrid:   cfg.InlineGrid,
 		KneeFactor:   cfg.KneeFactor,
+		Cells:        cells,
 	}
 	for _, c := range cfg.Combos {
 		rep.Combos = append(rep.Combos, c.Name)
 	}
-	// Grid order; a sharded run simply omits the other shards' cells
-	// (Merge reassembles the full surface from the shard state files).
-	for i := range keys {
-		if !have[i] {
-			continue
-		}
-		rep.Cells = append(rep.Cells, cells[i])
-		if cells[i].Failed {
+	for _, c := range cells {
+		if c.Failed {
 			rep.FailedCells++
 		}
 	}

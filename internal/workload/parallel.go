@@ -148,7 +148,8 @@ func (r *Runner) run(plans []plan) ([]float64, error) {
 			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("workload: %s: %w", p.key, err)
+			// The drawn fault names the plan as its Site already.
+			return nil, err
 		}
 		for rep := 0; rep < p.reps; rep++ {
 			cells = append(cells, ref{i, rep})

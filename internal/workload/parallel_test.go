@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/resilience"
@@ -96,7 +97,7 @@ func TestMeasureRetryAbsorbsTransients(t *testing.T) {
 
 // TestMeasureRetryExhaustsAttempts: under a measurement blackout the
 // runner draws a plan's faults exactly 4 times and then returns the
-// injected transient fault.
+// injected transient fault, which names its benchmark once.
 func TestMeasureRetryExhaustsAttempts(t *testing.T) {
 	k, prog := setup(t)
 	r, err := NewRunner(k, prog, Nginx, 9)
@@ -107,6 +108,9 @@ func TestMeasureRetryExhaustsAttempts(t *testing.T) {
 	_, err = r.Measure("read")
 	if fe, ok := resilience.AsFault(err); !ok || fe.Kind != resilience.KindTransient || !fe.Injected || fe.Site != "read" {
 		t.Fatalf("Measure under blackout = %v, want the injected transient fault at read", err)
+	}
+	if n := strings.Count(err.Error(), "read"); n != 1 {
+		t.Errorf("Measure under blackout = %q, names read %d times, want once", err, n)
 	}
 	if got := r.Inject.Total(); got != 4 {
 		t.Errorf("blackout drew %d faults, want 4", got)

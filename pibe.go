@@ -574,13 +574,11 @@ type FleetConfig struct {
 	// Runners is the concurrent collector count per epoch (default 4);
 	// runner i profiles Mix[i%len(Mix)].
 	Runners int
-	// Shards is the aggregator stripe count (default 8).
-	Shards int
 	// Epochs is the number of collection epochs (default 1).
 	Epochs int
 	// OpsScale multiplies each runner's workload mix (default 2).
 	OpsScale int
-	// Seed derives all runner seeds. Same Seed + Shards ⇒ byte-identical
+	// Seed derives all runner seeds. Same Seed ⇒ byte-identical
 	// aggregate snapshots (absent fault injection).
 	Seed int64
 	// Decay is the per-epoch count multiplier in (0, 1]; 0 means the
@@ -607,8 +605,8 @@ type FleetConfig struct {
 	// there after every epoch (creating the directory if needed), and
 	// NewFleet resumes mid-loop from an existing checkpoint (losing at
 	// most the epoch that was in flight). A checkpoint written under a
-	// different configuration — anything but Epochs and Shards — is
-	// rejected instead of resumed.
+	// different configuration — anything but Epochs — is rejected
+	// instead of resumed.
 	StateDir string
 	// Build is the image configuration the rebuild controller uses; its
 	// Profile field is replaced by the baseline profile for the initial
@@ -631,9 +629,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Runners <= 0 {
 		c.Runners = 4
 	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 1
 	}
@@ -652,8 +647,7 @@ func (c FleetConfig) withDefaults() FleetConfig {
 // fingerprint identifies the configuration a fleet checkpoint was
 // written under. It covers everything that changes what the collectors
 // report or what the loop decides, and leaves out Epochs (a finished
-// run resumes with more), Shards (striping never changes a count) and
-// the measurement settings.
+// run resumes with more) and the measurement settings.
 func (c FleetConfig) fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seed %d\nrunners %d\nops-scale %d\nmix %v\ndecay %g\nhot-budget %g\n",
@@ -769,11 +763,10 @@ func (s *System) NewFleet(baseline *Profile, cfg FleetConfig) (f *Fleet, err err
 	}
 	f = &Fleet{sys: s, cfg: cfg}
 	f.svc, err = ingest.Open(ingest.Config{
-		TenantShards: cfg.Shards,
-		Workers:      1,
-		Decay:        cfg.Decay,
-		HotBudget:    cfg.HotBudget,
-		Baseline:     baseline.p,
+		Workers:   1,
+		Decay:     cfg.Decay,
+		HotBudget: cfg.HotBudget,
+		Baseline:  baseline.p,
 		Promote: &fleet.PromoteConfig{
 			DriftThreshold:   cfg.DriftThreshold,
 			CanarySteps:      cfg.CanaryEpochs,
