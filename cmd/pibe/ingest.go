@@ -14,7 +14,6 @@ import (
 
 // ingestOpts carries the `pibe ingest` flag values.
 type ingestOpts struct {
-	engine        pibe.Engine
 	seed          int64
 	tenants       int
 	kernels       int
@@ -54,7 +53,6 @@ func runIngest(opts ingestOpts) error {
 	if err != nil {
 		return err
 	}
-	sys.SetEngine(opts.engine)
 	start := time.Now()
 	var bases []ingest.Base
 	for _, flavor := range parseMix(opts.mix) {

@@ -93,15 +93,11 @@
 // injected measurement faults are drawn, and a failing draw redrawn up
 // to 4 times in all, before any repetition runs.
 //
-// Every command accepts -engine compiled|interp to select the execution
-// tier for profiling and measurement machines. The default, compiled,
-// runs pre-compiled threaded code (closure chains) on every machine,
-// JumpSwitches and chaos runs included; profiling machines carry a
-// recorder and no CPU model and run on its model-free chain. interp
-// runs the per-event reference loop the compiled tier is checked
-// against. The tier is cycle-exact — profiles, latencies, sweep
-// surfaces and censuses are identical — so the flag only changes
-// wall-clock time.
+// Every command runs pre-compiled threaded code (closure chains) on
+// every machine, JumpSwitches and chaos runs included; profiling
+// machines carry a recorder and no CPU model and run on its model-free
+// chain. The per-event reference loop that tier is checked against is
+// reached only from the library and its tests.
 //
 // Fleet mode runs continuous profiling as the ingest service with one
 // tenant: -fleet concurrent collectors per epoch profile real workload
@@ -185,8 +181,6 @@ func main() {
 	lenient := fs.Bool("lenient", false, "salvage corrupt/truncated -profile inputs instead of failing")
 	measureWorkers := fs.Int("measure-workers", runtime.GOMAXPROCS(0),
 		"goroutines measurement repetitions run on (below 2: the calling goroutine; results are identical for every value)")
-	engineName := fs.String("engine", "compiled",
-		"execution engine: compiled (threaded code) or interp (the per-event reference loop; cycle-exact, slower)")
 	sweepGrid := fs.String("sweep-grid", "0,50,90,99,99.9,99.99,99.9999",
 		"comma-separated budget grid in percent, applied to both sweep axes")
 	sweepCombos := fs.String("sweep-combos", "retpoline,ret-retpoline,lvi-cfi,fineibt,pac-cfi,verifence,all",
@@ -231,16 +225,12 @@ func main() {
 		"write the final aggregate profile here: ingest's global one, fleet's last drift snapshot (the byte-identical resume artifact)")
 	fs.Parse(os.Args[2:])
 
-	engine, err := pibe.ParseEngine(*engineName)
-	check(err)
-
 	if cmd == "ingest" {
 		path := *out
 		if path == "" {
 			path = "BENCH_ingest.json"
 		}
 		check(runIngest(ingestOpts{
-			engine:        engine,
 			seed:          *seed,
 			tenants:       *ingestTenants,
 			kernels:       *ingestKernels,
@@ -277,7 +267,6 @@ func main() {
 			path = "BENCH_sweep.json"
 		}
 		check(runSweep(sweepOpts{
-			engine:         engine,
 			seed:           *seed,
 			grid:           *sweepGrid,
 			combos:         *sweepCombos,
@@ -301,7 +290,6 @@ func main() {
 	sys, err := pibe.NewSyntheticKernel(pibe.KernelConfig{Seed: *seed})
 	check(err)
 	sys.SetMeasureWorkers(*measureWorkers)
-	sys.SetEngine(engine)
 
 	var inject *resilience.Injector
 	if *chaosRate > 0 {

@@ -12,7 +12,6 @@ import (
 
 // sweepOpts carries the `pibe sweep` flag values.
 type sweepOpts struct {
-	engine         pibe.Engine
 	seed           int64
 	grid           string
 	combos         string
@@ -46,9 +45,6 @@ func runSweep(opts sweepOpts) error {
 		return err
 	}
 	suite.Sys.SetMeasureWorkers(opts.measureWorkers)
-	// Engine choice never changes a cell's numbers (the compiled tier
-	// is cycle-exact), so the sweep surface stays byte-identical.
-	suite.Sys.SetEngine(opts.engine)
 	fmt.Fprintf(os.Stderr, "pibe sweep: kernel generated and profiled in %v (%d cells)\n",
 		time.Since(start).Round(time.Millisecond), len(grid)*len(grid)*len(combos))
 

@@ -2,6 +2,7 @@ package pibe_test
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -348,6 +349,53 @@ func TestFleetStateDirCreated(t *testing.T) {
 	res := run(3)
 	if res.StartEpoch != 2 || len(res.Epochs) != 1 || res.Epochs[0].Epoch != 2 {
 		t.Fatalf("resume started at %d with epochs %+v, want exactly epoch 2", res.StartEpoch, res.Epochs)
+	}
+}
+
+// TestFleetResumeWithNoEpochLeft: a finished fleet's checkpoint holds
+// the aggregate its last barrier already decayed, so reopening it with
+// the same epoch count is a PhaseFleet/KindConfig fault naming both
+// numbers, raised before the initial build; more epochs still resume.
+func TestFleetResumeWithNoEpochLeft(t *testing.T) {
+	sys := testSystem(t)
+	profLM := testProfile(t, sys)
+	dir := t.TempDir()
+	cfg := func(epochs int) pibe.FleetConfig {
+		return pibe.FleetConfig{
+			Runners:  2,
+			Epochs:   epochs,
+			Seed:     42,
+			Mix:      []pibe.Workload{pibe.Apache, pibe.Nginx},
+			StateDir: dir,
+		}
+	}
+	fl, err := sys.NewFleet(profLM, cfg(2))
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	if _, err := fl.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, epochs := range []int{2, 1} {
+		_, err := sys.NewFleet(profLM, cfg(epochs))
+		fault, ok := resilience.AsFault(err)
+		if !ok || fault.Phase != resilience.PhaseFleet || fault.Kind != resilience.KindConfig {
+			t.Fatalf("reopen with %d epochs: err = %v, want a PhaseFleet/KindConfig fault", epochs, err)
+		}
+		if want := fmt.Sprintf("epoch 2 of %d", epochs); !strings.Contains(err.Error(), want) {
+			t.Errorf("reopen with %d epochs: %q does not name %q", epochs, err, want)
+		}
+	}
+	fl, err = sys.NewFleet(profLM, cfg(3))
+	if err != nil {
+		t.Fatalf("NewFleet with more epochs: %v", err)
+	}
+	res, err := fl.Run()
+	if err != nil {
+		t.Fatalf("Run with more epochs: %v", err)
+	}
+	if res.StartEpoch != 2 || len(res.Epochs) != 1 {
+		t.Errorf("resume started at %d with %d epochs, want exactly epoch 2", res.StartEpoch, len(res.Epochs))
 	}
 }
 

@@ -34,7 +34,8 @@
 //   - call->leaf and icall->leaf: a call whose callee is a call-free
 //     straight-line body executes the whole callee (segment charges,
 //     icache touches, the return) inside the caller's closure, from a
-//     data-driven leaf descriptor — no frame push, no dispatch.
+//     data-driven leaf descriptor — no frame push, no dispatch. Every
+//     other callee runs in a pooled frame (enter), one call protocol.
 //   - resolve+icall: one closure draws the target and dispatches it,
 //     skipping the register round-trip decode.
 //   - block-entry accounting (step/fuel check plus batched segment
@@ -84,18 +85,6 @@ const (
 	EngineInterp
 )
 
-// ParseEngine parses an engine name as used by the -engine CLI flag; the
-// empty name is the default, compiled.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "compiled":
-		return EngineCompiled, nil
-	case "interp":
-		return EngineInterp, nil
-	}
-	return EngineCompiled, errors.New("interp: unknown engine " + s + " (want compiled or interp)")
-}
-
 func (e Engine) String() string {
 	if e == EngineInterp {
 		return "interp"
@@ -134,12 +123,6 @@ type cfn struct {
 	// leaf describes a call-free straight-line body ending in a return;
 	// call sites execute it inline instead of entering the function.
 	leaf *leafBody
-	// flatEntries/flatEntry0 are a second compilation of call-free
-	// functions whose return ends a nested driver loop instead of
-	// popping a frame; call sites run them on scratch registers with no
-	// frame push at all. nil for functions that make calls.
-	flatEntries []cop
-	flatEntry0  cop
 }
 
 // leafSeg is one straight-line segment of a leaf body: a block entry or
@@ -215,11 +198,6 @@ type cvm struct {
 
 	stack []cframe
 	pool  []regFile
-
-	// scratch register file for the frameless flat-call path. Flat
-	// functions are call-free, so at most one is live at a time.
-	flatRegs  []int32
-	flatTrips []int32
 
 	// model is the Model the view and hoisted parameters were taken
 	// from; runs against the same model re-borrow with EngineSync.
@@ -412,9 +390,6 @@ func (vm *cvm) hookedCall(site ir.SiteID, target int32, args, retAddr int64, nex
 	callee := &vm.cp.funcs[target]
 	if callee.leaf != nil {
 		return vm.runLeaf(callee, retAddr, next)
-	}
-	if callee.flatEntry0 != nil {
-		return vm.runFrameless(callee, retAddr, next)
 	}
 	return vm.enter(callee, retAddr, next)
 }
@@ -610,41 +585,6 @@ func (vm *cvm) runLeaf(cf *cfn, retAddr int64, next cop) cop {
 	return next
 }
 
-// runFrameless executes a call-free function at a call site with no
-// frame push: the current frame's register pointers are parked in
-// locals, the callee runs on the VM's scratch file through a nested
-// driver loop over its flat-compiled chain (whose return closure ends
-// the loop instead of popping a frame), and the caller's pointers are
-// put back. Mirrors a framed call, including the call check and the
-// invocation count. next resumes the caller; nil propagates a fault.
-func (vm *cvm) runFrameless(cf *cfn, retAddr int64, next cop) cop {
-	if vm.depth+1 >= vm.maxDepth {
-		return vm.callSlow(cf, retAddr, next, (*cvm).runFrameless)
-	}
-	if vm.rec != nil {
-		vm.rec.invoke(cf.index)
-	}
-	sRegs, sTrips, sFlag, sRet := vm.regs, vm.trips, vm.flag, vm.retAddr
-	if cap(vm.flatRegs) < cf.numRegs {
-		vm.flatRegs = make([]int32, cf.numRegs+16)
-	}
-	regs := vm.flatRegs[:cf.numRegs]
-	clear(regs)
-	if cap(vm.flatTrips) < cf.numTrips {
-		vm.flatTrips = make([]int32, cf.numTrips+16)
-	}
-	trips := vm.flatTrips[:cf.numTrips]
-	clear(trips)
-	vm.regs, vm.trips, vm.flag, vm.retAddr = regs, trips, false, retAddr
-	for op := cf.flatEntry0; op != nil; op = op(vm) {
-	}
-	vm.regs, vm.trips, vm.flag, vm.retAddr = sRegs, sTrips, sFlag, sRet
-	if vm.err != nil {
-		return nil
-	}
-	return next
-}
-
 // --- model-free frame protocol -------------------------------------
 
 // tick is one step/fuel sequence point of the model-free chain; it
@@ -669,14 +609,11 @@ func (vm *cvm) tickSlow(name string, op cop) cop {
 // call enters cf on the model-free chain once the caller has counted
 // its edge: the callee's call check, then its invocation count (the
 // order of pushFrame), then its body — a leaf's segments as one fuel
-// charge, a call-free body on the nested driver, anything else in a
-// fresh frame. No return address is kept without a model.
+// charge, anything else in a fresh frame. No return address is kept
+// without a model.
 func (vm *cvm) call(cf *cfn, next cop) cop {
 	if lb := cf.leaf; lb != nil {
 		return vm.callLeaf(cf, int64(len(lb.segs)), next)
-	}
-	if cf.flatEntry0 != nil {
-		return vm.runFrameless(cf, 0, next)
 	}
 	return vm.enter(cf, 0, next)
 }
@@ -768,13 +705,13 @@ func compileProgram(p *Program, free bool) *compiled {
 			entries:  make([]cop, len(src.blocks)),
 			leaf:     leafOf(src),
 		}
-		if src.flat && f.leaf == nil && len(src.blocks) > 0 {
-			f.flatEntries = make([]cop, len(src.blocks))
-		}
 		cp.funcs[i] = f
 	}
 	for i := range p.funcs {
-		compileFn(cp, p, int32(i), free)
+		src, entries := &p.funcs[i], cp.funcs[i].entries
+		for bi := range src.blocks {
+			entries[bi] = compileBlock(cp, src, entries, bi, free)
+		}
 	}
 	for i := range cp.funcs {
 		f := &cp.funcs[i]
@@ -786,9 +723,6 @@ func compileProgram(p *Program, free bool) *compiled {
 				vm.err = trap(name, "interp: %s: block 0 fell through without terminator", name)
 				return nil
 			}
-		}
-		if f.flatEntries != nil {
-			f.flatEntry0 = f.flatEntries[0]
 		}
 	}
 	return cp
@@ -931,23 +865,7 @@ func (vm *cvm) lineSlow(name string, cost, count, lineBase int64, body cop) cop 
 	return vm.prefixSlow(segPre{name: name, batched: true, cost: cost, count: count, lineBase: lineBase, nLines: 1}, body)
 }
 
-func compileFn(cp *compiled, p *Program, fi int32, free bool) {
-	src := &p.funcs[fi]
-	f := &cp.funcs[fi]
-	for bi := range src.blocks {
-		f.entries[bi] = compileBlock(cp, src, f, bi, f.entries, false, free)
-	}
-	// Flat functions get a second chain whose return ends a nested
-	// driver loop; branch closures target the flat entries so control
-	// never escapes into the framed chain mid-run.
-	if f.flatEntries != nil {
-		for bi := range src.blocks {
-			f.flatEntries[bi] = compileBlock(cp, src, f, bi, f.flatEntries, true, free)
-		}
-	}
-}
-
-func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatRet, free bool) cop {
+func compileBlock(cp *compiled, src *cfunc, entries []cop, bi int, free bool) cop {
 	b := &src.blocks[bi]
 	name := src.name
 
@@ -1019,7 +937,7 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 	for k := len(items) - 1; k >= 0; k-- {
 		it := items[k]
 		if free {
-			next = genFree(cp, src, it.pre, it.ci, name, next, entries, flatRet)
+			next = genFree(cp, src, it.pre, it.ci, name, next, entries)
 			continue
 		}
 		if it.ci == nil {
@@ -1036,16 +954,16 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 		if it.ci.kind == cResolve && k+1 < len(items) &&
 			items[k+1].ci != nil && items[k+1].ci.kind == cICall &&
 			items[k+1].pre == nil && items[k+1].ci.reg == it.ci.reg {
-			next = genResolveICall(cp, f, it.pre, it.ci, items[k+1].ci, name, next)
+			next = genResolveICall(cp, it.pre, it.ci, items[k+1].ci, name, next)
 			continue
 		}
-		next = genEvent(cp, src, f, it.pre, it.ci, name, next, entries, flatRet)
+		next = genEvent(cp, src, it.pre, it.ci, name, next, entries)
 	}
 	return next
 }
 
 // genResolveICall emits the fused resolve+icall superinstruction.
-func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr, name string, next cop) cop {
+func genResolveICall(cp *compiled, pre *segPre, res *cinstr, ic *cinstr, name string, next cop) cop {
 	// resolve constants
 	orig, site, reg := res.orig, res.site, int(res.reg)
 	resCost := int64(res.cost)
@@ -1110,9 +1028,6 @@ func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr,
 		if callee.leaf != nil {
 			return vm.runLeaf(callee, icRet, next)
 		}
-		if callee.flatEntry0 != nil {
-			return vm.runFrameless(callee, icRet, next)
-		}
 		return vm.enter(callee, icRet, next)
 	})
 }
@@ -1126,7 +1041,7 @@ func chargeOf(ci *cinstr) (int64, int64) {
 	return 0, 0
 }
 
-func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name string, next cop, entries []cop, flatRet bool) cop {
+func genEvent(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, next cop, entries []cop) cop {
 	pc, pn := chargeOf(ci)
 	switch ci.kind {
 	case cResolve:
@@ -1314,19 +1229,6 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 				return vm.runLeaf(callee, retC, next)
 			})
 		}
-		if callee.flatEntries != nil {
-			// call->flat: frameless nested run on scratch registers.
-			return fuse(pre, func(vm *cvm) cop {
-				if pn != 0 {
-					vm.st.Cycles += pc
-					vm.st.Stats.Instructions += pn
-				}
-				vm.st.Stats.DirectCalls++
-				vm.st.Cycles += vm.directCallCost + args*vm.callArgCost
-				vm.pushRSB(retC)
-				return vm.runFrameless(callee, retC, next)
-			})
-		}
 		return fuse(pre, func(vm *cvm) cop {
 			if pn != 0 {
 				vm.st.Cycles += pc
@@ -1380,46 +1282,11 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 			if callee.leaf != nil {
 				return vm.runLeaf(callee, retC, next)
 			}
-			if callee.flatEntry0 != nil {
-				return vm.runFrameless(callee, retC, next)
-			}
 			return vm.enter(callee, retC, next)
 		})
 
 	case cRet:
 		def := ci.def
-		if flatRet {
-			// Return inside a frameless flat run: same accounting, then
-			// end the nested driver loop (vm.err stays nil).
-			if def == ir.DefNone {
-				return fuse(pre, func(vm *cvm) cop {
-					if pn != 0 {
-						vm.st.Cycles += pc
-						vm.st.Stats.Instructions += pn
-					}
-					vm.st.Stats.Returns++
-					predicted, ok := vm.popRSB()
-					if ok && predicted == vm.retAddr {
-						vm.st.Stats.RSBHits++
-						vm.st.Cycles += vm.returnCost
-					} else {
-						vm.st.Stats.RSBMisses++
-						vm.st.Cycles += vm.returnCost + vm.mispredict
-					}
-					return nil
-				})
-			}
-			return fuse(pre, func(vm *cvm) cop {
-				if pn != 0 {
-					vm.st.Cycles += pc
-					vm.st.Stats.Instructions += pn
-				}
-				vm.st.Stats.Returns++
-				predicted, ok := vm.popRSB()
-				vm.retSlow(predicted, ok, vm.retAddr, def)
-				return nil
-			})
-		}
 		if def == ir.DefNone {
 			return fuse(pre, func(vm *cvm) cop {
 				if pn != 0 {
@@ -1479,8 +1346,9 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 // have nothing to act on. The tick is a captured flag, not a closure
 // wrapped around the event as fuse does: the wrapper's extra indirect
 // call made profile collection about 5% slower. Calls count into the
-// recorder and enter their callee through vm.call.
-func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, next cop, entries []cop, flatRet bool) cop {
+// recorder, then enter their callee: a direct call through callLeaf or
+// enter, chosen at compile time, an icall through vm.call.
+func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, next cop, entries []cop) cop {
 	tick := pre != nil
 	if ci == nil {
 		return func(vm *cvm) cop {
@@ -1493,7 +1361,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 	// plain is the event without its tick, where tickSlow goes on.
 	var plain cop
 	if tick {
-		plain = genFree(cp, src, nil, ci, name, next, entries, flatRet)
+		plain = genFree(cp, src, nil, ci, name, next, entries)
 	}
 	switch ci.kind {
 	case cResolve:
@@ -1609,7 +1477,7 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 			if vm.rec != nil {
 				vm.rec.direct(orig)
 			}
-			return vm.call(callee, next)
+			return vm.enter(callee, 0, next)
 		}
 
 	case cICall:
@@ -1630,15 +1498,6 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		}
 
 	case cRet:
-		if flatRet {
-			// Ends the nested driver loop of a frameless flat run.
-			return func(vm *cvm) cop {
-				if tick && vm.tick() {
-					return vm.tickSlow(name, plain)
-				}
-				return nil
-			}
-		}
 		return func(vm *cvm) cop {
 			if tick && vm.tick() {
 				return vm.tickSlow(name, plain)

@@ -422,7 +422,7 @@ func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 				b.ALU(1 + int(r.n(6)))
 			}
 			b.Ret()
-		case 2: // call-free counted loop (flat on the compiled tier)
+		case 2: // call-free counted loop (framed on the compiled tier: not a leaf)
 			b.ALU(int(r.n(5)))
 			b.Jmp("loop")
 			b.NewBlock("loop")

@@ -15,8 +15,8 @@
 // Two engines run it. The threaded-code tier (compiled.go) is the one
 // every machine runs by default. The reference loop in this file (exec,
 // selected by EngineInterp) runs the same stream one event at a time on
-// an explicit frame stack, with none of that tier's batching, frameless
-// calls or fused closures; the equivalence tests and
+// an explicit frame stack, with none of that tier's batching, inline
+// leaf calls or fused closures; the equivalence tests and
 // diffcheck.ValidateEngines check the tier against it.
 package interp
 
@@ -139,9 +139,9 @@ type cfunc struct {
 	switchTargets [][]int32
 	// flat marks call-free functions (no direct or indirect calls in
 	// any block). Such a body can never suspend — it runs to its return
-	// the moment it is entered — so the threaded-code tier runs it
-	// frameless (runFrameless, or inline as a leaf) instead of pushing
-	// an activation record.
+	// the moment it is entered — so when it is also one straight-line
+	// segment ending in a return, the threaded-code tier runs it inline
+	// at its call sites as a leaf (leafOf) instead of entering it.
 	flat bool
 }
 

@@ -7,12 +7,11 @@ import (
 
 // TopReport formats the n hottest call sites with cumulative weight
 // coverage — the view used to choose optimization budgets: the row where
-// the cumulative column crosses 99% is where a 99% budget stops.
+// the cumulative column crosses 99% is where a 99% budget stops. n is
+// clamped to [0, number of sites]; the header and totals always print.
 func (p *Profile) TopReport(n int) string {
 	sites := p.SitesSorted(nil)
-	if n > len(sites) {
-		n = len(sites)
-	}
+	n = max(0, min(n, len(sites)))
 	var total uint64
 	for _, s := range sites {
 		total += s.Count

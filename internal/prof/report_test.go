@@ -22,6 +22,13 @@ func TestTopReport(t *testing.T) {
 	if !strings.Contains(out, "(+2 more)") {
 		t.Errorf("indirect target summary missing:\n%s", out)
 	}
+	// A negative row count (pibe top -n -3) prints no rows, only the
+	// header and the totals line.
+	out = p.TopReport(-1)
+	lines = strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "cum%") || !strings.HasPrefix(lines[1], "total sites: 2,") {
+		t.Errorf("TopReport(-1) = %q, want the header and the totals line", out)
+	}
 }
 
 func TestTopReportTruncation(t *testing.T) {

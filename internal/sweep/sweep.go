@@ -194,7 +194,8 @@ type Config struct {
 	// KneeFactor is the slowdown-factor tolerance of knee detection:
 	// the knee is the least aggressive cell whose slowdown factor
 	// (1+geomean) is within KneeFactor of the combo's best. Zero means
-	// the default 1.1.
+	// the default 1.1; any other value must be a finite factor of at
+	// least 1 (below 1 no cell, not even the best, qualifies).
 	KneeFactor float64
 	// Timings records wall-clock build times into the report. Off by
 	// default because wall time is the only non-deterministic field:
@@ -228,7 +229,7 @@ func (c *Config) fill() {
 	if len(c.Combos) == 0 {
 		c.Combos = DefaultCombos()
 	}
-	if c.KneeFactor <= 0 {
+	if c.KneeFactor == 0 {
 		c.KneeFactor = 1.1
 	}
 	if c.Warnf == nil {
@@ -396,6 +397,10 @@ func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell 
 // budget. With Config.StatePath the run checkpoints each completed cell
 // and resumes past completed ones.
 func Run(s *bench.Suite, cfg Config) (*Report, error) {
+	if k := cfg.KneeFactor; k != 0 && !(k >= 1 && !math.IsInf(k, 1)) {
+		return nil, resilience.Faultf(resilience.PhaseMeasure, resilience.KindConfig, "sweep-knee",
+			"knee factor %v is not a finite factor of at least 1", k)
+	}
 	cfg.fill()
 	base, err := s.Baseline()
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -151,6 +153,48 @@ func TestKneeSelection(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnusableKneeFactor: a knee factor below 1 finds no
+// knee, and a non-finite one cannot be written to the report, so Run
+// rejects both with a typed config fault before it measures anything;
+// 0 (the default) and 1 run.
+func TestRunRejectsUnusableKneeFactor(t *testing.T) {
+	s := newSweepSuite(t, 1)
+	combos, err := CombosByName("retpoline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(k float64, state string) Config {
+		return Config{ICPGrid: []float64{0}, InlineGrid: []float64{0}, Combos: combos,
+			KneeFactor: k, StatePath: state, Warnf: t.Logf}
+	}
+	for _, k := range []float64{math.NaN(), math.Inf(1), -1, 0.5} {
+		state := filepath.Join(t.TempDir(), "sweep.state")
+		rep, err := Run(s, cfg(k, state))
+		fault, ok := resilience.AsFault(err)
+		if !ok || fault.Kind != resilience.KindConfig || fault.Site != "sweep-knee" {
+			t.Errorf("knee factor %v: err = %v, want a KindConfig fault at sweep-knee", k, err)
+		}
+		if rep != nil {
+			t.Errorf("knee factor %v: got a report with %d cells, want none", k, len(rep.Cells))
+		}
+		// The state file is opened after the baseline and before any
+		// cell: its absence shows that nothing was measured.
+		if _, err := os.Stat(state); !os.IsNotExist(err) {
+			t.Errorf("knee factor %v: state file exists (stat: %v), want no measured cell", k, err)
+		}
+	}
+	for k, want := range map[float64]float64{0: 1.1, 1: 1} {
+		rep, err := Run(s, cfg(k, ""))
+		if err != nil {
+			t.Fatalf("knee factor %v: %v", k, err)
+		}
+		if rep.KneeFactor != want || len(rep.Cells) != 1 || len(rep.Knees) != 1 {
+			t.Errorf("knee factor %v: factor %v, %d cells, %d knees; want %v, 1, 1",
+				k, rep.KneeFactor, len(rep.Cells), len(rep.Knees), want)
+		}
+	}
+}
+
 func TestBudgetLabelSweep(t *testing.T) {
 	cases := map[float64]string{
 		0:        "0%",
@@ -178,7 +222,8 @@ func newSweepSuite(t *testing.T, measureWorkers int) *bench.Suite {
 // TestSweepSmallGridDeterministicAndMonotone is the acceptance test of
 // the sweep engine: the same seed and grid produce byte-identical
 // BENCH_sweep.json for -measure-workers 1, 2 and GOMAXPROCS (each on a
-// fresh suite, so nothing is cached between runs), and within each
+// fresh suite, so nothing is cached between runs) and once more with
+// every cell measured on the per-event reference loop, and within each
 // defense combo the fully-budgeted diagonal cell is strictly cheaper
 // than the unoptimized origin cell — the paper's overhead trajectory in
 // miniature.
@@ -189,12 +234,18 @@ func TestSweepSmallGridDeterministicAndMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	// The last run repeats the widest on the reference loop, which is
+	// slow enough that it needs every worker.
+	runs := append(workerCounts, runtime.GOMAXPROCS(0))
 
 	var first *Report
 	var firstJSON []byte
-	for _, w := range workerCounts {
+	for i, w := range runs {
 		s := newSweepSuite(t, w)
 		s.Workers = w // vary the cell fan-out too, not just measurement
+		if i == len(workerCounts) {
+			s.Sys.SetEngine(pibe.EngineInterp)
+		}
 		rep, err := Run(s, Config{
 			ICPGrid:    grid,
 			InlineGrid: grid,
@@ -213,7 +264,8 @@ func TestSweepSmallGridDeterministicAndMonotone(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(firstJSON, data) {
-			t.Fatalf("BENCH_sweep.json differs between workers=%d and workers=%d", workerCounts[0], w)
+			t.Fatalf("BENCH_sweep.json differs between run 0 (workers=%d) and run %d (workers=%d, reference loop %t)",
+				runs[0], i, w, i == len(workerCounts))
 		}
 	}
 

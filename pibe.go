@@ -275,10 +275,6 @@ const (
 // measurement runs and those of images it builds.
 func (s *System) SetEngine(e Engine) { s.engine = e }
 
-// ParseEngine parses an engine name: "compiled" (or "", the default)
-// or "interp".
-func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
-
 // SetMeasureWorkers sets how many goroutines this system's images run
 // measurement repetitions on; below 2 they run on the calling goroutine.
 // Every repetition has its own derived seed, machine and CPU model, so
@@ -712,8 +708,8 @@ type FleetResult struct {
 	// aggregate under-counts the fleet (graceful degradation).
 	Partial bool
 	// Final is the aggregate snapshot the drift detector read at the
-	// last epoch's barrier. After a resume that left no epoch to run, it
-	// is the restored aggregate, which that barrier already decayed.
+	// last epoch's barrier. Every run ends at one: NewFleet rejects a
+	// checkpoint that leaves no epoch to run.
 	Final *Profile
 }
 
@@ -747,9 +743,11 @@ type Fleet struct {
 // run, the fleet resumes from it: the checkpointed baseline (which
 // reflects any promotions before the crash) drives the initial image,
 // an in-flight canary is rebuilt, and Run continues at the checkpointed
-// epoch. The system's chaos injector, if armed, is threaded through the
-// collectors. The service stays open, with one merge goroutine, until
-// Run returns.
+// epoch. A checkpoint already at or past cfg.Epochs is rejected with a
+// config fault: its aggregate was decayed at its last barrier, so it
+// is not the snapshot that barrier read. The system's chaos injector,
+// if armed, is threaded through the collectors. The service stays
+// open, with one merge goroutine, until Run returns.
 func (s *System) NewFleet(baseline *Profile, cfg FleetConfig) (f *Fleet, err error) {
 	defer resilience.RecoverPanic(&err, resilience.PhaseFleet, "NewFleet")
 	if baseline == nil {
@@ -779,6 +777,12 @@ func (s *System) NewFleet(baseline *Profile, cfg FleetConfig) (f *Fleet, err err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if done := f.svc.Round(); done >= cfg.Epochs {
+		f.svc.Close()
+		return nil, resilience.Faultf(resilience.PhaseFleet, resilience.KindConfig, "fleet-epochs",
+			"checkpoint is at epoch %d of %d: no epoch left to run (raise the epoch count to resume)",
+			done, cfg.Epochs)
 	}
 	if b := f.svc.Baseline(fleetTenant); b != nil {
 		// The checkpointed baseline is the profile the incumbent at
