@@ -307,32 +307,10 @@ func main() {
 		w = f
 	}
 
-	switch cmd {
-	case "top":
-		p, err := sys.Profile(parseFlavor(*workloadName), 5)
-		check(err)
-		fmt.Fprint(w, p.TopReport(*topN))
-
-	case "dump":
-		if *funcName == "" {
-			fmt.Fprintln(os.Stderr, "pibe dump: -func is required")
-			os.Exit(2)
-		}
-		img, err := sys.Build(pibe.BuildConfig{})
-		check(err)
-		out := img.DumpFunction(*funcName)
-		if out == "" {
-			fmt.Fprintf(os.Stderr, "pibe dump: no function %q\n", *funcName)
-			os.Exit(1)
-		}
-		fmt.Fprint(w, out)
-
-	case "profile":
-		p := collectProfile(sys, parseFlavor(*workloadName))
-		_, err = p.WriteTo(w)
-		check(err)
-
-	case "build", "measure":
+	// buildConfig loads -profile (salvaging it under -lenient) and turns
+	// the build flags into a BuildConfig. Without -profile, a build that
+	// promotes or inlines profiles LMBench in-process.
+	buildConfig := func() pibe.BuildConfig {
 		var profile *pibe.Profile
 		if *profilePath != "" {
 			f, err := os.Open(*profilePath)
@@ -349,10 +327,9 @@ func main() {
 			f.Close()
 			check(err)
 		} else if *icpBudget > 0 || *inlineBudget > 0 {
-			// No profile supplied: collect one in-process.
 			profile = collectProfile(sys, pibe.LMBench)
 		}
-		cfg := pibe.BuildConfig{
+		return pibe.BuildConfig{
 			Profile:      profile,
 			Defenses:     parseDefenses(*defenses),
 			JumpSwitches: *jumpswitches,
@@ -363,7 +340,35 @@ func main() {
 				UseLLVMInliner: *llvmInliner,
 			},
 		}
-		img, err := sys.Build(cfg)
+	}
+
+	switch cmd {
+	case "top":
+		p, err := sys.Profile(parseFlavor(*workloadName), 5)
+		check(err)
+		fmt.Fprint(w, p.TopReport(*topN))
+
+	case "dump":
+		if *funcName == "" {
+			fmt.Fprintln(os.Stderr, "pibe dump: -func is required")
+			os.Exit(2)
+		}
+		img, err := sys.Build(buildConfig())
+		check(err)
+		out := img.DumpFunction(*funcName)
+		if out == "" {
+			fmt.Fprintf(os.Stderr, "pibe dump: no function %q\n", *funcName)
+			os.Exit(1)
+		}
+		fmt.Fprint(w, out)
+
+	case "profile":
+		p := collectProfile(sys, parseFlavor(*workloadName))
+		_, err = p.WriteTo(w)
+		check(err)
+
+	case "build", "measure":
+		img, err := sys.Build(buildConfig())
 		check(err)
 		st := img.Stats()
 		fmt.Fprintf(w, "image built: %d functions, %d bytes, %d indirect calls (%d defended, %d vulnerable)\n",
@@ -395,15 +400,9 @@ func main() {
 		// Baseline: a profile from -profile, or an in-process LMBench run
 		// (the paper's training workload) — deliberately mismatched with
 		// the default apache,nginx fleet mix so drift is observable.
-		var baseline *pibe.Profile
-		if *profilePath != "" {
-			f, err := os.Open(*profilePath)
-			check(err)
-			baseline, err = pibe.ReadProfile(f)
-			f.Close()
-			check(err)
-		} else {
-			baseline = collectProfile(sys, pibe.LMBench)
+		build := buildConfig()
+		if build.Profile == nil {
+			build.Profile = collectProfile(sys, pibe.LMBench)
 		}
 		cfg := pibe.FleetConfig{
 			Runners:          *fleetRunners,
@@ -415,18 +414,11 @@ func main() {
 			CanaryEpochs:     *canary,
 			RegressionBudget: *regressionBudget,
 			StateDir:         *stateDir,
-			Build: pibe.BuildConfig{
-				Defenses: parseDefenses(*defenses),
-				Optimize: pibe.OptimizeConfig{
-					ICPBudget:    *icpBudget,
-					InlineBudget: *inlineBudget,
-					LaxBudget:    *lax,
-				},
-			},
-			Measure:    *measure,
-			MeasureApp: parseMix(*fleetMix)[0],
+			Build:            build,
+			Measure:          *measure,
+			MeasureApp:       parseMix(*fleetMix)[0],
 		}
-		fl, err := sys.NewFleet(baseline, cfg)
+		fl, err := sys.NewFleet(build.Profile, cfg)
 		check(err)
 		res, err := fl.Run()
 		if err != nil && res != nil && res.Partial {

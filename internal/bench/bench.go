@@ -15,17 +15,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Suite owns the kernel, the profiles and a cache of built images and
-// measured latencies, keyed by build configuration, so tables that share
-// a configuration build and measure it once. Entries live as long as the
-// suite, so a caller that evaluates many one-off configurations (the
-// budget sweep) builds and measures through Sys instead.
+// Suite owns the kernel, the profiles and one cache: the LMBench
+// latencies of each build configuration, so tables that share a
+// configuration measure it once. The cache keeps the numbers, not the
+// image they were measured on: Latencies builds, measures and drops
+// it, and a table that reads an image (sizes, optimizer statistics,
+// security census) builds it inside its own ForEach and keeps only the
+// numbers it prints. Peak memory therefore follows the worker count,
+// not the number of configurations.
 //
 // The suite is safe for concurrent use: the table generators fan
-// configuration builds and measurements out across a bounded worker pool
-// (see ForEach), and the caches deduplicate concurrent requests for an
-// equal configuration so it is built exactly once no matter how many
-// workers race for it.
+// configurations out across a bounded worker pool (see ForEach), and
+// the cache deduplicates concurrent requests for an equal configuration
+// so it is measured exactly once no matter how many workers race for
+// it.
 type Suite struct {
 	Seed int64
 	Sys  *pibe.System
@@ -38,39 +41,18 @@ type Suite struct {
 	Workers int
 
 	mu     sync.Mutex
-	flight map[flightKey]*flight
+	flight map[pibe.BuildConfig]*flight
 }
 
-// flightKey addresses one cache entry: a configuration's image, or
-// (lat) its LMBench latencies.
-type flightKey struct {
-	cfg pibe.BuildConfig
-	lat bool
-}
-
-// flight is one cached (possibly still in-progress) build or
-// measurement. The first caller to claim a key becomes the leader and
-// performs the work; everyone else blocks on done and shares the
-// result. Entries are never evicted — the flight map IS the cache.
+// flight is one cached (possibly still in-progress) LMBench
+// measurement. The first caller to claim a configuration becomes the
+// leader and performs the work; everyone else blocks on done and shares
+// the result. Entries are never evicted: the flight map IS the cache,
+// and an entry holds only latencies.
 type flight struct {
 	done chan struct{}
-	img  *pibe.Image
 	lat  []pibe.Latency
 	err  error
-}
-
-// claim returns the flight for key, creating it if absent. The boolean
-// reports whether the caller is the leader and must do the work (and
-// close done when finished).
-func (s *Suite) claim(key flightKey) (*flight, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.flight[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flight[key] = f
-	return f, true
 }
 
 // ForEach runs fn(0) .. fn(n-1) on at most s.Workers goroutines through
@@ -112,7 +94,7 @@ func NewSuiteKernel(cfg pibe.KernelConfig) (*Suite, error) {
 		Sys:        sys,
 		ProfLM:     profLM,
 		ProfApache: profAp,
-		flight:     make(map[flightKey]*flight),
+		flight:     make(map[pibe.BuildConfig]*flight),
 	}, nil
 }
 
@@ -121,34 +103,49 @@ const (
 	BudgetICP = 0.99999 // the 99.999% promotion budget of Tables 3 and 5
 )
 
-// Image builds (or returns the cached) image for a configuration.
-// Concurrent calls for equal configurations share one build.
-func (s *Suite) Image(cfg pibe.BuildConfig) (*pibe.Image, error) {
-	f, leader := s.claim(flightKey{cfg: cfg})
-	if !leader {
-		<-f.done
-		return f.img, f.err
+// build builds one configuration's image, labelling a failure with the
+// configuration.
+func (s *Suite) build(cfg pibe.BuildConfig) (*pibe.Image, error) {
+	img, err := s.Sys.Build(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bench: build %s: %w", cfgLabel(cfg), err)
 	}
-	defer close(f.done)
-	f.img, f.err = s.Sys.Build(cfg)
-	if f.err != nil {
-		f.err = fmt.Errorf("bench: build %s: %w", cfgLabel(cfg), f.err)
-	}
-	return f.img, f.err
+	return img, nil
+}
+
+// eachImage builds cfgs[i] and calls fn(i, img) for every index on the
+// suite's workers (see ForEach). An image is garbage once its fn
+// returns, so fn keeps only the numbers its table prints.
+func (s *Suite) eachImage(cfgs []pibe.BuildConfig, fn func(i int, img *pibe.Image) error) error {
+	return s.ForEach(len(cfgs), func(i int) error {
+		img, err := s.build(cfgs[i])
+		if err != nil {
+			return err
+		}
+		return fn(i, img)
+	})
 }
 
 // Latencies measures (or returns the cached) LMBench latencies for a
-// configuration. Transient measurement faults are retried only inside
+// configuration; concurrent calls for equal configurations share one
+// build and measurement, and the image is dropped once measured.
+// Transient measurement faults are retried only inside
 // workload.Runner, where they are drawn; one that survives it is
 // returned, wrapped with the configuration's label.
 func (s *Suite) Latencies(cfg pibe.BuildConfig) ([]pibe.Latency, error) {
-	f, leader := s.claim(flightKey{cfg: cfg, lat: true})
-	if !leader {
+	s.mu.Lock()
+	f, ok := s.flight[cfg]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		s.flight[cfg] = f
+	}
+	s.mu.Unlock()
+	if ok {
 		<-f.done
 		return f.lat, f.err
 	}
 	defer close(f.done)
-	img, err := s.Image(cfg)
+	img, err := s.build(cfg)
 	if err != nil {
 		f.err = err
 		return nil, err

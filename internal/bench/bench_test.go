@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -150,16 +151,18 @@ func TestTableByIDUnknown(t *testing.T) {
 
 // TestParallelTablesMatchSerial: the worker-pool table generators must
 // render byte-identical tables to a serial run, and concurrent suites
-// must be race-free (run under -race in CI). Table 3 covers the
-// parallel-measurement path and Table 12 the parallel-build path;
-// Tables 5 and 6 run on the same forEach/singleflight machinery, so
-// these two are representative without making the race run prohibitive.
+// must be race-free (run under -race in CI). Table 3 covers parallel
+// measurement through the Latencies cache, Table 7 parallel
+// request-cycle measurement, and Tables 11 and 12 parallel builds whose
+// images are read inside the fan-out; Tables 5 and 6 share Table 3's
+// machinery and Tables 8–10 Table 11's, so these four are
+// representative without making the race run prohibitive.
 func TestParallelTablesMatchSerial(t *testing.T) {
 	serial := newTestSuite(t)
 	serial.Workers = 1
 	par := newTestSuite(t)
 	par.Workers = 4
-	for _, id := range []string{"3", "12"} {
+	for _, id := range []string{"3", "7", "11", "12"} {
 		ts, err := serial.TableByID(id)
 		if err != nil {
 			t.Fatalf("serial table %s: %v", id, err)
@@ -176,35 +179,39 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 }
 
 // TestConcurrentImageSingleflight: many goroutines racing for equal
-// configurations share exactly one build.
+// configurations share exactly one build: the first builds, measures
+// and drops the image, and every racer gets that one measurement.
 func TestConcurrentImageSingleflight(t *testing.T) {
 	s := newTestSuite(t)
 	const n = 8
-	imgs := make([]*pibe.Image, n)
+	lats := make([][]pibe.Latency, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			img, err := s.Image(pibe.BuildConfig{Defenses: pibe.AllDefenses})
+			lat, err := s.Latencies(pibe.BuildConfig{Defenses: pibe.AllDefenses})
 			if err != nil {
-				t.Errorf("Image: %v", err)
+				t.Errorf("Latencies: %v", err)
 				return
 			}
-			imgs[i] = img
+			lats[i] = lat
 		}(i)
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 	for i := 1; i < n; i++ {
-		if imgs[i] != imgs[0] {
-			t.Fatalf("goroutine %d got a different image: singleflight built more than once", i)
+		if &lats[i][0] != &lats[0][0] {
+			t.Fatalf("goroutine %d got different latencies: singleflight built more than once", i)
 		}
 	}
 }
 
 // TestImageCaching: the cache is keyed by the configuration itself, so
-// equal configurations share one image, whichever table asks, and
-// different configurations never share one.
+// equal configurations share one image's measurement, whichever table
+// asks, and different configurations never share one.
 func TestImageCaching(t *testing.T) {
 	s := newTestSuite(t)
 	cfgs := []pibe.BuildConfig{
@@ -213,38 +220,66 @@ func TestImageCaching(t *testing.T) {
 		{Profile: s.ProfLM, Defenses: pibe.AllDefenses, Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP}},
 		{Profile: s.ProfApache, Defenses: pibe.AllDefenses, Optimize: pibe.OptimizeConfig{ICPBudget: BudgetICP}},
 	}
-	imgs := make([]*pibe.Image, len(cfgs))
+	lats := make([][]pibe.Latency, len(cfgs))
 	for i, cfg := range cfgs {
-		img, err := s.Image(cfg)
+		lat, err := s.Latencies(cfg)
 		if err != nil {
-			t.Fatalf("Image(%+v): %v", cfg, err)
+			t.Fatalf("Latencies(%s): %v", cfgLabel(cfg), err)
 		}
-		imgs[i] = img
+		lats[i] = lat
 	}
 	for i, cfg := range cfgs {
-		again, err := s.Image(cfg)
+		again, err := s.Latencies(cfg)
 		if err != nil {
-			t.Fatalf("Image(%+v): %v", cfg, err)
+			t.Fatalf("Latencies(%s): %v", cfgLabel(cfg), err)
 		}
-		if again != imgs[i] {
-			t.Errorf("config %d: equal configs built two images", i)
+		if &again[0] != &lats[i][0] {
+			t.Errorf("config %d: equal configs measured twice", i)
 		}
-		for j := range imgs[:i] {
-			if imgs[j] == imgs[i] {
-				t.Errorf("configs %d and %d differ but share one image", j, i)
+		for j := range lats[:i] {
+			if &lats[j][0] == &lats[i][0] {
+				t.Errorf("configs %d and %d differ but share one measurement", j, i)
 			}
 		}
 	}
-	lat, err := s.Latencies(cfgs[0])
+	base, err := s.Baseline()
 	if err != nil {
-		t.Fatalf("Latencies: %v", err)
+		t.Fatalf("Baseline: %v", err)
 	}
-	again, err := s.Latencies(pibe.BuildConfig{Defenses: pibe.AllDefenses})
+	if &base[0] != &lats[1][0] {
+		t.Error("Baseline and the equal empty config measured twice")
+	}
+}
+
+// TestTablesRetainNoImage: a table that reads images keeps only the
+// numbers it prints. After Table 12 (13 builds) the suite, which is
+// still alive, must hold less live heap than one built image.
+func TestTablesRetainNoImage(t *testing.T) {
+	s := newTestSuite(t)
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	img, err := s.Sys.Build(pibe.BuildConfig{Defenses: pibe.AllDefenses})
 	if err != nil {
-		t.Fatalf("Latencies: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	if &again[0] != &lat[0] {
-		t.Error("equal configs measured twice")
+	one := live() - before
+	runtime.KeepAlive(img)
+	img = nil
+
+	before = live()
+	if _, err := s.Table12(); err != nil {
+		t.Fatalf("Table12: %v", err)
+	}
+	grown := live() - before
+	runtime.KeepAlive(s)
+	t.Logf("one image %.1f MB live; Table 12 grew the live heap by %.1f MB", float64(one)/1e6, float64(grown)/1e6)
+	if grown >= one {
+		t.Errorf("Table 12 grew the live heap by %d B, at least one image's %d B: the suite retains images", grown, one)
 	}
 }
 

@@ -34,15 +34,32 @@ func (s *Suite) Table7() (*Table, error) {
 		{"w/LVI-CFI", pibe.Defenses{LVICFI: true}},
 		{"w/all-defenses", pibe.AllDefenses},
 	}
-	baseImg, err := s.Image(pibe.BuildConfig{})
-	if err != nil {
+	// The LTO baseline first, then each defense's no-opt and PIBE
+	// configurations.
+	cfgs := []pibe.BuildConfig{{}}
+	for _, dc := range defCfgs {
+		optCfg := s.cfgOptimal(dc.d)
+		if dc.label == "w/retpolines" {
+			optCfg.Optimize = pibe.OptimizeConfig{ICPBudget: BudgetICP}
+		}
+		cfgs = append(cfgs, pibe.BuildConfig{Defenses: dc.d}, optCfg)
+	}
+	// kern[i][a] is the kernel cycles per request of cfgs[i] on apps[a].
+	kern := make([][]float64, len(cfgs))
+	if err := s.eachImage(cfgs, func(i int, img *pibe.Image) error {
+		kern[i] = make([]float64, len(apps))
+		for a, app := range apps {
+			var err error
+			if kern[i][a], err = img.MeasureRequestCycles(app); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	for _, app := range apps {
-		baseKern, err := baseImg.MeasureRequestCycles(app)
-		if err != nil {
-			return nil, err
-		}
+	for a, app := range apps {
+		baseKern := kern[0][a]
 		share := workload.UserShare(app)
 		userCycles := baseKern * share / (1 - share)
 		ghz := pibe.CPUFrequencyGHz()
@@ -55,34 +72,14 @@ func (s *Suite) Table7() (*Table, error) {
 			unit = "MB/sec"
 		}
 		for i, dc := range defCfgs {
-			noopt, err := s.Image(pibe.BuildConfig{Defenses: dc.d})
-			if err != nil {
-				return nil, err
-			}
-			optCfg := s.cfgOptimal(dc.d)
-			if dc.label == "w/retpolines" {
-				optCfg.Optimize = pibe.OptimizeConfig{ICPBudget: BudgetICP}
-			}
-			opt, err := s.Image(optCfg)
-			if err != nil {
-				return nil, err
-			}
-			kernNoopt, err := noopt.MeasureRequestCycles(app)
-			if err != nil {
-				return nil, err
-			}
-			kernOpt, err := opt.MeasureRequestCycles(app)
-			if err != nil {
-				return nil, err
-			}
 			vanilla := ""
 			if i == 0 {
 				vanilla = fmt.Sprintf("%.0f %s", baseTp, unit)
 			}
 			t.Rows = append(t.Rows, []string{
 				app.String(), dc.label, vanilla,
-				pct(throughput(kernNoopt)/baseTp - 1),
-				pct(throughput(kernOpt)/baseTp - 1),
+				pct(throughput(kern[1+2*i][a])/baseTp - 1),
+				pct(throughput(kern[2+2*i][a])/baseTp - 1),
 			})
 		}
 	}

@@ -243,6 +243,34 @@ func (s *Suite) Table6() (*Table, error) {
 	return t, nil
 }
 
+// statsBudgets are the three budgets Tables 8–11 report.
+var statsBudgets = []float64{0.99, 0.999, 0.999999}
+
+// budgetCfg is the configuration with defenses d and the same budget b
+// for promotion and inlining, as Tables 8–12 use.
+func (s *Suite) budgetCfg(d pibe.Defenses, b float64) pibe.BuildConfig {
+	return pibe.BuildConfig{
+		Profile:  s.ProfLM,
+		Defenses: d,
+		Optimize: pibe.OptimizeConfig{ICPBudget: b, InlineBudget: b},
+	}
+}
+
+// budgetRows builds the all-defenses image at each of statsBudgets in
+// parallel and renders t's rows, one from each image: the budget's
+// label, then cells(img).
+func (s *Suite) budgetRows(t *Table, cells func(img *pibe.Image) []string) error {
+	cfgs := make([]pibe.BuildConfig, len(statsBudgets))
+	for i, b := range statsBudgets {
+		cfgs[i] = s.budgetCfg(pibe.AllDefenses, b)
+	}
+	t.Rows = make([][]string, len(cfgs))
+	return s.eachImage(cfgs, func(i int, img *pibe.Image) error {
+		t.Rows[i] = append([]string{budgetLabel(statsBudgets[i])}, cells(img)...)
+		return nil
+	})
+}
+
 // Table8 reproduces Table 8: gadgets eliminated per budget.
 func (s *Suite) Table8() (*Table, error) {
 	t := &Table{
@@ -252,47 +280,19 @@ func (s *Suite) Table8() (*Table, error) {
 			"return weight", "return sites"},
 		Notes: []string{"paper at 99%: 98.8% weight, 17.2% sites, 12.3% return sites; at 99.9999%: 100%/89.7%/86.1%"},
 	}
-	if err := s.warmBudgetImages(); err != nil {
-		return nil, err
-	}
-	for _, b := range statsBudgets {
-		img, err := s.budgetImage(b)
-		if err != nil {
-			return nil, err
-		}
+	if err := s.budgetRows(t, func(img *pibe.Image) []string {
 		icpR, inlR := img.Opt.ICP, img.Opt.Inline
-		t.Rows = append(t.Rows, []string{
-			budgetLabel(b),
+		return []string{
 			fmt.Sprintf("%s %s", u64(icpR.PromotedWeight), frac(icpR.PromotedWeight, icpR.TotalWeight)),
 			fmt.Sprintf("%d %s", icpR.PromotedSites, frac(uint64(icpR.PromotedSites), uint64(icpR.CandidateSites))),
 			fmt.Sprintf("%d %s", icpR.PromotedTargets, frac(uint64(icpR.PromotedTargets), uint64(icpR.CandidateTargets))),
 			fmt.Sprintf("%s %.1f%%", u64(inlR.InlinedWeight), 100*inlR.ElidedReturnFraction()),
 			fmt.Sprintf("%d %s", inlR.Inlined, frac(uint64(inlR.Inlined), uint64(inlR.Candidates))),
-		})
+		}
+	}); err != nil {
+		return nil, err
 	}
 	return t, nil
-}
-
-// budgetImage builds the all-defenses image with the same budget for
-// promotion and inlining, as Tables 8–12 use.
-func (s *Suite) budgetImage(b float64) (*pibe.Image, error) {
-	return s.Image(pibe.BuildConfig{
-		Profile:  s.ProfLM,
-		Defenses: pibe.AllDefenses,
-		Optimize: pibe.OptimizeConfig{ICPBudget: b, InlineBudget: b},
-	})
-}
-
-// statsBudgets are the three budgets Tables 8–11 report.
-var statsBudgets = []float64{0.99, 0.999, 0.999999}
-
-// warmBudgetImages builds the per-budget images of Tables 8–11 in
-// parallel so the serial per-row loops below only hit the cache.
-func (s *Suite) warmBudgetImages() error {
-	return s.ForEach(len(statsBudgets), func(i int) error {
-		_, err := s.budgetImage(statsBudgets[i])
-		return err
-	})
 }
 
 // Table9 reproduces Table 9: inlining weight blocked by each size
@@ -304,14 +304,7 @@ func (s *Suite) Table9() (*Table, error) {
 		Header: []string{"budget", "overall", "Rule 2", "Rule 3", "other"},
 		Notes:  []string{"paper at 99.9999%: Rule2 0.96%, Rule3 3.41%, other 1.9%"},
 	}
-	if err := s.warmBudgetImages(); err != nil {
-		return nil, err
-	}
-	for _, b := range statsBudgets {
-		img, err := s.budgetImage(b)
-		if err != nil {
-			return nil, err
-		}
+	if err := s.budgetRows(t, func(img *pibe.Image) []string {
 		r := img.Opt.Inline
 		ov := float64(r.OverallWeight)
 		pc := func(x int64) string {
@@ -320,11 +313,12 @@ func (s *Suite) Table9() (*Table, error) {
 			}
 			return fmt.Sprintf("%dm %.2f%%", x, 100*float64(x)/ov)
 		}
-		t.Rows = append(t.Rows, []string{
-			budgetLabel(b),
+		return []string{
 			u64(r.OverallWeight),
 			pc(r.BlockedRule2Weight), pc(r.BlockedRule3Weight), pc(r.BlockedOtherWeight),
-		})
+		}
+	}); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -338,25 +332,19 @@ func (s *Suite) Table10() (*Table, error) {
 		Header: []string{"budget", "icalls total", "icp candidates", "call sites total", "inline candidates"},
 		Notes:  []string{"paper: icp 0.59-3.09% of 20927; inlining 1.14-7.5% of ~133k"},
 	}
-	if err := s.warmBudgetImages(); err != nil {
-		return nil, err
-	}
-	for _, b := range statsBudgets {
-		img, err := s.budgetImage(b)
-		if err != nil {
-			return nil, err
-		}
+	if err := s.budgetRows(t, func(img *pibe.Image) []string {
 		st := img.Stats()
 		icpR, inlR := img.Opt.ICP, img.Opt.Inline
 		// Candidates processed under this budget: promoted sites for
 		// icp, attempted sites for inlining.
-		t.Rows = append(t.Rows, []string{
-			budgetLabel(b),
+		return []string{
 			n(st.IndirectCalls),
 			fmt.Sprintf("%d (%s)", icpR.PromotedSites, frac(uint64(icpR.PromotedSites), uint64(st.IndirectCalls))),
 			n(st.DirectCalls),
 			fmt.Sprintf("%d (%s)", inlR.Candidates, frac(uint64(inlR.Candidates), uint64(st.DirectCalls))),
-		})
+		}
+	}); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -369,30 +357,22 @@ func (s *Suite) Table11() (*Table, error) {
 		Header: []string{"statistic", "no-opt", "99%", "99.9%", "99.9999%"},
 		Notes:  []string{"paper: Def 20927→26066, Vuln ICalls 41→170, Vuln IJumps 5"},
 	}
-	if err := s.warmBudgetImages(); err != nil {
-		return nil, err
-	}
-	imgs := []*pibe.Image{}
-	noopt, err := s.Image(cfgAllDefNoOpt())
-	if err != nil {
-		return nil, err
-	}
-	imgs = append(imgs, noopt)
+	cfgs := []pibe.BuildConfig{cfgAllDefNoOpt()}
 	for _, b := range statsBudgets {
-		img, err := s.budgetImage(b)
-		if err != nil {
-			return nil, err
-		}
-		imgs = append(imgs, img)
+		cfgs = append(cfgs, s.budgetCfg(pibe.AllDefenses, b))
 	}
-	def := []string{"Def. ICalls"}
-	vul := []string{"Vuln. ICalls"}
-	jmp := []string{"Vuln. IJumps"}
-	for _, img := range imgs {
+	def := make([]string, 1+len(cfgs))
+	vul := make([]string, 1+len(cfgs))
+	jmp := make([]string, 1+len(cfgs))
+	def[0], vul[0], jmp[0] = "Def. ICalls", "Vuln. ICalls", "Vuln. IJumps"
+	if err := s.eachImage(cfgs, func(i int, img *pibe.Image) error {
 		rep := img.SecurityReport()
-		def = append(def, n(img.Census.DefendedICalls))
-		vul = append(vul, n(rep.ICallsSpectreV2))
-		jmp = append(jmp, n(rep.IJumpsSpectreV2))
+		def[1+i] = n(img.Census.DefendedICalls)
+		vul[1+i] = n(rep.ICallsSpectreV2)
+		jmp[1+i] = n(rep.IJumpsSpectreV2)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	t.Rows = append(t.Rows, def, vul, jmp)
 	return t, nil
@@ -400,10 +380,6 @@ func (s *Suite) Table11() (*Table, error) {
 
 // Table12 reproduces Table 12: image size growth per configuration.
 func (s *Suite) Table12() (*Table, error) {
-	base, err := s.Image(pibe.BuildConfig{})
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:     "12",
 		Title:  "Image size increase due to optimization",
@@ -424,39 +400,36 @@ func (s *Suite) Table12() (*Table, error) {
 		{"w/LVI-CFI", pibe.Defenses{LVICFI: true}, []float64{0.99, 0.999999}},
 		{"w/ret-retpolines", pibe.Defenses{RetRetpolines: true}, []float64{0.99, 0.999999}},
 	}
-	// Build every configuration in parallel first; the ordered assembly
-	// loop below then reads them back in row order.
-	var cfgs []pibe.BuildConfig
+	// The LTO baseline first, then each row's no-opt configuration and
+	// its budgets; the assembly loop below reads the sizes back in that
+	// order.
+	cfgs := []pibe.BuildConfig{{}}
 	for _, r := range rows {
 		cfgs = append(cfgs, pibe.BuildConfig{Defenses: r.d})
 		for _, b := range r.budgets {
-			cfgs = append(cfgs, pibe.BuildConfig{
-				Profile:  s.ProfLM,
-				Defenses: r.d,
-				Optimize: pibe.OptimizeConfig{ICPBudget: b, InlineBudget: b},
-			})
+			cfgs = append(cfgs, s.budgetCfg(r.d, b))
 		}
 	}
-	imgs := make([]*pibe.Image, len(cfgs))
-	if err := s.ForEach(len(cfgs), func(i int) error {
-		var err error
-		imgs[i], err = s.Image(cfgs[i])
-		return err
+	sizes := make([]int64, len(cfgs))
+	if err := s.eachImage(cfgs, func(i int, img *pibe.Image) error {
+		sizes[i] = img.Size()
+		return nil
 	}); err != nil {
 		return nil, err
 	}
+	base, sizes := sizes[0], sizes[1:]
 	for _, r := range rows {
-		noopt := imgs[0]
+		noopt := sizes[0]
 		for i, b := range r.budgets {
-			img := imgs[1+i]
+			size := sizes[1+i]
 			t.Rows = append(t.Rows, []string{
 				r.label,
 				budgetLabel(b),
-				pct(float64(img.Size()-base.Size()) / float64(base.Size())),
-				pct(float64(img.Size()-noopt.Size()) / float64(noopt.Size())),
+				pct(float64(size-base) / float64(base)),
+				pct(float64(size-noopt) / float64(noopt)),
 			})
 		}
-		imgs = imgs[1+len(r.budgets):]
+		sizes = sizes[1+len(r.budgets):]
 	}
 	return t, nil
 }

@@ -38,6 +38,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -125,7 +126,9 @@ type Config struct {
 	// Promote, when non-nil, arms the per-tenant canary-gated
 	// promotion pipeline (the same Promoter internal/fleet runs):
 	// every round, a healthy/degraded tenant's drift feeds a Promoter
-	// built over NewController(tenantID).
+	// built over NewController(tenantID). Its DriftThreshold must lie in
+	// [0, 1] and its RegressionBudget must be finite; Open rejects
+	// anything else rather than run a gate that NaN silently disables.
 	Promote *fleet.PromoteConfig
 	// NewController supplies each tenant's rebuild hooks (used only
 	// with Promote).
@@ -212,9 +215,19 @@ func (c *Config) fill() error {
 	if c.MaxDeltaCount == 0 {
 		c.MaxDeltaCount = 1 << 40
 	}
-	if c.Promote != nil && c.NewController == nil {
-		return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
-			"promote", "Promote configured without NewController")
+	if p := c.Promote; p != nil {
+		if c.NewController == nil {
+			return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
+				"promote", "Promote configured without NewController")
+		}
+		if !(p.DriftThreshold >= 0 && p.DriftThreshold <= 1) {
+			return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
+				"drift-threshold", "drift threshold %g outside [0, 1]", p.DriftThreshold)
+		}
+		if math.IsNaN(p.RegressionBudget) || math.IsInf(p.RegressionBudget, 0) {
+			return resilience.Faultf(resilience.PhaseIngest, resilience.KindConfig,
+				"regression-budget", "regression budget %g is not finite", p.RegressionBudget)
+		}
 	}
 	if c.Warnf == nil {
 		c.Warnf = func(string, ...any) {}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,9 +28,12 @@ func sitesDelta(count uint64, ids ...int) *prof.Profile {
 }
 
 // TestIngestRejectsOutOfRangeKnobs: a decay or hot budget outside
-// (0, 1], or a drift floor outside [0, 1), is a PhaseIngest/KindConfig
-// fault instead of a silently substituted value; 0 selects the default
-// (for the drift floor: disabled).
+// (0, 1], a drift floor outside [0, 1), a promotion drift threshold
+// that is NaN or outside [0, 1], or a regression budget that is NaN or
+// infinite, is a PhaseIngest/KindConfig fault instead of a silently
+// substituted value or a disabled gate; 0 selects the default (for the
+// drift floor and threshold: disabled), and a negative regression
+// budget stays zero tolerance.
 func TestIngestRejectsOutOfRangeKnobs(t *testing.T) {
 	for _, cfg := range []Config{{Decay: 1.5}, {Decay: -0.5}, {HotBudget: 2}, {HotBudget: -1},
 		{DriftFloor: 1.5}, {DriftFloor: 1}, {DriftFloor: -0.3}} {
@@ -38,6 +42,32 @@ func TestIngestRejectsOutOfRangeKnobs(t *testing.T) {
 			t.Errorf("decay %g, hot budget %g, drift floor %g: Open = %v, want an ingest/config fault",
 				cfg.Decay, cfg.HotBudget, cfg.DriftFloor, err)
 		}
+	}
+	ctrl := func(string) *fleet.Controller { return &fleet.Controller{} }
+	for _, c := range []struct {
+		field   string
+		promote fleet.PromoteConfig
+	}{
+		{"drift-threshold", fleet.PromoteConfig{DriftThreshold: math.NaN()}},
+		{"drift-threshold", fleet.PromoteConfig{DriftThreshold: 1.5}},
+		{"drift-threshold", fleet.PromoteConfig{DriftThreshold: -0.25}},
+		{"regression-budget", fleet.PromoteConfig{RegressionBudget: math.NaN()}},
+		{"regression-budget", fleet.PromoteConfig{RegressionBudget: math.Inf(1)}},
+		{"regression-budget", fleet.PromoteConfig{RegressionBudget: math.Inf(-1)}},
+	} {
+		_, err := Open(Config{Workers: 1, Promote: &c.promote, NewController: ctrl})
+		if fe, ok := resilience.AsFault(err); !ok || fe.Phase != resilience.PhaseIngest ||
+			fe.Kind != resilience.KindConfig || fe.Site != c.field {
+			t.Errorf("promote %+v: Open = %v, want an ingest/config fault at %s", c.promote, err, c.field)
+		}
+	}
+	for _, p := range []fleet.PromoteConfig{{DriftThreshold: 0.75}, {DriftThreshold: 1}, {RegressionBudget: -1}} {
+		svc, err := Open(Config{Workers: 1, Promote: &p, NewController: ctrl})
+		if err != nil {
+			t.Errorf("promote %+v rejected: %v", p, err)
+			continue
+		}
+		svc.Close()
 	}
 	strict, err := Open(Config{Workers: 1, DriftFloor: 0.99})
 	if err != nil {

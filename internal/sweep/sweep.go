@@ -12,10 +12,12 @@
 // aligned text matrices and a machine-readable BENCH_sweep.json.
 //
 // Cells take the kernel, profile and baseline from a bench.Suite but
-// build and measure outside its cache: a cell keeps only its Cell, so
-// its image is garbage once the cell returns and peak memory follows
-// the worker count, not the grid size. Measurement inside a cell goes
-// through the deterministic measurement driver (internal/workload).
+// build and measure through its System, not its Latencies cache, since
+// a cell also reads its image's optimizer statistics: a cell keeps only
+// its Cell, so its image is garbage once the cell returns and peak
+// memory follows the worker count, not the grid size. Measurement
+// inside a cell goes through the deterministic measurement driver
+// (internal/workload).
 // The report is a pure function of (kernel config, grid, combos): cells
 // are assembled in grid order, not completion order, and every float in
 // the JSON comes from the deterministic measurement path, so the

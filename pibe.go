@@ -586,7 +586,8 @@ type FleetConfig struct {
 	// hot set the drift detector compares (0 means the default 0.99).
 	HotBudget float64
 	// DriftThreshold triggers a rebuild when live-vs-baseline hot-set
-	// overlap falls below it; 0 disables drift-triggered rebuilds.
+	// overlap falls below it; 0 disables drift-triggered rebuilds, and
+	// NaN or a value outside [0, 1] is rejected.
 	DriftThreshold float64
 	// CanaryEpochs is how many epochs (counting the build epoch) a
 	// rebuilt candidate serves before the promotion decision (default 1:
@@ -594,7 +595,8 @@ type FleetConfig struct {
 	CanaryEpochs int
 	// RegressionBudget is the relative canary-latency regression
 	// tolerated versus the incumbent before the candidate is rolled back
-	// (0 means the default 0.05; negative means zero tolerance).
+	// (0 means the default 0.05; negative means zero tolerance; NaN and
+	// ±Inf are rejected).
 	RegressionBudget float64
 	// StateDir, when non-empty, makes the fleet crash-safe: the ingest
 	// service checkpoints its aggregate, counters and promotion state

@@ -22,8 +22,9 @@ import (
 //
 // It also requires the budget sweep's `all` cells at (0, 0) and
 // (99.999%, 0) to equal Table 5's "no-opt" and "+icp" geomeans exactly:
-// the sweep builds and measures outside the suite's cache, so this is
-// the check that both paths measure alike.
+// the sweep builds and measures each cell through the suite's System,
+// not through its Latencies cache, so this is the check that both paths
+// measure alike.
 func TestPaperTablesPinned(t *testing.T) {
 	committed, err := os.ReadFile("bench_tables.txt")
 	if err != nil {
