@@ -144,6 +144,7 @@ import (
 	"strings"
 
 	pibe "repro"
+	"repro/internal/inline"
 	"repro/internal/resilience"
 )
 
@@ -378,8 +379,7 @@ func main() {
 				icp.PromotedTargets, icp.PromotedSites, 100*float64(icp.PromotedWeight)/float64(icp.TotalWeight+1))
 		}
 		if inl := img.Opt.Inline; inl != nil {
-			fmt.Fprintf(w, "inlining: %d of %d candidate sites elided (%.1f%% of return weight)\n",
-				inl.Inlined, inl.Candidates, 100*inl.ElidedReturnFraction())
+			fmt.Fprintln(w, inlineSummary(inl))
 		}
 		if *security {
 			rep := img.SecurityReport()
@@ -464,6 +464,15 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// inlineSummary is the inlining line of `pibe build`. Inlined counts
+// every inline operation, call sites inherited from inlined callees
+// included, while Candidates counts only the initial profiled sites, so
+// the two print as separate counts, not as a ratio.
+func inlineSummary(r *inline.Result) string {
+	return fmt.Sprintf("inlining: %d inline operations over %d candidate sites (%.1f%% of return weight)",
+		r.Inlined, r.Candidates, 100*r.ElidedReturnFraction())
 }
 
 // parseFlavor parses one workload name: lmbench, apache, nginx or

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	pibe "repro"
+	"repro/internal/prof"
 	"repro/internal/resilience"
 )
 
@@ -34,14 +35,16 @@ func TestTableRender(t *testing.T) {
 
 func TestBudgetLabel(t *testing.T) {
 	cases := map[float64]string{
+		0:        "0%",
+		0.5:      "50%",
 		0.99:     "99%",
 		0.999:    "99.9%",
 		0.99999:  "99.999%",
 		0.999999: "99.9999%",
 	}
 	for in, want := range cases {
-		if got := budgetLabel(in); got != want {
-			t.Errorf("budgetLabel(%v) = %q, want %q", in, got, want)
+		if got := BudgetLabel(in); got != want {
+			t.Errorf("BudgetLabel(%v) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -131,12 +134,12 @@ func TestTable1MatchesCostModel(t *testing.T) {
 func TestCandidateOverlapBounds(t *testing.T) {
 	s := newTestSuite(t)
 	for _, indirect := range []bool{true, false} {
-		ov := CandidateOverlap(s.ProfLM, s.ProfApache, 0.99, indirect)
+		ov := prof.CandidateOverlap(s.ProfLM.Raw(), s.ProfApache.Raw(), 0.99, indirect)
 		if ov < 0 || ov > 1 {
 			t.Errorf("overlap(indirect=%v) = %v out of range", indirect, ov)
 		}
 		// A profile always fully overlaps itself.
-		if self := CandidateOverlap(s.ProfLM, s.ProfLM, 0.99, indirect); self < 0.999 {
+		if self := prof.CandidateOverlap(s.ProfLM.Raw(), s.ProfLM.Raw(), 0.99, indirect); self < 0.999 {
 			t.Errorf("self-overlap = %v, want 1", self)
 		}
 	}

@@ -86,13 +86,16 @@ func (s *Suite) Table7() (*Table, error) {
 	return t, nil
 }
 
-// AllTables runs every experiment in paper order.
-func (s *Suite) AllTables() ([]*Table, error) {
-	type gen struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	gens := []gen{
+// tableGen is one experiment of the paper's evaluation, by its table
+// number (or name).
+type tableGen struct {
+	id string
+	fn func() (*Table, error)
+}
+
+// tables lists every experiment in paper order.
+func (s *Suite) tables() []tableGen {
+	return []tableGen{
 		{"1", s.Table1}, {"2", s.Table2}, {"3", s.Table3}, {"4", s.Table4},
 		{"5", s.Table5}, {"6", s.Table6}, {"7", s.Table7},
 		{"robustness", s.Robustness},
@@ -100,11 +103,15 @@ func (s *Suite) AllTables() ([]*Table, error) {
 		{"11", s.Table11}, {"12", s.Table12},
 		{"ablations", s.Ablations},
 	}
+}
+
+// AllTables runs every experiment in paper order.
+func (s *Suite) AllTables() ([]*Table, error) {
 	var out []*Table
-	for _, g := range gens {
+	for _, g := range s.tables() {
 		t, err := g.fn()
 		if err != nil {
-			return nil, fmt.Errorf("table %s: %w", g.name, err)
+			return nil, fmt.Errorf("table %s: %w", g.id, err)
 		}
 		out = append(out, t)
 	}
@@ -112,38 +119,12 @@ func (s *Suite) AllTables() ([]*Table, error) {
 }
 
 // TableByID runs one experiment by its paper table number (or
-// "robustness").
+// "robustness" or "ablations").
 func (s *Suite) TableByID(id string) (*Table, error) {
-	switch id {
-	case "1":
-		return s.Table1()
-	case "2":
-		return s.Table2()
-	case "3":
-		return s.Table3()
-	case "4":
-		return s.Table4()
-	case "5":
-		return s.Table5()
-	case "6":
-		return s.Table6()
-	case "7":
-		return s.Table7()
-	case "8":
-		return s.Table8()
-	case "9":
-		return s.Table9()
-	case "10":
-		return s.Table10()
-	case "11":
-		return s.Table11()
-	case "12":
-		return s.Table12()
-	case "robustness":
-		return s.Robustness()
-	case "ablations":
-		return s.Ablations()
-	default:
-		return nil, fmt.Errorf("bench: unknown table %q (1-12, robustness, ablations)", id)
+	for _, g := range s.tables() {
+		if g.id == id {
+			return g.fn()
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown table %q (1-12, robustness, ablations)", id)
 }

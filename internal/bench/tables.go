@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -266,7 +265,7 @@ func (s *Suite) budgetRows(t *Table, cells func(img *pibe.Image) []string) error
 	}
 	t.Rows = make([][]string, len(cfgs))
 	return s.eachImage(cfgs, func(i int, img *pibe.Image) error {
-		t.Rows[i] = append([]string{budgetLabel(statsBudgets[i])}, cells(img)...)
+		t.Rows[i] = append([]string{BudgetLabel(statsBudgets[i])}, cells(img)...)
 		return nil
 	})
 }
@@ -424,7 +423,7 @@ func (s *Suite) Table12() (*Table, error) {
 			size := sizes[1+i]
 			t.Rows = append(t.Rows, []string{
 				r.label,
-				budgetLabel(b),
+				BudgetLabel(b),
 				pct(float64(size-base) / float64(base)),
 				pct(float64(size-noopt) / float64(noopt)),
 			})
@@ -434,8 +433,9 @@ func (s *Suite) Table12() (*Table, error) {
 	return t, nil
 }
 
-// budgetLabel renders a budget fraction as the paper writes it ("99.999%").
-func budgetLabel(b float64) string {
+// BudgetLabel renders a budget fraction as the paper writes it
+// ("99.999%").
+func BudgetLabel(b float64) string {
 	v := strconv.FormatFloat(b*100, 'f', 6, 64)
 	v = strings.TrimRight(v, "0")
 	v = strings.TrimRight(v, ".")
@@ -449,59 +449,6 @@ func indexLat(ls []pibe.Latency) map[string]float64 {
 		m[l.Bench] = l.Micros
 	}
 	return m
-}
-
-// CandidateOverlap computes how much of one profile's hot candidate
-// weight (at the given budget) is also hot in another profile — the §8.4
-// workload-robustness statistic.
-func CandidateOverlap(a, b *pibe.Profile, budget float64, indirect bool) float64 {
-	sel := func(p *prof.Profile) map[string]uint64 {
-		type item struct {
-			key string
-			w   uint64
-		}
-		var items []item
-		for id, s := range p.Sites {
-			if s.Indirect() != indirect {
-				continue
-			}
-			if indirect {
-				for _, tgt := range s.SortedTargets() {
-					items = append(items, item{fmt.Sprintf("%d:%s", id, tgt.Name), tgt.Count})
-				}
-			} else {
-				items = append(items, item{fmt.Sprintf("%d", id), s.Count})
-			}
-		}
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].w != items[j].w {
-				return items[i].w > items[j].w
-			}
-			return items[i].key < items[j].key
-		})
-		wi := make([]prof.WeightedItem, len(items))
-		for i, it := range items {
-			wi[i] = prof.WeightedItem{Index: i, Weight: it.w}
-		}
-		keep := prof.CumulativeBudget(wi, budget, false)
-		out := make(map[string]uint64, keep)
-		for _, it := range items[:keep] {
-			out[it.key] = it.w
-		}
-		return out
-	}
-	sa, sb := sel(a.Raw()), sel(b.Raw())
-	var total, shared uint64
-	for k, w := range sa {
-		total += w
-		if _, ok := sb[k]; ok {
-			shared += w
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(shared) / float64(total)
 }
 
 // Robustness reproduces §8.4: optimizing with the Apache profile and
@@ -548,7 +495,7 @@ func (s *Suite) Robustness() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("candidate weight shared LMBench∩Apache at 99%% budget: icp %.0f%%, inlining %.0f%% (paper: 58%% / 67%%)",
-			100*CandidateOverlap(s.ProfLM, s.ProfApache, 0.99, true),
-			100*CandidateOverlap(s.ProfLM, s.ProfApache, 0.99, false)))
+			100*prof.CandidateOverlap(s.ProfLM.Raw(), s.ProfApache.Raw(), 0.99, true),
+			100*prof.CandidateOverlap(s.ProfLM.Raw(), s.ProfApache.Raw(), 0.99, false)))
 	return t, nil
 }

@@ -113,15 +113,14 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 		return pairs[i].target < pairs[j].target
 	})
 
-	items := make([]prof.WeightedItem, len(pairs))
+	weights := make([]uint64, len(pairs))
 	for i, pr := range pairs {
-		items[i] = prof.WeightedItem{Index: i, Weight: pr.weight}
+		weights[i] = pr.weight
 	}
-	n := prof.CumulativeBudget(items, opts.Budget, false)
 
 	// Group the selected pairs per site, preserving hotness order.
 	perSite := make(map[ir.SiteID][]pair)
-	for _, pr := range pairs[:n] {
+	for _, pr := range pairs[:prof.BudgetCut(weights, opts.Budget)] {
 		if opts.MaxTargetsPerSite > 0 && len(perSite[pr.site]) >= opts.MaxTargetsPerSite {
 			continue
 		}

@@ -3,7 +3,6 @@ package inline
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/inlinecost"
 	"repro/internal/ir"
@@ -34,10 +33,6 @@ type Options struct {
 	// after profiling (promoted direct calls added by indirect call
 	// promotion). Keys are exact site IDs.
 	ExtraWeights map[ir.SiteID]uint64
-
-	// MaxInlines is a safety valve on the number of inline operations;
-	// zero means no limit beyond the budget.
-	MaxInlines int
 
 	// DisableInheritance turns off the constant-ratio heuristic: call
 	// sites copied into the caller by inlining are not re-enqueued as
@@ -147,6 +142,7 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 	weights := make(map[ir.SiteID]uint64)
 
 	var h candHeap
+	var candWeights []uint64 // for the budget floors
 	seq := 0
 	for _, f := range mod.Funcs {
 		for _, b := range f.Blocks {
@@ -155,16 +151,12 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 				if in.Op != ir.OpCall {
 					continue
 				}
-				var w uint64
-				if ew, ok := opts.ExtraWeights[in.Site]; ok {
-					w = ew
-				} else if s := p.Sites[in.Orig]; s != nil && !s.Indirect() {
-					w = s.Count
-				}
+				w := SiteWeight(in, p, opts.ExtraWeights)
 				if w == 0 {
 					continue
 				}
 				weights[in.Site] = w
+				candWeights = append(candWeights, w)
 				h = append(h, &candidate{site: in.Site, caller: f, callee: in.Callee, weight: w, seq: seq, initial: true})
 				seq++
 				res.TotalWeight += w
@@ -182,10 +174,10 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 	// are at least that hot, colder ones never ("at the beginning, we
 	// greedily select all targets that fit in this budget; then, at
 	// each step we attempt to inline the hottest remaining call site").
-	floor := weightFloor(h, opts.Budget)
+	floor := prof.BudgetFloor(candWeights, opts.Budget)
 	var laxFloor uint64 // weights >= laxFloor skip the size heuristics
 	if opts.LaxBudget > 0 {
-		laxFloor = weightFloor(h, opts.LaxBudget)
+		laxFloor = prof.BudgetFloor(candWeights, opts.LaxBudget)
 	}
 	heap.Init(&h)
 
@@ -207,9 +199,6 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 	ilSeq := 0
 	for h.Len() > 0 {
 		if h[0].weight < floor {
-			break
-		}
-		if opts.MaxInlines > 0 && res.Inlined >= opts.MaxInlines {
 			break
 		}
 		c := heap.Pop(&h).(*candidate)
@@ -300,22 +289,16 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// weightFloor returns the weight of the coldest site inside the given
-// budget over the initial candidate list.
-func weightFloor(h candHeap, budget float64) uint64 {
-	if budget >= 1 {
-		return 1
+// SiteWeight is the weight an inliner gives call site in before it
+// inlines anything: the extra weight of in.Site when it has one (a call
+// created after profiling), else the profile count of in.Orig when that
+// is a direct site.
+func SiteWeight(in *ir.Instr, p *prof.Profile, extra map[ir.SiteID]uint64) uint64 {
+	if w, ok := extra[in.Site]; ok {
+		return w
 	}
-	order := make([]*candidate, len(h))
-	copy(order, h)
-	sort.Slice(order, func(i, j int) bool { return order[i].weight > order[j].weight })
-	items := make([]prof.WeightedItem, len(order))
-	for i, c := range order {
-		items[i] = prof.WeightedItem{Index: i, Weight: c.weight}
+	if s := p.Sites[in.Orig]; s != nil && !s.Indirect() {
+		return s.Count
 	}
-	n := prof.CumulativeBudget(items, budget, false)
-	if n == 0 {
-		return 0
-	}
-	return order[n-1].weight
+	return 0
 }

@@ -20,8 +20,8 @@ package llvminline
 
 import (
 	"fmt"
+	"sort"
 
-	"repro/internal/callgraph"
 	"repro/internal/inline"
 	"repro/internal/inlinecost"
 	"repro/internal/ir"
@@ -56,47 +56,24 @@ type Result struct {
 func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 	res := &Result{}
 
-	weight := func(in *ir.Instr) uint64 {
-		if w, ok := opts.ExtraWeights[in.Site]; ok {
-			return w
-		}
-		if s := p.Sites[in.Orig]; s != nil && !s.Indirect() {
-			return s.Count
-		}
-		return 0
-	}
+	weight := func(in *ir.Instr) uint64 { return inline.SiteWeight(in, p, opts.ExtraWeights) }
 
 	// Classify hotness by budget over the cumulative direct-call count.
-	var weights []prof.WeightedItem
+	var weights []uint64
 	for _, f := range mod.Funcs {
 		f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
 			if in.Op == ir.OpCall {
 				if w := weight(in); w > 0 {
-					weights = append(weights, prof.WeightedItem{Index: len(weights), Weight: w})
+					weights = append(weights, w)
 					res.TotalWeight += w
-					res.Candidates++
 				}
 			}
 		})
 	}
-	hotFloor := uint64(0)
-	if len(weights) > 0 && opts.Budget > 0 {
-		// Sort hottest-first for the budget cut.
-		for i := 0; i < len(weights); i++ {
-			for j := i + 1; j < len(weights); j++ {
-				if weights[j].Weight > weights[i].Weight {
-					weights[i], weights[j] = weights[j], weights[i]
-				}
-			}
-		}
-		n := prof.CumulativeBudget(weights, opts.Budget, false)
-		if n > 0 {
-			hotFloor = weights[n-1].Weight
-		}
-	}
+	res.Candidates = len(weights)
+	hotFloor := prof.BudgetFloor(weights, opts.Budget)
 
-	g := callgraph.Build(mod, p)
-	order := g.PostOrder()
+	order := postOrder(mod, p)
 
 	added := make(map[string]int64)
 	cost := make(map[string]int64)
@@ -168,4 +145,75 @@ func Run(mod *ir.Module, p *prof.Profile, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// postOrder returns the module's functions bottom-up, callees before
+// callers: the visit order of LLVM's default inliner. It walks the
+// profile-weighted call graph, whose edges are the direct calls and,
+// per indirect site, one edge per profiled target. A function's
+// out-edges are visited by weight descending, then site, then callee.
+// The walk starts from each function in module order, and cycles are
+// broken at the first back edge encountered.
+func postOrder(mod *ir.Module, p *prof.Profile) []string {
+	type edge struct {
+		callee string
+		site   ir.SiteID
+		weight uint64
+	}
+	out := make(map[string][]edge)
+	for _, f := range mod.Funcs {
+		f.ForEachInstr(func(b *ir.Block, i int, in *ir.Instr) {
+			switch in.Op {
+			case ir.OpCall:
+				var w uint64
+				if s := p.Sites[in.Orig]; s != nil && !s.Indirect() {
+					w = s.Count
+				}
+				out[f.Name] = append(out[f.Name], edge{in.Callee, in.Site, w})
+			case ir.OpICall:
+				if s := p.Sites[in.Orig]; s != nil && s.Indirect() {
+					for _, t := range s.SortedTargets() {
+						out[f.Name] = append(out[f.Name], edge{t.Name, in.Site, t.Count})
+					}
+				}
+			}
+		})
+	}
+	for _, es := range out {
+		sort.Slice(es, func(i, j int) bool {
+			if es[i].weight != es[j].weight {
+				return es[i].weight > es[j].weight
+			}
+			if es[i].site != es[j].site {
+				return es[i].site < es[j].site
+			}
+			return es[i].callee < es[j].callee
+		})
+	}
+
+	const (
+		white = iota
+		gray
+		black
+	)
+	state := make(map[string]int, len(mod.Funcs))
+	var order []string
+	var visit func(string)
+	visit = func(fn string) {
+		if state[fn] != white {
+			return
+		}
+		state[fn] = gray
+		for _, e := range out[fn] {
+			if state[e.callee] == white {
+				visit(e.callee)
+			}
+		}
+		state[fn] = black
+		order = append(order, fn)
+	}
+	for _, f := range mod.Funcs {
+		visit(f.Name)
+	}
+	return order
 }

@@ -1,6 +1,7 @@
 package llvminline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/inlinecost"
@@ -140,6 +141,99 @@ func TestNoInlineRespected(t *testing.T) {
 	}
 	if _, _, ok := findSite(m.Func("caller"), sites["tiny"]); !ok {
 		t.Error("noinline tiny was inlined")
+	}
+}
+
+// buildDiamond: main -> {a, b}, a -> leaf, b -> leaf, plus an indirect
+// call in main profiled to hit a and b.
+func buildDiamond(t *testing.T) (*ir.Module, *prof.Profile) {
+	t.Helper()
+	m := ir.NewModule()
+	leaf := ir.NewFunction(m, "leaf", 0)
+	leaf.ALU(1).Ret()
+	a := ir.NewFunction(m, "a", 0)
+	sa := a.Call("leaf", 0)
+	a.Ret()
+	b := ir.NewFunction(m, "b", 0)
+	sb := b.Call("leaf", 0)
+	b.Ret()
+	main := ir.NewFunction(m, "main", 0)
+	s1 := main.Call("a", 0)
+	s2 := main.Call("b", 0)
+	si := main.IndirectCall(0)
+	main.Ret()
+	if err := ir.Verify(m, ir.VerifyOptions{}); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	p := prof.New()
+	p.AddDirect(s1, "main", "a", 100)
+	p.AddDirect(s2, "main", "b", 50)
+	p.AddDirect(sa, "a", "leaf", 100)
+	p.AddDirect(sb, "b", "leaf", 50)
+	p.AddIndirect(si, "main", "a", 30)
+	p.AddIndirect(si, "main", "b", 10)
+	p.AddInvocation("main", 1)
+	p.AddInvocation("a", 130)
+	p.AddInvocation("b", 60)
+	p.AddInvocation("leaf", 150)
+	return m, p
+}
+
+func TestPostOrderBottomUp(t *testing.T) {
+	m, p := buildDiamond(t)
+	order := postOrder(m, p)
+	pos := make(map[string]int)
+	for i, f := range order {
+		pos[f] = i
+	}
+	if len(order) != 4 {
+		t.Fatalf("order = %v, want 4 entries", order)
+	}
+	if pos["leaf"] > pos["a"] || pos["leaf"] > pos["b"] {
+		t.Errorf("leaf must precede its callers: %v", order)
+	}
+	if pos["a"] > pos["main"] || pos["b"] > pos["main"] {
+		t.Errorf("callees must precede main: %v", order)
+	}
+}
+
+// TestPostOrderVisitsHottestEdgeFirst: from a root listed first, the
+// walk follows its out-edges by profile weight descending, then site,
+// then callee, with one edge per profiled target of an indirect site.
+func TestPostOrderVisitsHottestEdgeFirst(t *testing.T) {
+	m := ir.NewModule()
+	main := ir.NewFunction(m, "main", 0)
+	sx := main.Call("x", 0)
+	sy := main.Call("y", 0)
+	si := main.IndirectCall(0)
+	sv := main.Call("v", 0)
+	main.Ret()
+	for _, name := range []string{"x", "y", "z", "w", "v"} {
+		ir.NewFunction(m, name, 0).Ret()
+	}
+	p := prof.New()
+	p.AddDirect(sx, "main", "x", 10)
+	p.AddDirect(sy, "main", "y", 100)
+	p.AddIndirect(si, "main", "z", 50)
+	p.AddIndirect(si, "main", "w", 50)
+	p.AddDirect(sv, "main", "v", 50)
+	got := strings.Join(postOrder(m, p), " ")
+	if want := "y w z v x main"; got != want {
+		t.Errorf("postOrder = %q, want %q", got, want)
+	}
+}
+
+func TestPostOrderHandlesCycles(t *testing.T) {
+	m := ir.NewModule()
+	a := ir.NewFunction(m, "a", 0)
+	a.Call("b", 0)
+	a.Ret()
+	b := ir.NewFunction(m, "b", 0)
+	b.Call("a", 0)
+	b.Ret()
+	order := postOrder(m, prof.New())
+	if len(order) != 2 {
+		t.Fatalf("cycle: order = %v", order)
 	}
 }
 

@@ -11,7 +11,6 @@
 package prof
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/ir"
@@ -163,37 +162,12 @@ func (p *Profile) Merge(other *Profile) {
 	p.Ops += other.Ops
 }
 
-// DirectWeight returns the cumulative execution count over direct sites.
-func (p *Profile) DirectWeight() uint64 {
-	var w uint64
-	for _, s := range p.Sites {
-		if !s.Indirect() {
-			w += s.Count
-		}
-	}
-	return w
-}
-
-// IndirectWeight returns the cumulative execution count over indirect
-// sites.
-func (p *Profile) IndirectWeight() uint64 {
-	var w uint64
-	for _, s := range p.Sites {
-		if s.Indirect() {
-			w += s.Count
-		}
-	}
-	return w
-}
-
-// SitesSorted returns all site records matching the filter, hottest first
-// (ties broken by site ID for determinism). A nil filter selects all.
-func (p *Profile) SitesSorted(filter func(*Site) bool) []*Site {
+// SitesSorted returns all site records, hottest first (ties broken by
+// site ID for determinism).
+func (p *Profile) SitesSorted() []*Site {
 	out := make([]*Site, 0, len(p.Sites))
 	for _, s := range p.Sites {
-		if filter == nil || filter(s) {
-			out = append(out, s)
-		}
+		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -220,135 +194,4 @@ func (p *Profile) TargetDistribution() map[int]int {
 		dist[n]++
 	}
 	return dist
-}
-
-// HotSet returns the budget-selected hot item set of the profile: the
-// hottest items that together cover the given fraction of the profile's
-// cumulative weight, keyed so that workload drift is visible at the
-// granularity the optimizers care about. Direct sites are keyed
-// "d:<id>" (inlining candidates), indirect (site, target) pairs are
-// keyed "i:<id>:<target>" (promotion candidates) — so an application
-// mix that rotates which target is hot at a multi-target site changes
-// the hot set even though the site itself stays hot. Selection is
-// deterministic: items sort by weight descending, key ascending.
-func (p *Profile) HotSet(budget float64) map[string]uint64 {
-	type item struct {
-		key string
-		w   uint64
-	}
-	var items []item
-	for id, s := range p.Sites {
-		if s.Indirect() {
-			for _, t := range s.SortedTargets() {
-				items = append(items, item{fmt.Sprintf("i:%d:%s", id, t.Name), t.Count})
-			}
-		} else {
-			items = append(items, item{fmt.Sprintf("d:%d", id), s.Count})
-		}
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].w != items[j].w {
-			return items[i].w > items[j].w
-		}
-		return items[i].key < items[j].key
-	})
-	wi := make([]WeightedItem, len(items))
-	for i, it := range items {
-		wi[i] = WeightedItem{Index: i, Weight: it.w}
-	}
-	keep := CumulativeBudget(wi, budget, false)
-	out := make(map[string]uint64, keep)
-	for _, it := range items[:keep] {
-		out[it.key] = it.w
-	}
-	return out
-}
-
-// HotOverlap is the drift statistic of the profile-ingestion loop: the
-// histogram intersection of the two profiles' budget-selected hot sets,
-// Σ min(ŵ_live, ŵ_base) over hot items, where ŵ is an item's weight
-// normalized by its profile's total hot weight. It is 1 exactly when
-// the hot distributions agree and decays toward 0 as weight moves to
-// different items — or merely redistributes across the same items,
-// which is the drift that silently erodes PIBE's wins: a promotion
-// chain ordered by stale counts puts the now-hot target deep in the
-// chain even though the target was "covered" (the §8.4 mismatched-
-// profile effect, measured continuously). Bare set membership misses
-// that; weight-mass agreement does not.
-//
-// Empty-set semantics: two empty hot sets agree vacuously — there is no
-// weight anywhere to have moved — so empty-vs-empty is 1.0 (no drift).
-// An empty set against a non-empty one is total disagreement, 0. The
-// distinction matters to the fleet service: a freshly started fleet
-// whose baseline and live aggregate are both still empty must not read
-// as maximal drift and spuriously trigger a rebuild.
-func HotOverlap(live, base *Profile, budget float64) float64 {
-	hl, hb := live.HotSet(budget), base.HotSet(budget)
-	var tl, tb uint64
-	for _, w := range hl {
-		tl += w
-	}
-	for _, w := range hb {
-		tb += w
-	}
-	if tl == 0 && tb == 0 {
-		return 1
-	}
-	if tl == 0 || tb == 0 {
-		return 0
-	}
-	var sim float64
-	for k, w := range hl {
-		wl := float64(w) / float64(tl)
-		wb := float64(hb[k]) / float64(tb)
-		if wl < wb {
-			sim += wl
-		} else {
-			sim += wb
-		}
-	}
-	return sim
-}
-
-// WeightedItem pairs an arbitrary index with a profile weight, for budget
-// selection.
-type WeightedItem struct {
-	Index  int
-	Weight uint64
-}
-
-// CumulativeBudget returns how many of the items, pre-sorted hottest
-// first, fit within a budget expressed as a fraction of the total weight.
-// A budget of 0.99 selects the hottest items that together make up 99% of
-// the cumulative execution count, mirroring the paper's optimization
-// budgets. The boundary item that crosses the budget line is included,
-// since the paper "greedily select[s] all targets that fit in this
-// budget" and then keeps attempting the hottest remaining sites; callers
-// that want strict exclusion can pass strict=true.
-func CumulativeBudget(items []WeightedItem, budget float64, strict bool) int {
-	if budget <= 0 || len(items) == 0 {
-		return 0
-	}
-	var total uint64
-	for _, it := range items {
-		total += it.Weight
-	}
-	if total == 0 {
-		return 0
-	}
-	if budget >= 1 {
-		return len(items)
-	}
-	limit := budget * float64(total)
-	var cum float64
-	for i, it := range items {
-		cum += float64(it.Weight)
-		if cum >= limit {
-			if strict && cum > limit {
-				return i
-			}
-			return i + 1
-		}
-	}
-	return len(items)
 }

@@ -25,11 +25,8 @@ func sample() *Profile {
 
 func TestAddAndTotals(t *testing.T) {
 	p := sample()
-	if got := p.DirectWeight(); got != 1000 {
-		t.Errorf("DirectWeight = %d, want 1000", got)
-	}
-	if got := p.IndirectWeight(); got != 1000 {
-		t.Errorf("IndirectWeight = %d, want 1000", got)
+	if d := p.Sites[1]; d.Indirect() || d.Count != 1000 {
+		t.Errorf("site 1: indirect=%v count=%d", d.Indirect(), d.Count)
 	}
 	s := p.Sites[2]
 	if !s.Indirect() || s.Count != 1000 {
@@ -76,16 +73,12 @@ func TestSitesSortedHottestFirstDeterministic(t *testing.T) {
 	p.AddDirect(3, "a", "x", 50)
 	p.AddDirect(1, "b", "y", 100)
 	p.AddDirect(2, "c", "z", 100)
-	got := p.SitesSorted(nil)
+	got := p.SitesSorted()
 	wantIDs := []ir.SiteID{1, 2, 3} // 100(1), 100(2) by ID, then 50
 	for i, w := range wantIDs {
 		if got[i].ID != w {
 			t.Errorf("SitesSorted[%d].ID = %d, want %d", i, got[i].ID, w)
 		}
-	}
-	onlyDirect := p.SitesSorted(func(s *Site) bool { return !s.Indirect() })
-	if len(onlyDirect) != 3 {
-		t.Errorf("filtered length = %d, want 3", len(onlyDirect))
 	}
 }
 
@@ -154,68 +147,6 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read accepted corrupt input", name)
 		}
-	}
-}
-
-func TestCumulativeBudget(t *testing.T) {
-	items := []WeightedItem{{0, 500}, {1, 300}, {2, 150}, {3, 49}, {4, 1}}
-	cases := []struct {
-		budget float64
-		strict bool
-		want   int
-	}{
-		{0, false, 0},
-		{0.5, false, 1},
-		{0.79, false, 2},
-		{0.80, false, 2},
-		{0.81, false, 3},
-		{0.99, false, 4},
-		{0.999, false, 4},
-		{1.0, false, 5},
-		{0.5, true, 1},
-		{0.79, true, 1},
-	}
-	for _, c := range cases {
-		if got := CumulativeBudget(items, c.budget, c.strict); got != c.want {
-			t.Errorf("CumulativeBudget(%.3f, strict=%v) = %d, want %d", c.budget, c.strict, got, c.want)
-		}
-	}
-}
-
-// Property: raising the budget never selects fewer items, and the
-// selection is always within bounds.
-func TestCumulativeBudgetMonotoneQuick(t *testing.T) {
-	f := func(seed int64, b1, b2 float64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20) + 1
-		items := make([]WeightedItem, n)
-		for i := range items {
-			items[i] = WeightedItem{i, uint64(rng.Intn(1000))}
-		}
-		// Budget selection assumes hottest-first ordering.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if items[j].Weight > items[i].Weight {
-					items[i], items[j] = items[j], items[i]
-				}
-			}
-		}
-		clamp := func(x float64) float64 {
-			if x < 0 {
-				x = -x
-			}
-			return x - float64(int(x)) // fractional part in [0,1)
-		}
-		lo, hi := clamp(b1), clamp(b2)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		nlo := CumulativeBudget(items, lo, false)
-		nhi := CumulativeBudget(items, hi, false)
-		return nlo <= nhi && nhi <= n && nlo >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // the cumulative column crosses 99% is where a 99% budget stops. n is
 // clamped to [0, number of sites]; the header and totals always print.
 func (p *Profile) TopReport(n int) string {
-	sites := p.SitesSorted(nil)
+	sites := p.SitesSorted()
 	n = max(0, min(n, len(sites)))
 	var total uint64
 	for _, s := range sites {
@@ -44,20 +44,4 @@ func trunc(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-// CoverageCurve returns, for each requested budget fraction, how many of
-// the hottest sites are needed to cover it — the statistic behind the
-// paper's candidate counts in Tables 8 and 10.
-func (p *Profile) CoverageCurve(budgets []float64, indirect bool) []int {
-	sites := p.SitesSorted(func(s *Site) bool { return s.Indirect() == indirect })
-	items := make([]WeightedItem, len(sites))
-	for i, s := range sites {
-		items[i] = WeightedItem{Index: i, Weight: s.Count}
-	}
-	out := make([]int, len(budgets))
-	for i, b := range budgets {
-		out[i] = CumulativeBudget(items, b, false)
-	}
-	return out
 }

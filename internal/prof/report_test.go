@@ -43,21 +43,3 @@ func TestTopReportTruncation(t *testing.T) {
 		t.Error("truncation marker missing")
 	}
 }
-
-func TestCoverageCurve(t *testing.T) {
-	p := New()
-	p.AddDirect(1, "a", "x", 900)
-	p.AddDirect(2, "b", "y", 90)
-	p.AddDirect(3, "c", "z", 10)
-	got := p.CoverageCurve([]float64{0.5, 0.9, 0.999, 1.0}, false)
-	want := []int{1, 1, 3, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("curve[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Indirect curve over a direct-only profile is empty.
-	if got := p.CoverageCurve([]float64{0.9}, true); got[0] != 0 {
-		t.Errorf("indirect curve = %v, want [0]", got)
-	}
-}

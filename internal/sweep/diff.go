@@ -192,10 +192,10 @@ func (d *DiffReport) Tables(a, b *Report) []*bench.Table {
 			Header: []string{"icp \\ inline"},
 		}
 		for _, inl := range inls {
-			t.Header = append(t.Header, BudgetLabel(inl))
+			t.Header = append(t.Header, bench.BudgetLabel(inl))
 		}
 		for _, icp := range icps {
-			row := []string{BudgetLabel(icp)}
+			row := []string{bench.BudgetLabel(icp)}
 			for _, inl := range inls {
 				c, ok := idx[fmt.Sprintf("%s/%g/%g", combo, icp, inl)]
 				switch {
@@ -226,17 +226,17 @@ func (d *DiffReport) Tables(a, b *Report) []*bench.Table {
 				t.Notes = append(t.Notes, "knee: absent on both sides")
 			case km.A == nil:
 				t.Notes = append(t.Notes, fmt.Sprintf("knee: appeared at icp %s × inline %s (%+.1f%%)",
-					BudgetLabel(km.B.ICPBudget), BudgetLabel(km.B.InlineBudget), 100*km.B.Geomean))
+					bench.BudgetLabel(km.B.ICPBudget), bench.BudgetLabel(km.B.InlineBudget), 100*km.B.Geomean))
 			case km.B == nil:
 				t.Notes = append(t.Notes, fmt.Sprintf("knee: disappeared (was icp %s × inline %s at %+.1f%%)",
-					BudgetLabel(km.A.ICPBudget), BudgetLabel(km.A.InlineBudget), 100*km.A.Geomean))
+					bench.BudgetLabel(km.A.ICPBudget), bench.BudgetLabel(km.A.InlineBudget), 100*km.A.Geomean))
 			case km.Moved:
 				t.Notes = append(t.Notes, fmt.Sprintf("knee MOVED: icp %s × inline %s (%+.1f%%) -> icp %s × inline %s (%+.1f%%)",
-					BudgetLabel(km.A.ICPBudget), BudgetLabel(km.A.InlineBudget), 100*km.A.Geomean,
-					BudgetLabel(km.B.ICPBudget), BudgetLabel(km.B.InlineBudget), 100*km.B.Geomean))
+					bench.BudgetLabel(km.A.ICPBudget), bench.BudgetLabel(km.A.InlineBudget), 100*km.A.Geomean,
+					bench.BudgetLabel(km.B.ICPBudget), bench.BudgetLabel(km.B.InlineBudget), 100*km.B.Geomean))
 			default:
 				t.Notes = append(t.Notes, fmt.Sprintf("knee unchanged at icp %s × inline %s (%+.1f%% -> %+.1f%%)",
-					BudgetLabel(km.A.ICPBudget), BudgetLabel(km.A.InlineBudget), 100*km.A.Geomean, 100*km.B.Geomean))
+					bench.BudgetLabel(km.A.ICPBudget), bench.BudgetLabel(km.A.InlineBudget), 100*km.A.Geomean, 100*km.B.Geomean))
 			}
 		}
 		out = append(out, t)

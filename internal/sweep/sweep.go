@@ -572,12 +572,12 @@ func (r *Report) Tables() []*bench.Table {
 			Header: []string{"icp \\ inline"},
 		}
 		for _, inl := range r.InlineGrid {
-			t.Header = append(t.Header, BudgetLabel(inl))
+			t.Header = append(t.Header, bench.BudgetLabel(inl))
 		}
 		knee, hasKnee := kneeOf[combo]
 		var failed []Cell
 		for _, icp := range r.ICPGrid {
-			row := []string{BudgetLabel(icp)}
+			row := []string{bench.BudgetLabel(icp)}
 			for _, inl := range r.InlineGrid {
 				c, ok := idx[fmt.Sprintf("%s/%g/%g", combo, icp, inl)]
 				if !ok {
@@ -600,7 +600,7 @@ func (r *Report) Tables() []*bench.Table {
 		if hasKnee {
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"knee (*): icp %s × inline %s at %+.1f%% — least aggressive cell within %.2fx of the best %+.1f%%",
-				BudgetLabel(knee.ICPBudget), BudgetLabel(knee.InlineBudget),
+				bench.BudgetLabel(knee.ICPBudget), bench.BudgetLabel(knee.InlineBudget),
 				100*knee.Geomean, r.KneeFactor, 100*knee.BestGeomean))
 		}
 		for _, c := range failed {
@@ -613,18 +613,9 @@ func (r *Report) Tables() []*bench.Table {
 			}
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"warning: cell icp %s × inline %s FAILED (%s) — excluded from knee detection",
-				BudgetLabel(c.ICPBudget), BudgetLabel(c.InlineBudget), detail))
+				bench.BudgetLabel(c.ICPBudget), bench.BudgetLabel(c.InlineBudget), detail))
 		}
 		out = append(out, t)
 	}
 	return out
-}
-
-// BudgetLabel renders a budget fraction the way the paper writes it
-// ("99.9%").
-func BudgetLabel(b float64) string {
-	v := strconv.FormatFloat(b*100, 'f', 6, 64)
-	v = strings.TrimRight(v, "0")
-	v = strings.TrimRight(v, ".")
-	return v + "%"
 }

@@ -195,16 +195,27 @@ func TestRunRejectsUnusableKneeFactor(t *testing.T) {
 	}
 }
 
+// TestBudgetLabelSweep checks the budget labels of the sweep's heat
+// map: each inline budget heads a column and each ICP budget a row,
+// written the way the paper writes them.
 func TestBudgetLabelSweep(t *testing.T) {
-	cases := map[float64]string{
-		0:        "0%",
-		0.5:      "50%",
-		0.999:    "99.9%",
-		0.999999: "99.9999%",
+	grid := []float64{0, 0.5, 0.999, 0.999999}
+	want := []string{"0%", "50%", "99.9%", "99.9999%"}
+	r := &Report{ICPGrid: grid, InlineGrid: grid, Combos: []string{"retpoline"}}
+	tables := r.Tables()
+	if len(tables) != 1 {
+		t.Fatalf("Tables() = %d tables, want 1", len(tables))
 	}
-	for in, want := range cases {
-		if got := BudgetLabel(in); got != want {
-			t.Errorf("BudgetLabel(%v) = %q, want %q", in, got, want)
+	tb := tables[0]
+	if got := strings.Join(tb.Header[1:], " "); got != strings.Join(want, " ") {
+		t.Errorf("column labels = %q, want %q", got, strings.Join(want, " "))
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tb.Rows), len(want))
+	}
+	for i, row := range tb.Rows {
+		if row[0] != want[i] {
+			t.Errorf("row %d label = %q, want %q", i, row[0], want[i])
 		}
 	}
 }

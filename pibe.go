@@ -60,48 +60,15 @@ const (
 	DBench  = workload.DBench
 )
 
-// Defenses selects the transient mitigations to enforce.
-type Defenses struct {
-	// Retpolines defends indirect calls against Spectre V2.
-	Retpolines bool
-	// RetRetpolines defends returns against Ret2spec / RSB poisoning.
-	RetRetpolines bool
-	// LVICFI defends indirect branch target loads against LVI.
-	LVICFI bool
-	// LLVMCFI, StackProtector and SafeStack are the cheap non-transient
-	// defenses of Table 1, included for completeness.
-	LLVMCFI        bool
-	StackProtector bool
-	SafeStack      bool
-	// FineIBT places an IBT landing pad plus per-site SID check at every
-	// indirect-call target; dispatch stays BTB-predicted (forward edge).
-	FineIBT bool
-	// PACCFI signs function pointers on the call side and authenticates
-	// return addresses with ARM-style pointer authentication (both edges).
-	PACCFI bool
-	// VeriFence fences only the indirect branches the IR verifier cannot
-	// prove safe; provable sites stay bare and jump tables are fenced in
-	// place rather than lowered.
-	VeriFence bool
-	// RSBRefill stuffs the RSB on every syscall entry instead of
-	// hardening returns — the ad-hoc mitigation §6.4 argues return
-	// retpolines should replace.
-	RSBRefill bool
-}
+// Defenses selects the mitigations to enforce: the transient defenses
+// (retpolines, return retpolines, LVI-CFI), the cheap non-transient
+// defenses of Table 1, the hardware-assisted backends and the RSB
+// refill. It is the hardening pass's configuration, so a build applies
+// it as given; String names it the way the paper's tables do.
+type Defenses = harden.Config
 
 // AllDefenses enables the comprehensive configuration of Table 5.
 var AllDefenses = Defenses{Retpolines: true, RetRetpolines: true, LVICFI: true}
-
-func (d Defenses) String() string { return d.config().String() }
-
-func (d Defenses) config() harden.Config {
-	return harden.Config{
-		Retpolines: d.Retpolines, RetRetpolines: d.RetRetpolines, LVICFI: d.LVICFI,
-		LLVMCFI: d.LLVMCFI, StackProtector: d.StackProtector, SafeStack: d.SafeStack,
-		FineIBT: d.FineIBT, PACCFI: d.PACCFI, VeriFence: d.VeriFence,
-		RSBRefill: d.RSBRefill,
-	}
-}
 
 // KernelConfig parameterizes the synthetic kernel (see internal/kernel).
 type KernelConfig struct {
@@ -429,7 +396,7 @@ func (s *System) Build(cfg BuildConfig) (img *Image, err error) {
 			img.Opt.Inline = res
 		}
 	}
-	census, err := harden.Apply(mod, cfg.Defenses.config())
+	census, err := harden.Apply(mod, cfg.Defenses)
 	if err != nil {
 		return nil, fmt.Errorf("pibe: harden: %v", err)
 	}
@@ -833,7 +800,7 @@ func (f *Fleet) validateCandidate(cand *Image) error {
 		Flavors:      f.cfg.Mix,
 		Seed:         f.cfg.Seed + 777,
 		Runs:         2,
-		Harden:       f.cfg.Build.Defenses.config(),
+		Harden:       f.cfg.Build.Defenses,
 		JumpSwitches: f.cfg.Build.JumpSwitches,
 	})
 	return err

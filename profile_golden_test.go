@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	pibe "repro"
+	"repro/internal/prof"
 )
 
 // TestProfileGoldenDigests pins the bytes of the profiles the default
@@ -36,22 +37,34 @@ func checkProfileGoldens(t *testing.T, eng pibe.Engine) {
 			t.Errorf("%s: %d sites over %d ops, want %d over %d", name, len(raw.Sites), raw.Ops, sites, ops)
 		}
 	}
+	var lmbench *prof.Profile
 	for _, c := range []struct {
 		w     pibe.Workload
 		hash  string
 		sites int
 		ops   uint64
+		// overlap is the drift statistic prof.HotOverlap of this
+		// profile against the LMBench one at the default 0.99 hot
+		// budget, exactly: it pins the budget cut that selects both
+		// hot sets.
+		overlap float64
 	}{
-		{pibe.LMBench, "ad5f90c612d123fb", 761, 7119},
-		{pibe.Apache, "4ea3db3e4355fde3", 528, 640},
-		{pibe.Nginx, "cfb85ccf4695292d", 338, 660},
-		{pibe.DBench, "fc45130e96a5b9dc", 316, 550},
+		{pibe.LMBench, "ad5f90c612d123fb", 761, 7119, 1},
+		{pibe.Apache, "4ea3db3e4355fde3", 528, 640, 0.33035175027319463},
+		{pibe.Nginx, "cfb85ccf4695292d", 338, 660, 0.2646952096912879},
+		{pibe.DBench, "fc45130e96a5b9dc", 316, 550, 0.353325446111462},
 	} {
 		p, err := sys.Profile(c.w, 5)
 		if err != nil {
 			t.Fatalf("Profile(%s, 5): %v", c.w, err)
 		}
 		check(c.w.String(), p, c.hash, c.sites, c.ops)
+		if c.w == pibe.LMBench {
+			lmbench = p.Raw()
+		}
+		if got := prof.HotOverlap(p.Raw(), lmbench, 0.99); got != c.overlap {
+			t.Errorf("%s: HotOverlap against lmbench at 0.99 = %v, want %v", c.w, got, c.overlap)
+		}
 	}
 
 	// A chaos-aborted run lifts whatever it recorded before the trap.

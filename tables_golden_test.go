@@ -12,9 +12,10 @@ import (
 )
 
 // TestPaperTablesPinned renders Table 5 (every defense at every
-// optimization level, measured) and Table 11 (attack verdicts) at seed 1
-// and requires each render to appear verbatim in bench_tables.txt, the
-// committed output of `pibe-bench -table all`. A change to a cost, a
+// optimization level, measured), Table 11 (attack verdicts) and the §8.4
+// robustness table (the LLVM baseline inliner and the candidate-weight
+// overlap) at seed 1 and requires each render to appear verbatim in
+// bench_tables.txt, the committed output of `pibe-bench -table all`. A change to a cost, a
 // pass, the attack model or the measurement driver that moves a number
 // fails here until bench_tables.txt is regenerated with it:
 //
@@ -35,7 +36,7 @@ func TestPaperTablesPinned(t *testing.T) {
 		t.Fatalf("NewSuite: %v", err)
 	}
 	var table5 *bench.Table
-	for _, id := range []string{"5", "11"} {
+	for _, id := range []string{"5", "11", "robustness"} {
 		tab, err := s.TableByID(id)
 		if err != nil {
 			t.Fatalf("table %s: %v", id, err)
