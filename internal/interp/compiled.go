@@ -25,11 +25,13 @@
 // FuzzCompiledEquivalence and the diffcheck engine-vs-engine gate all
 // enforce.
 //
-// Superinstruction fusion: the profile work in PR 4/5 identified the
-// hot event shapes on the syscall path — straight-line segments ending
-// in a return ("step,ret" leaf helpers), direct calls into those
-// helpers, resolve feeding an indirect call, and block-entry accounting
-// feeding a terminator. Each is fused here:
+// Superinstruction fusion: profiling the syscall path found its hot
+// event shapes — straight-line segments ending in a return ("step,ret"
+// leaf helpers), direct calls into those helpers, resolve feeding an
+// indirect call, and block-entry accounting feeding a terminator — and
+// PIBE's passes add two more: ICP's compare-and-branch chains, and the
+// seams every inlined call leaves back to back (the inliner rewrites
+// the callee's return to a jump). Each is fused here:
 //
 //   - call->leaf and icall->leaf: a call whose callee is a call-free
 //     straight-line body executes the whole callee (segment charges,
@@ -38,17 +40,27 @@
 //     other callee runs in a pooled frame (enter), one call protocol.
 //   - resolve+icall: one closure draws the target and dispatches it,
 //     skipping the register round-trip decode.
-//   - block-entry accounting (step/fuel check plus batched segment
-//     charge or per-event icache touch) is a compile-time prefix baked
-//     into the first event's closure, as is every superblock seam
-//     (cStep) for the event that follows it.
+//   - cmpfn+branch: a promoted target's compare and the flag branch
+//     after it run in one closure, which still writes the flag.
+//   - runs of sequence points: a block entry or superblock seam (cStep)
+//     and every seam after it up to the next event are one run, a
+//     compile-time prefix baked into that event's closure. It does one
+//     step update and fuel check, adds the run's charges, summed at
+//     compile time, then makes each point's icache touches in order. A
+//     run that would cross the step limit, and every run under an armed
+//     injector, replays point by point. A leaf body is a run too.
+//   - repeat touches: a point whose first line is the single line the
+//     previous point of its block touched, with no call or icall
+//     between, touches a way-0 line, a hit that changes no tag; it is
+//     counted at compile time instead of probed.
 //
 // Machines without a cpu.Model run a second, model-free chain built by
 // the same compileProgram skeleton: the same block split, leaf
 // descriptors, frame protocol and fault helpers, with per-event
 // closures that keep only what such a run can observe — the step/fuel
-// sequence points at block entries and seams, control flow, random
-// draws, resolver picks, OnResolve, traps and the Recorder's counts.
+// sequence points at block entries and seams (a run of them one tick
+// of k steps), control flow, random draws, resolver picks, OnResolve,
+// traps and the Recorder's counts.
 // The counts land at the reference loop's sequence points: a direct or
 // indirect edge before the callee's call check, the callee's invocation
 // after it (the entry's too), so every profile, partial ones after a
@@ -66,6 +78,7 @@ package interp
 
 import (
 	"errors"
+	"slices"
 	"unsafe"
 
 	"repro/internal/cpu"
@@ -125,20 +138,41 @@ type cfn struct {
 	leaf *leafBody
 }
 
-// leafSeg is one straight-line segment of a leaf body: a block entry or
-// superblock seam — one step/fuel sequence point plus its batched
-// charge and icache touch.
+// leafSeg is one step/fuel sequence point: a block entry or superblock
+// seam, with the charge batched at it and the lines it touches.
 type leafSeg struct {
-	cost, count int64
-	lineBase    int64
-	nLines      int
+	// cost and count are the segment's batched charge, due after the
+	// fuel check; zero for a segment its events charge (mayFault).
+	cost, count int32
+	lineBase    int32
+	nLines      int32
+	// repeat marks a point whose first line is the single line the
+	// previous point of its block touched, with no call or icall
+	// between them. That touch is a way-0 hit that changes no tag, so it
+	// is counted (segRun.hits), not probed.
+	repeat bool
+}
+
+// segRun is a run of back-to-back sequence points: a block entry or
+// seam followed by every seam up to the next event, or a leaf body.
+// Its charges are summed at compile time, so a run whose one fuel check
+// passes costs one step update, one check and its probes (runFast);
+// one that would cross the step limit replays point by point
+// (runCareful).
+type segRun struct {
+	name string
+	// preCost and preCount are the charged run before the first point
+	// (a seam's segment charged per event), due before its fuel check.
+	preCost, preCount int64
+	cost, count       int64 // sums of the points' batched charges
+	hits              int64 // repeat points, each an i-cache hit
+	segs              []leafSeg
 }
 
 // leafBody is the data-driven description of a leaf function, executed
-// inline at fused call sites.
+// inline at fused call sites: its segments are one run.
 type leafBody struct {
-	name   string
-	segs   []leafSeg
+	run    segRun
 	retDef ir.Defense
 }
 
@@ -521,6 +555,60 @@ func (vm *cvm) installFrame(cf *cfn, d int, retAddr int64) {
 	vm.depth = d
 }
 
+// runFast charges a run whose one fuel check passed: its summed charge
+// and repeat hits, then each point's probes in order. The end state is
+// the careful path's, because charges are pure sums and the touches
+// keep their order.
+func (vm *cvm) runFast(r *segRun) {
+	vm.st.Cycles += r.cost
+	vm.st.Stats.Instructions += r.count
+	vm.st.Stats.ICacheHits += r.hits
+	for i := range r.segs {
+		// touchSeg, written out so that the probes inline here.
+		s := &r.segs[i]
+		line, n := int64(s.lineBase)&vm.alignMask, s.nLines
+		if s.repeat {
+			line, n = line+vm.icLine, n-1
+		}
+		for ; n > 0; n-- {
+			if !vm.touchProbe(line) {
+				vm.touchSlow(line)
+			}
+			line += vm.icLine
+		}
+	}
+}
+
+// runCareful replays the points of a run of function name one by one,
+// as the reference loop's sequence points run: the step and its fuel
+// check (where an armed injector draws), then the point's charge,
+// repeat hit and probes. It reports false if a point faults.
+func (vm *cvm) runCareful(name string, segs []leafSeg) bool {
+	for i := range segs {
+		s := &segs[i]
+		vm.steps++
+		if vm.steps > vm.maxSteps && vm.fuelFault(name) {
+			return false
+		}
+		vm.st.Cycles += int64(s.cost)
+		vm.st.Stats.Instructions += int64(s.count)
+		if s.repeat {
+			vm.st.Stats.ICacheHits++
+		}
+		vm.touchSeg(s)
+	}
+	return true
+}
+
+// touchSeg touches a point's lines but a repeat point's first.
+func (vm *cvm) touchSeg(s *leafSeg) {
+	if s.repeat {
+		vm.touchN(int64(s.lineBase)+vm.icLine, int(s.nLines)-1)
+	} else {
+		vm.touchN(int64(s.lineBase), int(s.nLines))
+	}
+}
+
 // runLeaf executes a leaf body inline at a call site on the charged
 // chain: the exact observable sequence of a framed call of this shape —
 // call check, one step/fuel sequence point plus batched charge and
@@ -532,42 +620,11 @@ func (vm *cvm) runLeaf(cf *cfn, retAddr int64, next cop) cop {
 		return vm.callSlow(cf, retAddr, next, (*cvm).runLeaf)
 	}
 	lb := cf.leaf
-	if n := int64(len(lb.segs)); vm.steps+n <= vm.maxSteps {
-		// Whole body fits in the fuel budget: one steps update, no
-		// per-segment checks. End state is identical to the careful
-		// path (charges are pure sums, touches stay in order).
+	if n := int64(len(lb.run.segs)); vm.steps+n <= vm.maxSteps {
 		vm.steps += n
-		for i := range lb.segs {
-			s := &lb.segs[i]
-			vm.st.Cycles += s.cost
-			vm.st.Stats.Instructions += s.count
-			if s.nLines == 1 {
-				line := s.lineBase & vm.alignMask
-				if !vm.touchProbe(line) {
-					vm.touchSlow(line)
-				}
-			} else {
-				vm.touchN(s.lineBase, s.nLines)
-			}
-		}
-	} else {
-		for i := range lb.segs {
-			s := &lb.segs[i]
-			vm.steps++
-			if vm.steps > vm.maxSteps && vm.fuelFault(lb.name) {
-				return nil
-			}
-			vm.st.Cycles += s.cost
-			vm.st.Stats.Instructions += s.count
-			if s.nLines == 1 {
-				line := s.lineBase & vm.alignMask
-				if !vm.touchProbe(line) {
-					vm.touchSlow(line)
-				}
-			} else {
-				vm.touchN(s.lineBase, s.nLines)
-			}
-		}
+		vm.runFast(&lb.run)
+	} else if !vm.runCareful(cf.name, lb.run.segs) {
+		return nil
 	}
 	vm.st.Stats.Returns++
 	predicted, ok := vm.popRSB()
@@ -587,23 +644,37 @@ func (vm *cvm) runLeaf(cf *cfn, retAddr int64, next cop) cop {
 
 // --- model-free frame protocol -------------------------------------
 
-// tick is one step/fuel sequence point of the model-free chain; it
-// reports whether the fast check failed, so tickSlow must decide.
-func (vm *cvm) tick() bool {
-	vm.steps++
+// tick is a run of n step/fuel sequence points on the model-free chain;
+// it reports whether the fast check failed, so tickSlow must decide.
+func (vm *cvm) tick(n int64) bool {
+	vm.steps += n
 	return vm.steps > vm.maxSteps
 }
 
-// tickSlow is the slow path of a model-free tick: fuelFault, and if the
-// run goes on, op — the ticked event compiled without its tick. Like
-// callSlow it is a tail call.
+// tickSlow is the slow path of a model-free tick of n points: they run
+// again one by one through fuelFault, and if none faults, op — the
+// ticked event compiled without its tick. Like callSlow it is a tail
+// call.
 //
 //go:noinline
-func (vm *cvm) tickSlow(name string, op cop) cop {
-	if vm.fuelFault(name) {
+func (vm *cvm) tickSlow(name string, n int64, op cop) cop {
+	vm.steps -= n
+	if !vm.ticks(name, n) {
 		return nil
 	}
 	return op
+}
+
+// ticks runs n sequence points one by one through fuelFault and reports
+// whether the run goes on.
+func (vm *cvm) ticks(name string, n int64) bool {
+	for ; n > 0; n-- {
+		vm.steps++
+		if vm.fuelFault(name) {
+			return false
+		}
+	}
+	return true
 }
 
 // call enters cf on the model-free chain once the caller has counted
@@ -613,7 +684,7 @@ func (vm *cvm) tickSlow(name string, op cop) cop {
 // without a model.
 func (vm *cvm) call(cf *cfn, next cop) cop {
 	if lb := cf.leaf; lb != nil {
-		return vm.callLeaf(cf, int64(len(lb.segs)), next)
+		return vm.callLeaf(cf, int64(len(lb.run.segs)), next)
 	}
 	return vm.enter(cf, 0, next)
 }
@@ -642,11 +713,8 @@ func (vm *cvm) leafFault(cf *cfn, n int64, next cop) cop {
 	if vm.rec != nil {
 		vm.rec.invoke(cf.index)
 	}
-	for ; n > 0; n-- {
-		vm.steps++
-		if vm.fuelFault(cf.name) {
-			return nil
-		}
+	if !vm.ticks(cf.name, n) {
+		return nil
 	}
 	return next
 }
@@ -694,6 +762,7 @@ func compileProgram(p *Program, free bool) *compiled {
 		funcs: make([]cfn, len(p.funcs)),
 		addrs: make([]int64, len(p.funcs)),
 	}
+	var sp splitter
 	for i := range p.funcs {
 		src := &p.funcs[i]
 		cp.addrs[i] = src.addr
@@ -703,14 +772,14 @@ func compileProgram(p *Program, free bool) *compiled {
 			numRegs:  src.numRegs,
 			numTrips: src.numTrips,
 			entries:  make([]cop, len(src.blocks)),
-			leaf:     leafOf(src),
+			leaf:     sp.leafOf(src),
 		}
 		cp.funcs[i] = f
 	}
 	for i := range p.funcs {
 		src, entries := &p.funcs[i], cp.funcs[i].entries
 		for bi := range src.blocks {
-			entries[bi] = compileBlock(cp, src, entries, bi, free)
+			entries[bi] = compileBlock(cp, &sp, src, entries, bi, free)
 		}
 	}
 	for i := range cp.funcs {
@@ -732,8 +801,8 @@ func compileProgram(p *Program, free bool) *compiled {
 // straight-line code ending in a return — the "step,ret" shape the
 // profiler identifies as the hottest callee — and builds the inline
 // descriptor. Flatness guarantees no segment may fault, so every
-// segment charge is batched.
-func leafOf(f *cfunc) *leafBody {
+// segment charge is batched and the segments are one run.
+func (sp *splitter) leafOf(f *cfunc) *leafBody {
 	if !f.flat || len(f.blocks) == 0 {
 		return nil
 	}
@@ -755,34 +824,112 @@ func leafOf(f *cfunc) *leafBody {
 	if b.mayFault {
 		return nil
 	}
-	segs := make([]leafSeg, 0, n)
-	segs = append(segs, leafSeg{int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines)})
-	for i := 0; i < n-1; i++ {
-		ci := &b.instrs[i]
-		segs = append(segs, leafSeg{int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then)})
+	run := sp.split(b, f.name)[0].pre
+	run.segs = slices.Clone(run.segs)
+	return &leafBody{run: run, retDef: ret.def}
+}
+
+// item is one event of a block's merged event list with the run of
+// sequence points before it (none when pre.segs is empty), or with ci
+// nil a run no event follows.
+type item struct {
+	pre segRun
+	ci  *cinstr
+}
+
+// splitter splits blocks into items. It keeps its buffers from block to
+// block, so compilation allocates nothing per seam, and a run's points
+// are only valid until the next split: fuse and leafOf copy those they
+// keep.
+type splitter struct {
+	items []item
+	pts   []leafSeg
+}
+
+// split splits a block's merged event list into (run, event) pairs. A
+// run is the block entry or a seam (cStep) followed by every seam up to
+// the next event: inlining rewrites each callee's return to a jump, so
+// every inlined call leaves seams back to back. A point whose charge is
+// due before its fuel check (a seam after a segment charged per event)
+// opens a run of its own, so only a run's first point carries one.
+//
+// It also marks repeat points: a point whose first line is the single
+// line the block's previous point touched, with only resolves and
+// compares between them. The model touches lines of its own size, and
+// equal 64-byte bases after a one-line point are the one case that is
+// a way-0 hit under every line size.
+func (sp *splitter) split(b *cblock, name string) []item {
+	items, pts := sp.items[:0], sp.pts[:0]
+	if n := len(b.instrs) + 1; cap(pts) < n {
+		pts = make([]leafSeg, 0, n) // every run below is a window of pts
 	}
-	return &leafBody{name: f.name, segs: segs, retDef: ret.def}
+	var (
+		run  segRun // the open run, whose points are pts[lo:]
+		lo   int
+		last = int32(-1) // the single line the last point touched; -1 if none
+	)
+	closeRun := func() segRun {
+		r := run
+		r.segs = pts[lo:len(pts):len(pts)]
+		run, lo = segRun{}, len(pts)
+		return r
+	}
+	point := func(s leafSeg, preCost, preCount int64) {
+		if preCount != 0 && len(pts) > lo {
+			items = append(items, item{pre: closeRun()})
+		}
+		if len(pts) == lo {
+			run = segRun{name: name, preCost: preCost, preCount: preCount}
+		}
+		s.repeat = last >= 0 && s.lineBase == last
+		last = -1
+		if s.nLines == 1 {
+			last = s.lineBase
+		}
+		run.cost += int64(s.cost)
+		run.count += int64(s.count)
+		if s.repeat {
+			run.hits++
+		}
+		pts = append(pts, s)
+	}
+	entry := leafSeg{lineBase: b.lineBase, nLines: b.nLines}
+	if !b.mayFault {
+		entry.cost, entry.count = b.segCost, b.segCount
+	}
+	point(entry, 0, 0)
+	for ii := range b.instrs {
+		ci := &b.instrs[ii]
+		if ci.kind == cStep {
+			s := leafSeg{lineBase: ci.addr, nLines: ci.then}
+			if !ci.useFlag {
+				s.cost, s.count = ci.cost, ci.els
+			}
+			pc, pn := chargeOf(ci)
+			point(s, pc, pn)
+			continue
+		}
+		it := item{ci: ci}
+		if len(pts) > lo {
+			it.pre = closeRun()
+		}
+		items = append(items, it)
+		if ci.kind == cCall || ci.kind == cICall {
+			last = -1 // the callee touches lines of its own
+		}
+	}
+	if len(pts) > lo {
+		items = append(items, item{pre: closeRun()})
+	}
+	sp.items, sp.pts = items, pts
+	return items
 }
 
-// segPre describes the accounting prefix baked before an event's
-// closure: a block entry or superblock seam — an optional charged run
-// from the preceding segment, one step/fuel sequence point, then either
-// the segment's batched charge+touch or (for may-fault segments whose
-// runs are charged per event) an icache touch alone.
-type segPre struct {
-	name     string
-	preCost  int64 // charged run before a merged jump (cStep only)
-	preCount int64
-	batched  bool // segment cannot fault: charge cost/count at entry
-	cost     int64
-	count    int64
-	lineBase int64
-	nLines   int
-}
-
-// fuse bakes a prefix in front of a body closure. The prefix and body
-// execute under one driver dispatch — the block-entry+terminator
-// superinstruction for single-event blocks.
+// fuse bakes a run's accounting in front of a body closure, so the run
+// and the body execute under one driver dispatch: the block-entry (or
+// seam) plus event superinstruction. A run with at most two lines to
+// probe, most runs on PIBE's images, keeps all its fast path needs in
+// the closure; a longer one loops over its points (runFast).
 //
 // fuse stays out of line so that its closures are compiled with it and
 // not with its callers: genEvent and compileBlock are large enough that
@@ -790,132 +937,127 @@ type segPre struct {
 // them, and touchProbe then becomes a call in the hottest closures.
 //
 //go:noinline
-func fuse(pre *segPre, body cop) cop {
-	if pre == nil {
+func fuse(r segRun, body cop) cop {
+	if len(r.segs) == 0 {
 		return body
 	}
-	p := *pre
-	if p.batched && p.nLines == 1 && p.preCount == 0 {
-		// The dominant prefix: single-line, cannot-fault segment.
-		name, cost, count, lb := p.name, p.cost, p.count, p.lineBase
+	name, n := r.name, int64(len(r.segs))
+	if s := r.segs[0]; n == 1 && r.preCount == 0 && s.nLines == 1 && !s.repeat {
+		// The dominant prefix of unoptimized code: one point touching
+		// one line. Its closure keeps the point's 32-bit fields.
+		cost, count, lb := s.cost, s.count, s.lineBase
 		return func(vm *cvm) cop {
 			vm.steps++
 			if vm.steps > vm.maxSteps {
-				return vm.lineSlow(name, cost, count, lb, body)
+				return vm.lineSlow(name, int64(cost), int64(count), int64(lb), body)
 			}
-			vm.st.Cycles += cost
-			vm.st.Stats.Instructions += count
-			line := lb & vm.alignMask
+			vm.st.Cycles += int64(cost)
+			vm.st.Stats.Instructions += int64(count)
+			line := int64(lb) & vm.alignMask
 			if !vm.touchProbe(line) {
 				vm.touchSlow(line)
 			}
 			return body(vm)
 		}
 	}
+	segs := slices.Clone(r.segs)
+	// The lines the fast path probes, in order: each point's lines but a
+	// repeat point's first, as the point's base and the line's index.
+	var base, idx [2]int32
+	np := int32(0)
+	for _, s := range segs {
+		for j := int32(0); j < s.nLines; j++ {
+			if j == 0 && s.repeat {
+				continue
+			}
+			if int(np) < len(base) {
+				base[np], idx[np] = s.lineBase, j
+			}
+			np++
+		}
+	}
+	preCost, preCount := r.preCost, r.preCount
+	if int(np) > len(base) {
+		rp := &segRun{name: name, preCost: preCost, preCount: preCount, cost: r.cost, count: r.count, hits: r.hits, segs: segs}
+		return func(vm *cvm) cop {
+			if preCount != 0 {
+				vm.st.Cycles += preCost
+				vm.st.Stats.Instructions += preCount
+			}
+			vm.steps += n
+			if vm.steps > vm.maxSteps {
+				return vm.runSlow(rp.name, rp.segs, body)
+			}
+			vm.runFast(rp)
+			return body(vm)
+		}
+	}
+	// The closure keeps the rest in 32 bits, as the dominant prefix's
+	// does: on PIBE's images it is the most numerous one.
+	cost, count := r.cost, r.count
+	pc, pn, n32, hits := int32(preCost), int32(preCount), int32(n), int32(r.hits)
+	b0, i0, b1, i1 := base[0], idx[0], base[1], idx[1]
 	return func(vm *cvm) cop {
-		if p.preCount != 0 {
-			vm.st.Cycles += p.preCost
-			vm.st.Stats.Instructions += p.preCount
+		if pn != 0 {
+			vm.st.Cycles += int64(pc)
+			vm.st.Stats.Instructions += int64(pn)
 		}
-		vm.steps++
+		vm.steps += int64(n32)
 		if vm.steps > vm.maxSteps {
-			return vm.prefixSlow(p, body)
+			return vm.runSlow(name, segs, body)
 		}
-		if p.batched {
-			vm.st.Cycles += p.cost
-			vm.st.Stats.Instructions += p.count
-		}
-		if p.nLines == 1 {
-			line := p.lineBase & vm.alignMask
+		vm.st.Cycles += cost
+		vm.st.Stats.Instructions += count
+		vm.st.Stats.ICacheHits += int64(hits)
+		if np > 0 {
+			line := int64(b0)&vm.alignMask + int64(i0)*vm.icLine
 			if !vm.touchProbe(line) {
 				vm.touchSlow(line)
 			}
-		} else {
-			vm.touchN(p.lineBase, p.nLines)
+			if np > 1 {
+				line = int64(b1)&vm.alignMask + int64(i1)*vm.icLine
+				if !vm.touchProbe(line) {
+					vm.touchSlow(line)
+				}
+			}
 		}
 		return body(vm)
 	}
 }
 
-// prefixSlow is the slow path of a prefix whose fast step/fuel check
-// failed, after any charged run before the seam: fuelFault, and if the
-// run goes on, the segment's charge and touches, then body. Like
-// callSlow it is a tail call. p comes by value so no closure keeps a
-// segPre alive.
+// runSlow is the slow path of a run whose one fuel check failed, after
+// any charge before its first point: the points run again one by one,
+// and if none faults, body. Like callSlow it is a tail call.
 //
 //go:noinline
-func (vm *cvm) prefixSlow(p segPre, body cop) cop {
-	if vm.fuelFault(p.name) {
+func (vm *cvm) runSlow(name string, segs []leafSeg, body cop) cop {
+	vm.steps -= int64(len(segs))
+	if !vm.runCareful(name, segs) {
 		return nil
 	}
-	if p.batched {
-		vm.st.Cycles += p.cost
-		vm.st.Stats.Instructions += p.count
-	}
-	vm.touchN(p.lineBase, p.nLines)
 	return body
 }
 
-// lineSlow is prefixSlow for fuse's dominant single-line batched
-// prefix. Its fields come as separate arguments, which keep that
-// closure's stack frame as small as its fast path needs.
+// lineSlow is runSlow for fuse's dominant one-point, one-line prefix,
+// whose step is already counted. Its fields come as separate arguments,
+// which keep that closure's stack frame as small as its fast path
+// needs.
 //
 //go:noinline
 func (vm *cvm) lineSlow(name string, cost, count, lineBase int64, body cop) cop {
-	return vm.prefixSlow(segPre{name: name, batched: true, cost: cost, count: count, lineBase: lineBase, nLines: 1}, body)
+	if vm.fuelFault(name) {
+		return nil
+	}
+	vm.st.Cycles += cost
+	vm.st.Stats.Instructions += count
+	vm.touchN(lineBase, 1)
+	return body
 }
 
-func compileBlock(cp *compiled, src *cfunc, entries []cop, bi int, free bool) cop {
+func compileBlock(cp *compiled, sp *splitter, src *cfunc, entries []cop, bi int, free bool) cop {
 	b := &src.blocks[bi]
 	name := src.name
-
-	// Pass 1: split the merged event list into (prefix, event) pairs.
-	// cStep events become the prefix of the event that follows them;
-	// the block's own entry accounting is the prefix of the first.
-	type item struct {
-		pre *segPre
-		ci  *cinstr
-	}
-	entryPre := &segPre{
-		name:     name,
-		batched:  !b.mayFault,
-		cost:     int64(b.segCost),
-		count:    int64(b.segCount),
-		lineBase: int64(b.lineBase),
-		nLines:   int(b.nLines),
-	}
-	var items []item
-	pending := entryPre
-	for ii := range b.instrs {
-		ci := &b.instrs[ii]
-		if ci.kind == cStep {
-			sp := &segPre{
-				name:     name,
-				batched:  !ci.useFlag,
-				cost:     int64(ci.cost),
-				count:    int64(ci.els),
-				lineBase: int64(ci.addr),
-				nLines:   int(ci.then),
-			}
-			if ci.charged {
-				sp.preCost = int64(ci.preCost)
-				sp.preCount = int64(ci.preCount)
-			}
-			if pending != nil {
-				// Two seams back-to-back cannot happen (a cStep is always
-				// followed by the target's events before the next seam),
-				// but keep the earlier prefix as a standalone op if it does.
-				items = append(items, item{pre: pending})
-			}
-			pending = sp
-			continue
-		}
-		items = append(items, item{pre: pending, ci: ci})
-		pending = nil
-	}
-	if pending != nil {
-		items = append(items, item{pre: pending})
-	}
+	items := sp.split(b, name)
 
 	// Fall-off closure: reached only when the block has no terminator.
 	tailBI := bi
@@ -930,31 +1072,33 @@ func compileBlock(cp *compiled, src *cfunc, entries []cop, bi int, free bool) co
 		return nil
 	})
 
-	// Pass 2: build closures back-to-front so each captures its
-	// successor directly. On the charged chain resolve+icall pairs fuse
-	// into one closure; the model-free chain gained nothing measurable
-	// from that fusion.
+	// Build closures back-to-front so each captures its
+	// successor directly. On the charged chain a resolve and the icall
+	// reading its register fuse into one closure, as do a compare and
+	// the flag branch after it; the model-free chain gained nothing
+	// measurable from either fusion.
 	for k := len(items) - 1; k >= 0; k-- {
 		it := items[k]
 		if free {
-			next = genFree(cp, src, it.pre, it.ci, name, next, entries)
+			next = genFree(cp, src, int64(len(it.pre.segs)), it.ci, name, next, entries)
 			continue
 		}
 		if it.ci == nil {
 			next = fuse(it.pre, next)
 			continue
 		}
-		if it.ci.kind == cICall && k > 0 && items[k-1].ci != nil &&
-			items[k-1].ci.kind == cResolve && it.pre == nil && items[k-1].ci.reg == it.ci.reg {
-			// Fused into the preceding resolve (compiled next iteration);
-			// `next` stays pointing at the chain after this icall, which
-			// is exactly the fused pair's continuation.
+		if k > 0 && fusesWith(items[k-1].ci, it) {
+			// Fused into the preceding resolve or compare (compiled next
+			// iteration); `next` stays pointing at the chain after this
+			// event, which is exactly the fused pair's continuation.
 			continue
 		}
-		if it.ci.kind == cResolve && k+1 < len(items) &&
-			items[k+1].ci != nil && items[k+1].ci.kind == cICall &&
-			items[k+1].pre == nil && items[k+1].ci.reg == it.ci.reg {
-			next = genResolveICall(cp, it.pre, it.ci, items[k+1].ci, name, next)
+		if k+1 < len(items) && fusesWith(it.ci, items[k+1]) {
+			if it.ci.kind == cResolve {
+				next = genResolveICall(cp, it.pre, it.ci, items[k+1].ci, name, next)
+			} else {
+				next = genCmpBr(it.pre, it.ci, items[k+1].ci, entries)
+			}
 			continue
 		}
 		next = genEvent(cp, src, it.pre, it.ci, name, next, entries)
@@ -962,8 +1106,26 @@ func compileBlock(cp *compiled, src *cfunc, entries []cop, bi int, free bool) co
 	return next
 }
 
+// fusesWith reports whether event first and the item after it compile
+// to one closure on the charged chain: a resolve and the icall through
+// its register, or a compare and the flag branch reading it (one with
+// no trip count), with no sequence point between the two.
+func fusesWith(first *cinstr, it item) bool {
+	second := it.ci
+	if first == nil || second == nil || len(it.pre.segs) != 0 {
+		return false
+	}
+	switch first.kind {
+	case cResolve:
+		return second.kind == cICall && second.reg == first.reg
+	case cCmpFn:
+		return second.kind == cBr && second.useFlag && second.trip == 0
+	}
+	return false
+}
+
 // genResolveICall emits the fused resolve+icall superinstruction.
-func genResolveICall(cp *compiled, pre *segPre, res *cinstr, ic *cinstr, name string, next cop) cop {
+func genResolveICall(cp *compiled, pre segRun, res *cinstr, ic *cinstr, name string, next cop) cop {
 	// resolve constants
 	orig, site, reg := res.orig, res.site, int(res.reg)
 	resCost := int64(res.cost)
@@ -1032,6 +1194,45 @@ func genResolveICall(cp *compiled, pre *segPre, res *cinstr, ic *cinstr, name st
 	})
 }
 
+// genCmpBr emits the fused compare+branch superinstruction: a promoted
+// target's cmpfn and the flag branch after it. It still writes vm.flag,
+// which a frame saves across calls.
+func genCmpBr(pre segRun, cmp, br *cinstr, entries []cop) cop {
+	cc, cn := chargeOf(cmp)
+	bc, bn := chargeOf(br)
+	pc, pn := cc+bc, cn+bn // nothing between the two can fault
+	reg, want := int(cmp.reg), cmp.callee+1
+	thenP, elsP := &entries[br.then], &entries[br.els]
+	addr := int64(br.addr)
+	return fuse(pre, func(vm *cvm) cop {
+		if pn != 0 {
+			vm.st.Cycles += pc
+			vm.st.Stats.Instructions += pn
+		}
+		taken := vm.regs[reg] == want
+		vm.flag = taken
+		slot := addr & vm.st.PHTMask
+		ctr := vm.st.PHT[slot]
+		if (ctr >= 2) == taken {
+			vm.st.Stats.PHTHits++
+			vm.st.Cycles += vm.condBranchCost
+		} else {
+			vm.st.Stats.PHTMisses++
+			vm.st.Cycles += vm.condBranchCost + vm.mispredict
+		}
+		if taken {
+			if ctr < 3 {
+				vm.st.PHT[slot] = ctr + 1
+			}
+			return *thenP
+		}
+		if ctr > 0 {
+			vm.st.PHT[slot] = ctr - 1
+		}
+		return *elsP
+	})
+}
+
 // chargeOf returns an event's per-event run charge (zero unless the
 // segment is in per-event accounting mode).
 func chargeOf(ci *cinstr) (int64, int64) {
@@ -1041,7 +1242,7 @@ func chargeOf(ci *cinstr) (int64, int64) {
 	return 0, 0
 }
 
-func genEvent(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, next cop, entries []cop) cop {
+func genEvent(cp *compiled, src *cfunc, pre segRun, ci *cinstr, name string, next cop, entries []cop) cop {
 	pc, pn := chargeOf(ci)
 	switch ci.kind {
 	case cResolve:
@@ -1332,7 +1533,7 @@ func genEvent(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, ne
 			return fr.cont
 		})
 	}
-	// cStep never reaches here (pass 1 folds it into prefixes).
+	// cStep never reaches here (split folds it into runs).
 	return fuse(pre, func(vm *cvm) cop {
 		vm.err = trap(name, "interp: %s: unknown compiled event", name)
 		return nil
@@ -1340,35 +1541,34 @@ func genEvent(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, ne
 }
 
 // genFree emits one event's closure on the model-free chain, or with ci
-// nil a standalone prefix. Without a model a prefix's only observable
-// is its step/fuel sequence point, so the closure ticks it first when
-// pre is non-nil; genEvent's charges, touches and predictor updates
-// have nothing to act on. The tick is a captured flag, not a closure
-// wrapped around the event as fuse does: the wrapper's extra indirect
-// call made profile collection about 5% slower. Calls count into the
-// recorder, then enter their callee: a direct call through callLeaf or
-// enter, chosen at compile time, an icall through vm.call.
-func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, next cop, entries []cop) cop {
-	tick := pre != nil
+// nil a standalone run. Without a model a run of sequence points
+// shows only its steps and fuel checks, so the closure first ticks the
+// run before the event, its ticks points in one step update; genEvent's
+// charges, touches and predictor updates have nothing to act on. The tick is a captured count, not a closure wrapped around the
+// event as fuse does: the wrapper's extra indirect call made profile
+// collection about 5% slower. Calls count into the recorder, then enter
+// their callee: a direct call through callLeaf or enter, chosen at
+// compile time, an icall through vm.call.
+func genFree(cp *compiled, src *cfunc, ticks int64, ci *cinstr, name string, next cop, entries []cop) cop {
 	if ci == nil {
 		return func(vm *cvm) cop {
-			if vm.tick() {
-				return vm.tickSlow(name, next)
+			if vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, next)
 			}
 			return next
 		}
 	}
 	// plain is the event without its tick, where tickSlow goes on.
 	var plain cop
-	if tick {
-		plain = genFree(cp, src, nil, ci, name, next, entries)
+	if ticks != 0 {
+		plain = genFree(cp, src, 0, ci, name, next, entries)
 	}
 	switch ci.kind {
 	case cResolve:
 		orig, site, reg := ci.orig, ci.site, int(ci.reg)
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			var d *Dist
 			if vm.res != nil {
@@ -1389,8 +1589,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 	case cCmpFn:
 		reg, want := int(ci.reg), ci.callee+1
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			vm.flag = vm.regs[reg] == want
 			return next
@@ -1402,8 +1602,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		case ci.trip > 0:
 			tripIdx, tripMax := int(ci.tripIdx), ci.trip
 			return func(vm *cvm) cop {
-				if tick && vm.tick() {
-					return vm.tickSlow(name, plain)
+				if ticks != 0 && vm.tick(ticks) {
+					return vm.tickSlow(name, ticks, plain)
 				}
 				if cnt := vm.trips[tripIdx]; cnt < tripMax-1 {
 					vm.trips[tripIdx] = cnt + 1
@@ -1414,8 +1614,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 			}
 		case ci.useFlag:
 			return func(vm *cvm) cop {
-				if tick && vm.tick() {
-					return vm.tickSlow(name, plain)
+				if ticks != 0 && vm.tick(ticks) {
+					return vm.tickSlow(name, ticks, plain)
 				}
 				if vm.flag {
 					return *thenP
@@ -1425,8 +1625,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		}
 		thresh := uint32(ci.cost)
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			if uint32(vm.src.Uint64()>>40) < thresh {
 				return *thenP
@@ -1437,8 +1637,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 	case cJmp:
 		thenP := &entries[ci.then]
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			return *thenP
 		}
@@ -1447,8 +1647,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		targets := src.switchTargets[ci.callee]
 		nT := uint64(len(targets))
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			return entries[targets[uint64n(vm.src, nT)]]
 		}
@@ -1459,10 +1659,10 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 		if lb := callee.leaf; lb != nil {
 			// call->leaf: the callee's kind is known here, so skip
 			// vm.call's dispatch on it.
-			n := int64(len(lb.segs))
+			n := int64(len(lb.run.segs))
 			return func(vm *cvm) cop {
-				if tick && vm.tick() {
-					return vm.tickSlow(name, plain)
+				if ticks != 0 && vm.tick(ticks) {
+					return vm.tickSlow(name, ticks, plain)
 				}
 				if vm.rec != nil {
 					vm.rec.direct(orig)
@@ -1471,8 +1671,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 			}
 		}
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			if vm.rec != nil {
 				vm.rec.direct(orig)
@@ -1483,8 +1683,8 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 	case cICall:
 		reg, site, orig := int(ci.reg), ci.site, ci.orig
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			tgt := vm.regs[reg] - 1
 			if tgt < 0 {
@@ -1499,13 +1699,13 @@ func genFree(cp *compiled, src *cfunc, pre *segPre, ci *cinstr, name string, nex
 
 	case cRet:
 		return func(vm *cvm) cop {
-			if tick && vm.tick() {
-				return vm.tickSlow(name, plain)
+			if ticks != 0 && vm.tick(ticks) {
+				return vm.tickSlow(name, ticks, plain)
 			}
 			return vm.leave()
 		}
 	}
-	// cStep never reaches here (pass 1 folds it into prefixes).
+	// cStep never reaches here (split folds it into runs).
 	return func(vm *cvm) cop {
 		vm.err = trap(name, "interp: %s: unknown compiled event", name)
 		return nil

@@ -380,10 +380,12 @@ func (f *fz) next() uint64 {
 func (f *fz) n(n uint64) uint64 { return f.next() % n }
 
 // genModule builds a random small module exercising every event kind:
-// leaf chains, call-free loops, probability and flag branches, switches
-// (jump-table and compare-chain), direct calls, indirect calls,
-// promoted resolve/cmpfn chains, and random defenses on every
-// defendable site. Returns the module and its resolve sites.
+// leaf chains, long jmp chains of event-free blocks (seams back to back,
+// as inlining leaves them), call-free loops, probability and flag
+// branches, switches (jump-table and compare-chain), direct calls,
+// indirect calls, promoted resolve/cmpfn chains of up to three
+// compares, and random defenses on every defendable site. Returns the
+// module and its resolve sites.
 func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 	r := &fz{s: seed*2 + 1}
 	mod := ir.NewModule()
@@ -403,7 +405,7 @@ func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 	}
 	for i := 0; i < n; i++ {
 		b := ir.NewFunction(mod, names[i], 0)
-		style := r.n(6)
+		style := r.n(7)
 		if i == 0 {
 			style = 5 // the entry is always a caller
 		}
@@ -457,6 +459,33 @@ func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 			}
 			b.NewBlock("done")
 			b.Ret()
+		case 6: // long jmp chain of event-free blocks
+			// Merged, the chain runs as seams back to back: small blocks
+			// share a 64-byte line, large ones cross one, and beyond the
+			// merge depth a jmp stays. A call first frames the function
+			// (no leaf); a resolve in the chain sits between two seams.
+			if r.n(2) == 0 {
+				b.Call(pickCallee(i), 0)
+			}
+			site, reg := ir.SiteID(-1), int32(0)
+			for j, k := 0, 2+int(r.n(40)); j < k; j++ {
+				if r.n(3) == 0 {
+					b.ALU(int(r.n(30)))
+				} else {
+					b.ALU(int(r.n(4)))
+				}
+				if site < 0 && r.n(8) == 0 {
+					site, reg = b.Resolve()
+				}
+				next := fmt.Sprintf("c%d", j)
+				b.Jmp(next)
+				b.NewBlock(next)
+			}
+			if site >= 0 {
+				b.ICall(site, reg, 0)
+				sites = append(sites, site)
+			}
+			b.Ret()
 		default: // caller: direct calls, icalls, promoted chains
 			b.ALU(int(r.n(12)))
 			for j := 0; j < 1+int(r.n(3)); j++ {
@@ -469,16 +498,22 @@ func genModule(seed uint64) (*ir.Module, []ir.SiteID) {
 				sites = append(sites, b.IndirectCall(int(r.n(3))))
 			}
 			if r.n(3) == 0 {
-				// Promoted chain: resolve, compare, direct fast path,
+				// Promoted chain: resolve, then one to three compares,
+				// each a flag branch to a direct fast path, then the
 				// indirect fallback — the shape ICP emits.
 				site, reg := b.Resolve()
-				tgt := pickCallee(i)
-				b.CmpFn(reg, tgt)
-				b.BrFlag("d", "ind")
-				b.NewBlock("d")
-				b.Call(tgt, 1)
-				b.Jmp("jn")
-				b.NewBlock("ind")
+				for j, k := 0, 1+int(r.n(3)); j < k; j++ {
+					tgt, d, next := pickCallee(i), fmt.Sprintf("d%d", j), "ind"
+					if j+1 < k {
+						next = fmt.Sprintf("c%d", j+1)
+					}
+					b.CmpFn(reg, tgt)
+					b.BrFlag(d, next)
+					b.NewBlock(d)
+					b.Call(tgt, 1)
+					b.Jmp("jn")
+					b.NewBlock(next)
+				}
 				b.ICall(site, reg, 1)
 				b.Jmp("jn")
 				b.NewBlock("jn")
@@ -552,6 +587,12 @@ func FuzzCompiledEquivalence(f *testing.F) {
 			f.Add(uint64(12345), int64(-5), uint8(3), uint16(0), recorder, inject)
 			f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9), recorder, inject)
 			f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500), recorder, inject)
+			// Modules with long fused runs, repeat touches and several
+			// compare-and-branch pairs, some budgets ending runs inside
+			// them.
+			f.Add(uint64(226), int64(3), uint8(0), uint16(0), recorder, inject)
+			f.Add(uint64(284), int64(11), uint8(0), uint16(300), recorder, inject)
+			f.Add(uint64(133), int64(5), uint8(4), uint16(77), recorder, inject)
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16, recorder bool, inject uint8) {

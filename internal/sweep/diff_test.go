@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,6 +108,65 @@ func TestDiffDisjointCells(t *testing.T) {
 	for _, k := range d.Knees {
 		if k.Combo == "retpoline" && k.B != nil {
 			t.Errorf("retpoline knee B = %+v, want nil", k.B)
+		}
+	}
+}
+
+// TestReadReportRejectsNonSurfaces: a file whose cells are not exactly
+// its grid is not a sweep surface, so sweep-diff must refuse it rather
+// than diff it as an empty one. The error names the file.
+func TestReadReportRejectsNonSurfaces(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, r *Report) string {
+		t.Helper()
+		data, err := r.WriteJSON()
+		if err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good, _ := diffFixture()
+	if r, err := ReadReport(write("good.json", good)); err != nil || len(r.Cells) != 4 {
+		t.Fatalf("full surface: %v cells, %v; want 4 cells and no error", r, err)
+	}
+
+	missing, _ := diffFixture()
+	missing.Cells = missing.Cells[:3]
+	twice, _ := diffFixture()
+	twice.Cells[3] = twice.Cells[0]
+	foreign, _ := diffFixture()
+	foreign.Cells[3].Combo = "retpoline"
+	empty, _ := diffFixture()
+	empty.Combos, empty.Cells = nil, nil
+	bad := map[string]string{
+		"ingest.json":  `{"seed": 1, "tenants": 64, "snapshot_hash": "f0269ed9ed9eb496"}`,
+		"object.json":  `{}`,
+		"missing.json": "",
+		"twice.json":   "",
+		"foreign.json": "",
+		"empty.json":   "",
+	}
+	for name, r := range map[string]*Report{"missing.json": missing, "twice.json": twice, "foreign.json": foreign, "empty.json": empty} {
+		write(name, r)
+	}
+	for name, body := range bad {
+		path := filepath.Join(dir, name)
+		if body != "" {
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := ReadReport(path)
+		if err == nil {
+			t.Errorf("%s: read as a surface of %d cells, want an error", name, len(r.Cells))
+			continue
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the file", name, err)
 		}
 	}
 }

@@ -49,6 +49,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -536,7 +537,10 @@ func (r *Report) WriteJSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ReadReport parses a BENCH_sweep.json written by WriteJSON.
+// ReadReport parses a BENCH_sweep.json written by WriteJSON. Any JSON
+// object parses into a Report, so it also checks that the cells are
+// exactly the report's grid (see checkCells); anything else is not a
+// sweep surface.
 func ReadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -546,7 +550,50 @@ func ReadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, fmt.Errorf("sweep: parse report %s: %w", path, err)
 	}
+	if err := r.checkCells(); err != nil {
+		return nil, fmt.Errorf("sweep: report %s: %w", path, err)
+	}
 	return r, nil
+}
+
+// checkCells reports whether the cells are exactly combos × ICP grid ×
+// inline grid, each grid point once, and the grid is not empty.
+func (r *Report) checkCells() error {
+	type key struct {
+		combo    string
+		icp, inl float64
+	}
+	n := len(r.Combos) * len(r.ICPGrid) * len(r.InlineGrid)
+	if n == 0 {
+		return fmt.Errorf("empty grid (%d combos × %d ICP × %d inline budgets)",
+			len(r.Combos), len(r.ICPGrid), len(r.InlineGrid))
+	}
+	seen := make(map[key]bool, n)
+	for _, combo := range r.Combos {
+		for _, icp := range r.ICPGrid {
+			for _, inl := range r.InlineGrid {
+				seen[key{combo, icp, inl}] = false
+			}
+		}
+	}
+	if len(seen) != n {
+		return errors.New("grid repeats a combo or budget")
+	}
+	for _, c := range r.Cells {
+		k := key{c.Combo, c.ICPBudget, c.InlineBudget}
+		done, ok := seen[k]
+		switch {
+		case !ok:
+			return fmt.Errorf("cell %s/%g/%g is not on the grid", c.Combo, c.ICPBudget, c.InlineBudget)
+		case done:
+			return fmt.Errorf("cell %s/%g/%g appears twice", c.Combo, c.ICPBudget, c.InlineBudget)
+		}
+		seen[k] = true
+	}
+	if len(r.Cells) != n {
+		return fmt.Errorf("%d cells for a %d-cell grid", len(r.Cells), n)
+	}
+	return nil
 }
 
 // Tables renders one aligned text matrix per combo: rows are ICP
