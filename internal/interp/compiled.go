@@ -1541,14 +1541,15 @@ func genEvent(cp *compiled, src *cfunc, pre segRun, ci *cinstr, name string, nex
 }
 
 // genFree emits one event's closure on the model-free chain, or with ci
-// nil a standalone run. Without a model a run of sequence points
-// shows only its steps and fuel checks, so the closure first ticks the
-// run before the event, its ticks points in one step update; genEvent's
-// charges, touches and predictor updates have nothing to act on. The tick is a captured count, not a closure wrapped around the
-// event as fuse does: the wrapper's extra indirect call made profile
-// collection about 5% slower. Calls count into the recorder, then enter
-// their callee: a direct call through callLeaf or enter, chosen at
-// compile time, an icall through vm.call.
+// nil a standalone run. Without a model a run of sequence points shows
+// only its steps and fuel checks, so the closure first ticks the run
+// before the event, all its points in one step update; genEvent's
+// charges, touches and predictor updates have nothing to act on. The
+// tick is a captured count, not a closure wrapped around the event as
+// fuse does: the wrapper's extra indirect call made profile collection
+// about 5% slower. Calls count into the recorder, then enter their
+// callee: a direct call through callLeaf or enter, chosen at compile
+// time, an icall through vm.call.
 func genFree(cp *compiled, src *cfunc, ticks int64, ci *cinstr, name string, next cop, entries []cop) cop {
 	if ci == nil {
 		return func(vm *cvm) cop {
